@@ -124,13 +124,7 @@ class BidSolution:
 
 def score_samples(cfg: HesConfig, c: float, archive: SignalArchive) -> np.ndarray:
     """Per-window controller scores at capacity c (zero-signal windows dropped)."""
-    matrix = archive.matrix()
-    l1 = np.sum(np.abs(matrix), axis=1)
-    valid = l1 > 0.0
-    if not np.any(valid):
-        raise ValueError("archive has no window with nonzero command movement")
-    batch = rt_dispatch_batch(cfg, c, matrix[valid], archive.dt)
-    return 1.0 - batch.err_sums / (c * l1[valid])
+    return _CurveEvaluator(cfg, archive).scores(c)
 
 
 def quantile_lower(scores: np.ndarray, gamma: float) -> float:
@@ -151,9 +145,11 @@ def quantile_lower(scores: np.ndarray, gamma: float) -> float:
 
 
 class _CurveEvaluator:
-    """Caches per-capacity curve points over one archive."""
+    """Scores windows, and caches per-capacity curve points, over one archive."""
 
-    def __init__(self, cfg: HesConfig, archive: SignalArchive, market: MarketParams):
+    def __init__(
+        self, cfg: HesConfig, archive: SignalArchive, market: MarketParams | None = None
+    ):
         matrix = archive.matrix()
         l1 = np.sum(np.abs(matrix), axis=1)
         valid = l1 > 0.0
@@ -168,12 +164,16 @@ class _CurveEvaluator:
         self.n_windows = int(matrix.shape[0])
         self._cache: dict[float, BidCurvePoint] = {}
 
+    def scores(self, c: float) -> np.ndarray:
+        """Per-window scores at capacity c, zero-signal windows dropped."""
+        batch = rt_dispatch_batch(self._cfg, c, self._matrix, self._dt)
+        return 1.0 - batch.err_sums / (c * self._l1)
+
     def __call__(self, c: float) -> BidCurvePoint:
         c = float(c)
         pt = self._cache.get(c)
         if pt is None:
-            batch = rt_dispatch_batch(self._cfg, c, self._matrix, self._dt)
-            scores = 1.0 - batch.err_sums / (c * self._l1)
+            scores = self.scores(c)
             clamped = np.clip(scores, 0.0, 1.0)
             mean_xp = float(scores.mean())
             pt = BidCurvePoint(

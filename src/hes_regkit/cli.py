@@ -34,13 +34,13 @@ from .config import (
     print_schema,
     resolve_archive,
 )
-from .controller import rt_dispatch, save_trace_csv
+from .controller import rt_dispatch, rt_dispatch_batch, save_trace_csv
 from .model import HesConfig
 from .offline import (
     BudgetError,
     EquivalenceError,
     SolverError,
-    benchmark_controller,
+    _benchmark_report,
     offline_dispatch,
 )
 from .reports import digest_of, write_csv, write_json
@@ -143,6 +143,7 @@ def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: s
 
     if mode in ("rt", "both"):
         trace = rt_dispatch(cfg.hes, capacity, sig)
+        j_on = trace.abs_error()
         save_trace_csv(out / "trace_rt.csv", trace, sig.samples, capacity)
         perf = make_report(capacity, sig, trace, cfg.market)
         rt_report = dict(header)
@@ -163,7 +164,8 @@ def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: s
             off_report["dp_value"] = sol.dp_value
         write_json(out / "performance_offline.json", off_report)
     if mode == "both":
-        bench = benchmark_controller(cfg.hes, capacity, sig)
+        # what benchmark_controller would compute, from the runs above
+        bench = _benchmark_report(cfg.hes, capacity, sig, j_on, sol)
         bench_report = dict(header)
         bench_report.update(bench.to_dict())
         write_json(out / "benchmark.json", bench_report)
@@ -305,9 +307,8 @@ def cmd_soc_drift(
         rows = []
         hit_count = 0
         finals = []
-        for i, sig in enumerate(archive.windows):
-            trace = rt_dispatch(hes, c_used, sig)
-            soc = trace.soc
+        batch = rt_dispatch_batch(hes, c_used, archive.matrix(), archive.dt)
+        for i, soc in enumerate(batch.soc):
             at_floor = soc <= batt.soc_min + 1e-9
             at_ceiling = soc >= batt.soc_max - 1e-9
             hit = bool(np.any(at_floor) or np.any(at_ceiling))

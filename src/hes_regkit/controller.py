@@ -15,6 +15,10 @@ delta_c / delta_d in [0, 1] derate battery power to what the SoC envelope can
 absorb or supply within one interval, including conversion losses:
     delta_c = min((soc_max - e) * cap / (eta_c * dt * p_max), 1)
     delta_d = min(eta_d * (e - soc_min) * cap / (dt * p_max), 1)
+
+One kernel runs the rule over many windows at once, stepping only the SoC
+and the headroom; rt_step, rt_dispatch and rt_dispatch_batch are views of
+it, and give the same bits.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from .model import (
     SocState,
     check_step_feasible,
     ensure_dispatchable,
-    soc_step,
 )
-from .signals import RegSignal
+from .signals import RegSignal, _check_samples
 
 __all__ = [
     "DispatchTrace",
@@ -97,85 +100,103 @@ class DispatchTrace:
         return float(np.sum(np.abs(self.target - self.p_hes)))
 
 
+def _split_command(cfg: HesConfig, c: float, r: np.ndarray):
+    """The SoC-free half of the rule: target, p_gen, p_load and the residual
+    the battery is asked for (>= 0 where r > 0, <= 0 elsewhere)."""
+    target = c * r
+    pos = r > 0.0
+    gmax, lmax = cfg.gen.p_max, cfg.load.p_max
+    # where, not np.minimum, which may pick either of two tied zeros: at
+    # r = +0.0, p_load = min(-target, lmax) is -0.0, and trace files show it
+    p_gen = np.where(pos, np.where(gmax < target, gmax, target), 0.0)
+    p_load = -target
+    p_load = np.where(pos, 0.0, np.where(lmax < p_load, lmax, p_load))
+    resid = target - p_gen
+    resid += p_load
+    return target, p_gen, p_load, resid
+
+
+def _battery_share(resid, d_max, c_max):
+    """Battery (p_discharge, p_charge) for a residual, within [c_max, d_max].
+
+    ``+ 0.0`` turns a -0.0 (a tie between zeros, e.g. c_max = -0.0 at the
+    SoC ceiling) into 0.0 and leaves every other value as it is.
+    """
+    p_discharge = np.maximum(0.0, np.minimum(resid, d_max)) + 0.0
+    p_charge = np.minimum(0.0, np.maximum(resid, c_max)) + 0.0
+    return p_discharge, p_charge
+
+
+def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
+    """The rule over step-major commands r, shape (n_steps, n_windows).
+
+    Returns DispatchTrace's columns in its order, each step-major; soc has
+    one more row and is the transpose of a (windows, steps + 1) array.
+    """
+    batt = cfg.batt
+    pb, cap, dt = batt.p_max, batt.energy_capacity, cfg.dt
+    target, p_gen, p_load, resid = _split_command(cfg, c, r)
+    p_discharge = np.empty_like(resid)
+    p_charge = np.empty_like(resid)
+    soc = np.empty((r.shape[1], r.shape[0] + 1)).T
+    soc[0] = e0
+    for k in range(r.shape[0]):
+        e = soc[k]
+        delta_d = np.minimum(batt.eta_d * (e - batt.soc_min) * cap / (dt * pb), 1.0)
+        delta_c = np.minimum((batt.soc_max - e) * cap / (batt.eta_c * dt * pb), 1.0)
+        p_d, p_c = _battery_share(resid[k], delta_d * pb, -delta_c * pb)
+        p_discharge[k], p_charge[k] = p_d, p_c
+        soc[k + 1] = e - (batt.eta_c * p_c + p_d / batt.eta_d) * dt / cap
+    # the residual is spent; its buffer takes p_hes, summed in the rule's order
+    p_hes = np.subtract(p_gen, p_load, out=resid)
+    p_hes += p_discharge
+    p_hes += p_charge
+    return target, p_gen, p_load, p_discharge, p_charge, p_hes, soc
+
+
+def _check_inputs(
+    cfg: HesConfig, c: float, dt: float, soc_init: float | None = None
+) -> float:
+    """Checks shared by the dispatch entry points; returns the initial SoC."""
+    ensure_dispatchable(cfg)
+    if c <= 0.0:
+        raise ValueError(f"capacity must be > 0 MW, got {c}")
+    if dt != cfg.dt:
+        raise ValueError(f"signal dt={dt} does not match config dt={cfg.dt}")
+    e0 = cfg.batt.soc_init if soc_init is None else float(soc_init)
+    if not cfg.batt.soc_min <= e0 <= cfg.batt.soc_max:
+        raise ValueError(
+            f"soc_init={e0} outside envelope [{cfg.batt.soc_min}, {cfg.batt.soc_max}]"
+        )
+    return e0
+
+
 def rt_step(
     cfg: HesConfig, c: float, r_k: float, state: SocState
 ) -> tuple[DispatchStep, SocState]:
     """One interval of the priority rule. Returns the dispatch and next SoC."""
-    batt = cfg.batt
-    target = c * r_k
-    if r_k > 0.0:
-        delta_d = min(
-            batt.eta_d * (state.e - batt.soc_min) * batt.energy_capacity
-            / (cfg.dt * batt.p_max),
-            1.0,
-        )
-        p_gen = min(target, cfg.gen.p_max)
-        p_load = 0.0
-        p_discharge = max(0.0, min(target - p_gen, delta_d * batt.p_max))
-        p_charge = 0.0
-    else:
-        delta_c = min(
-            (batt.soc_max - state.e) * batt.energy_capacity
-            / (batt.eta_c * cfg.dt * batt.p_max),
-            1.0,
-        )
-        p_gen = 0.0
-        p_load = min(-target, cfg.load.p_max)
-        p_discharge = 0.0
-        p_charge = min(0.0, max(target + p_load, -delta_c * batt.p_max))
-    step = DispatchStep.from_assets(p_gen, p_load, p_discharge, p_charge)
-    return step, soc_step(batt, state, p_charge, p_discharge, cfg.dt)
+    cols = _rule_columns(cfg, c, np.array([[r_k]], dtype=float), state.e)
+    step = DispatchStep(*(float(col[0, 0]) for col in cols[1:6]))
+    return step, SocState(e=float(cols[6][1, 0]))
 
 
 def rt_dispatch(
     cfg: HesConfig, c: float, sig: RegSignal, *, soc_init: float | None = None
 ) -> DispatchTrace:
     """Run the rule over a whole window."""
-    ensure_dispatchable(cfg)
-    if c <= 0.0:
-        raise ValueError(f"capacity must be > 0 MW, got {c}")
-    if sig.dt != cfg.dt:
-        raise ValueError(f"signal dt={sig.dt} does not match config dt={cfg.dt}")
-    n = sig.n
-    e0 = cfg.batt.soc_init if soc_init is None else float(soc_init)
-    if not cfg.batt.soc_min <= e0 <= cfg.batt.soc_max:
-        raise ValueError(
-            f"soc_init={e0} outside envelope [{cfg.batt.soc_min}, {cfg.batt.soc_max}]"
-        )
-    p_gen = np.empty(n)
-    p_load = np.empty(n)
-    p_discharge = np.empty(n)
-    p_charge = np.empty(n)
-    p_hes = np.empty(n)
-    soc = np.empty(n + 1)
-    soc[0] = e0
-    state = SocState(e=e0)
-    for k in range(n):
-        step, state = rt_step(cfg, c, float(sig.samples[k]), state)
-        p_gen[k] = step.p_gen
-        p_load[k] = step.p_load
-        p_discharge[k] = step.p_discharge
-        p_charge[k] = step.p_charge
-        p_hes[k] = step.p_hes
-        soc[k + 1] = state.e
-    return DispatchTrace(
-        target=c * sig.samples,
-        p_gen=p_gen,
-        p_load=p_load,
-        p_discharge=p_discharge,
-        p_charge=p_charge,
-        p_hes=p_hes,
-        soc=soc,
-    )
+    e0 = _check_inputs(cfg, c, sig.dt, soc_init)
+    cols = _rule_columns(cfg, c, sig.samples[:, None], e0)
+    return DispatchTrace(*(col[:, 0] for col in cols))
 
 
 @dataclass(frozen=True, eq=False)
 class BatchDispatch:
-    """Aggregates from dispatching many windows in lockstep.
+    """Many windows dispatched in lockstep, reduced per window and overall.
 
-    Holds per-window L1 error and SoC extremes, plus global extremes of each
-    asset power and of the charge*discharge overlap, which is what safety
-    fuzzing needs without storing (windows x steps) trace matrices.
+    Holds per-window L1 error (summed step by step, in step order), the
+    (windows, steps + 1) SoC trajectories and their extremes, plus global
+    extremes of each asset power and of the charge*discharge overlap, which
+    is what safety fuzzing reads.
     """
 
     err_sums: np.ndarray
@@ -188,6 +209,7 @@ class BatchDispatch:
     charge_min: float
     asset_sign_min: float  # most negative of any gen/load/discharge, and -charge
     overlap_max: float  # max over steps of p_discharge * (-p_charge)
+    soc: np.ndarray  # soc[i, 0] is the initial state, soc[i, k+1] after step k
 
 
 def rt_dispatch_batch(
@@ -198,76 +220,36 @@ def rt_dispatch_batch(
     *,
     soc_init: float | None = None,
 ) -> BatchDispatch:
-    """Vectorized rule over an (n_windows, n_steps) sample matrix.
+    """The rule over an (n_windows, n_steps) sample matrix.
 
-    Same arithmetic as rt_step applied column-by-column, so each window's
-    dispatch matches the scalar path to float precision.
+    Each window's dispatch is bitwise the one rt_dispatch gives. Samples are
+    checked as RegSignal checks a window.
     """
-    ensure_dispatchable(cfg)
-    if c <= 0.0:
-        raise ValueError(f"capacity must be > 0 MW, got {c}")
-    if dt != cfg.dt:
-        raise ValueError(f"signal dt={dt} does not match config dt={cfg.dt}")
+    e0 = _check_inputs(cfg, c, dt, soc_init)
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError(f"need a 2-D sample matrix, got shape {samples.shape}")
-    h, n = samples.shape
-    batt = cfg.batt
-    e0 = batt.soc_init if soc_init is None else float(soc_init)
-    gmax, lmax, pb = cfg.gen.p_max, cfg.load.p_max, batt.p_max
-    cap = batt.energy_capacity
-
-    e = np.full(h, e0)
-    err = np.zeros(h)
-    soc_lo = np.full(h, e0)
-    soc_hi = np.full(h, e0)
-    gen_max = load_max = dis_max = overlap_max = -np.inf
-    charge_min = np.inf
-    sign_min = np.inf
-
-    for k in range(n):
-        r = samples[:, k]
-        target = c * r
-        pos = r > 0.0
-        delta_d = np.minimum(batt.eta_d * (e - batt.soc_min) * cap / (cfg.dt * pb), 1.0)
-        delta_c = np.minimum((batt.soc_max - e) * cap / (batt.eta_c * cfg.dt * pb), 1.0)
-        p_gen = np.where(pos, np.minimum(target, gmax), 0.0)
-        p_load = np.where(pos, 0.0, np.minimum(-target, lmax))
-        p_discharge = np.where(
-            pos, np.maximum(0.0, np.minimum(target - p_gen, delta_d * pb)), 0.0
-        )
-        p_charge = np.where(
-            pos, 0.0, np.minimum(0.0, np.maximum(target + p_load, -delta_c * pb))
-        )
-        p_hes = p_gen - p_load + p_discharge + p_charge
-        err += np.abs(target - p_hes)
-        e = e - (batt.eta_c * p_charge + p_discharge / batt.eta_d) * cfg.dt / cap
-        np.minimum(soc_lo, e, out=soc_lo)
-        np.maximum(soc_hi, e, out=soc_hi)
-        gen_max = max(gen_max, float(p_gen.max()))
-        load_max = max(load_max, float(p_load.max()))
-        dis_max = max(dis_max, float(p_discharge.max()))
-        charge_min = min(charge_min, float(p_charge.min()))
-        sign_min = min(
-            sign_min,
-            float(p_gen.min()),
-            float(p_load.min()),
-            float(p_discharge.min()),
-            float((-p_charge).min()),
-        )
-        overlap_max = max(overlap_max, float((p_discharge * (-p_charge)).max()))
-
+    _check_samples(samples, 2)
+    target, p_gen, p_load, p_dis, p_ch, p_hes, soc = _rule_columns(cfg, c, samples.T, e0)
+    # the kernel's matrices are this call's own: target's buffer is reused
+    err = np.subtract(target, p_hes, out=target)
+    np.abs(err, out=err)
+    np.add.accumulate(err, axis=0, out=err)  # sequential, like a running +=
+    err_sums = err[-1].copy()
+    overlap = np.multiply(p_dis, p_ch, out=err)
+    soc = soc.T
     return BatchDispatch(
-        err_sums=err,
-        soc_final=e,
-        soc_lowest=soc_lo,
-        soc_highest=soc_hi,
-        gen_max=gen_max,
-        load_max=load_max,
-        discharge_max=dis_max,
-        charge_min=charge_min,
-        asset_sign_min=sign_min,
-        overlap_max=overlap_max,
+        err_sums=err_sums,
+        soc_final=soc[:, -1],
+        soc_lowest=soc.min(axis=1),
+        soc_highest=soc.max(axis=1),
+        gen_max=float(p_gen.max()),
+        load_max=float(p_load.max()),
+        discharge_max=float(p_dis.max()),
+        charge_min=float(p_ch.min()),
+        asset_sign_min=min(
+            float(p_gen.min()), float(p_load.min()), float(p_dis.min()), -float(p_ch.max())
+        ),
+        overlap_max=-float(overlap.min()),
+        soc=soc,
     )
 
 

@@ -1,8 +1,8 @@
 """Offline optimal dispatch with perfect signal knowledge.
 
 Benchmark side of the toolkit: given the whole window up front, find the
-dispatch minimizing the L1 tracking error sum |C r[k] - p_hes[k]|. Three
-routes, deliberately independent of the real-time rule:
+dispatch minimizing the L1 tracking error sum |C r[k] - p_hes[k]|. The LP
+and the grid oracle are deliberately independent of the real-time rule:
 
 - ``offline_dispatch``: linear program over (gen, load, discharge, charge,
   slack, soc) with the charge/discharge complementarity dropped. If the LP
@@ -14,9 +14,9 @@ routes, deliberately independent of the real-time rule:
   battery power grid. Complementarity is structural. Used to sanity-check
   the LP on small instances.
 - ``closed_form_dispatch``: the saturation form p_hes = clip(C r, -(load+batt),
-  gen+batt) allocated by asset priority, valid only while SoC never touches
-  its envelope; doubles as the hypothesis test for rule-vs-offline
-  equivalence.
+  gen+batt), the rule's own allocation with the battery headroom fixed at
+  its power rating, valid only while SoC never touches its envelope; doubles
+  as the hypothesis test for rule-vs-offline equivalence.
 """
 
 from __future__ import annotations
@@ -27,8 +27,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .controller import DispatchTrace, rt_dispatch, validate_trace
-from .model import BatteryParams, HesConfig, ensure_dispatchable
+from .controller import (
+    DispatchTrace,
+    _battery_share,
+    _check_inputs,
+    _split_command,
+    rt_dispatch,
+    validate_trace,
+)
+from .model import BatteryParams, HesConfig
 from .signals import RegSignal
 
 __all__ = [
@@ -179,16 +186,13 @@ def _solve_lp(cfg: HesConfig, c: float, sig: RegSignal):
 
 
 def _resimulate_soc(batt: BatteryParams, d: np.ndarray, pc: np.ndarray, dt: float) -> np.ndarray:
-    # sequential accumulation, term for term the same arithmetic as soc_step,
-    # so closed-form trajectories compare bitwise against rule trajectories
-    de = -(batt.eta_c * pc + d / batt.eta_d) * dt / batt.energy_capacity
+    # cumsum is a sequential running sum, term for term the same arithmetic
+    # as soc_step, so closed-form trajectories compare bitwise against rule
+    # trajectories
     soc = np.empty(d.size + 1)
-    e = batt.soc_init
-    soc[0] = e
-    for k in range(d.size):
-        e = e + de[k]
-        soc[k + 1] = e
-    return soc
+    soc[0] = batt.soc_init
+    soc[1:] = -(batt.eta_c * pc + d / batt.eta_d) * dt / batt.energy_capacity
+    return np.cumsum(soc, out=soc)
 
 
 def _assemble_trace(
@@ -224,11 +228,7 @@ def offline_dispatch(
     dp_step_budget: int = 200,
 ) -> OfflineSolution:
     """Minimum-L1-error dispatch for one window, LP route with fallbacks."""
-    ensure_dispatchable(cfg)
-    if c <= 0.0:
-        raise ValueError(f"capacity must be > 0 MW, got {c}")
-    if sig.dt != cfg.dt:
-        raise ValueError(f"signal dt={sig.dt} does not match config dt={cfg.dt}")
+    _check_inputs(cfg, c, sig.dt)
     batt = cfg.batt
     target = c * sig.samples
     g, l, d, pc, e_lp, lp_obj = _solve_lp(cfg, c, sig)
@@ -287,27 +287,15 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
     """Saturation-form dispatch, valid only while SoC stays strictly interior.
 
     Output clips the command into [-(load.p_max + batt.p_max),
-    gen.p_max + batt.p_max] with priority allocation. Returns None when the
-    resulting SoC trajectory touches or crosses either envelope bound, in
-    which case the form does not apply.
+    gen.p_max + batt.p_max] with the rule's priority allocation, the battery
+    headroom fixed at batt.p_max. Returns None when the resulting SoC
+    trajectory touches or crosses either envelope bound, in which case the
+    form does not apply.
     """
-    ensure_dispatchable(cfg)
-    if c <= 0.0:
-        raise ValueError(f"capacity must be > 0 MW, got {c}")
-    if sig.dt != cfg.dt:
-        raise ValueError(f"signal dt={sig.dt} does not match config dt={cfg.dt}")
+    _check_inputs(cfg, c, sig.dt)
     batt = cfg.batt
-    r = sig.samples
-    target = c * r
-    pos = r > 0.0
-    p_gen = np.where(pos, np.minimum(target, cfg.gen.p_max), 0.0)
-    p_load = np.where(pos, 0.0, np.minimum(-target, cfg.load.p_max))
-    p_discharge = np.where(
-        pos, np.maximum(0.0, np.minimum(target - p_gen, batt.p_max)), 0.0
-    )
-    p_charge = np.where(
-        pos, 0.0, np.minimum(0.0, np.maximum(target + p_load, -batt.p_max))
-    )
+    target, p_gen, p_load, resid = _split_command(cfg, c, sig.samples)
+    p_discharge, p_charge = _battery_share(resid, batt.p_max, -batt.p_max)
     soc = _resimulate_soc(batt, p_discharge, p_charge, cfg.dt)
     interior = soc[1:]
     if interior.size and (
@@ -353,11 +341,7 @@ def dp_oracle(
     the interpolated root value. Rollout ties break toward the smallest
     battery power magnitude.
     """
-    ensure_dispatchable(cfg)
-    if c <= 0.0:
-        raise ValueError(f"capacity must be > 0 MW, got {c}")
-    if sig.dt != cfg.dt:
-        raise ValueError(f"signal dt={sig.dt} does not match config dt={cfg.dt}")
+    _check_inputs(cfg, c, sig.dt)
     if sig.n > step_budget:
         raise BudgetError(
             f"dp oracle limited to {step_budget} steps, got {sig.n}; "
@@ -483,6 +467,14 @@ def benchmark_controller(
     """
     j_on = rt_dispatch(cfg, c, sig).abs_error()
     off = offline_dispatch(cfg, c, sig, dp_grid=dp_grid, dp_step_budget=dp_step_budget)
+    return _benchmark_report(cfg, c, sig, j_on, off)
+
+
+def _benchmark_report(
+    cfg: HesConfig, c: float, sig: RegSignal, j_on: float, off: OfflineSolution
+) -> BenchmarkReport:
+    """benchmark_controller from a rule objective and an offline solution
+    already computed."""
     held = closed_form_dispatch(cfg, c, sig) is not None
     gap = j_on - off.objective
     if held and abs(gap) > EQUIVALENCE_RTOL * max(1.0, off.objective):

@@ -58,6 +58,21 @@ class EmptyArchiveError(SignalError):
     """No complete window could be extracted from the source."""
 
 
+def _check_samples(arr: np.ndarray, ndim: int) -> None:
+    """Check one window (ndim 1) or a (windows, steps) matrix (ndim 2)."""
+    if arr.ndim != ndim:
+        raise SignalError(f"signal must be {ndim}-D, got shape {arr.shape}")
+    if arr.size == 0 or arr.shape[-1] < 2:
+        raise SignalError(f"signal needs at least 2 samples, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SignalRangeError("signal contains non-finite samples")
+    lo, hi = float(arr.min()), float(arr.max())
+    if lo < -1.0 or hi > 1.0:
+        raise SignalRangeError(
+            f"samples outside [-1, 1]: min={lo}, max={hi}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RegSignal:
     """One window of regulation commands. ``samples`` is read-only float64."""
@@ -67,17 +82,7 @@ class RegSignal:
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=float, copy=True)
-        if arr.ndim != 1:
-            raise SignalError(f"signal must be 1-D, got shape {arr.shape}")
-        if arr.size < 2:
-            raise SignalError(f"signal needs at least 2 samples, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise SignalRangeError("signal contains non-finite samples")
-        lo, hi = float(arr.min()), float(arr.max())
-        if lo < -1.0 or hi > 1.0:
-            raise SignalRangeError(
-                f"samples outside [-1, 1]: min={lo}, max={hi}"
-            )
+        _check_samples(arr, 1)
         if self.dt <= 0.0:
             raise SignalError(f"dt must be > 0 hours, got {self.dt}")
         arr.setflags(write=False)

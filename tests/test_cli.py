@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import hes_regkit.offline as offline
 from hes_regkit.cli import main
+from hes_regkit.config import load_config, resolve_archive
 from hes_regkit.controller import load_trace_csv
 from hes_regkit.reports import read_csv
 
@@ -100,6 +102,26 @@ class TestDispatch:
         assert perf["performance"]["x_p"] <= 1.0
         offp = json.loads((out / "performance_offline.json").read_text())
         assert offp["solver_path"] in ("lp", "lp-with-repair")
+
+    def test_both_modes_solve_each_lp_once(self, config_path, tmp_path, monkeypatch):
+        calls = []
+        real_linprog = offline.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(offline, "linprog", counting_linprog)
+        out = tmp_path / "o"
+        argv = ["dispatch", "--config", config_path, "--capacity", 10, "--mode",
+                "both", "--window", 2, "--out", out]
+        assert run(argv) == 0
+        assert len(calls) == 1
+        bench = json.loads((out / "benchmark.json").read_text())
+        cfg = load_config(config_path)
+        sig = resolve_archive(cfg).windows[2]
+        expected = offline.benchmark_controller(cfg.hes, 10.0, sig).to_dict()
+        assert {k: bench[k] for k in expected} == expected
 
     def test_missing_capacity(self, config_path, capsys):
         assert run(["dispatch", "--config", config_path]) == 1

@@ -5,6 +5,8 @@ import pytest
 
 from hes_regkit import (
     RegSignal,
+    SignalError,
+    SignalRangeError,
     SocState,
     load_trace_csv,
     rt_dispatch,
@@ -161,6 +163,33 @@ class TestBatchParity:
         cfg = reference_system()
         with pytest.raises(ValueError, match="2-D"):
             rt_dispatch_batch(cfg, 8.0, np.zeros(5), DT_2S)
+
+
+class TestBatchValidation:
+    """The batch entry point rejects what rt_dispatch and RegSignal reject."""
+
+    def setup_method(self):
+        self.cfg = reference_system()
+        self.matrix = np.random.default_rng(31).uniform(-1, 1, size=(3, 20))
+
+    def test_rejects_soc_init_outside_envelope(self):
+        with pytest.raises(ValueError, match="soc_init"):
+            rt_dispatch_batch(self.cfg, 8.0, self.matrix, DT_2S, soc_init=2.0)
+
+    def test_rejects_nan_samples(self):
+        self.matrix[1, 7] = np.nan
+        with pytest.raises(SignalRangeError, match="non-finite"):
+            rt_dispatch_batch(self.cfg, 8.0, self.matrix, DT_2S)
+
+    def test_rejects_samples_outside_unit_range(self):
+        self.matrix[2, 3] = 5.0
+        with pytest.raises(SignalRangeError, match=r"outside \[-1, 1\]"):
+            rt_dispatch_batch(self.cfg, 8.0, self.matrix, DT_2S)
+
+    def test_rejects_windows_shorter_than_a_signal(self):
+        for shape in ((0, 20), (3, 1)):
+            with pytest.raises(SignalError, match="at least 2 samples"):
+                rt_dispatch_batch(self.cfg, 8.0, np.zeros(shape), DT_2S)
 
 
 class TestTraceCsv:
