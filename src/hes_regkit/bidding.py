@@ -5,7 +5,8 @@ window, giving an empirical score sample per window. The bid machinery then
 
 1. finds C_bar, the largest capacity whose empirical lower gamma-quantile
    z_gamma(C) still clears the compliance threshold x_p_min (coarse sweep
-   up, then bisection refinement of the crossing bracket),
+   up, scoring a block of capacities per rt_error_sums call, then bisection
+   refinement of the crossing bracket),
 2. picks C_hat maximizing C * mean(x_p) over evaluated compliant capacities,
 3. returns C_star = min(C_hat, market c_max).
 
@@ -16,11 +17,11 @@ never moves (sum|r| = 0) are excluded and counted in the diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .controller import rt_dispatch_batch
+from .controller import rt_error_sums
 from .model import HesConfig
 from .scoring import MarketParams
 from .signals import SignalArchive, mileage
@@ -53,6 +54,10 @@ class SweepGrid:
     refine_tol: float = 0.01
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.c_lo < self.c_hi:
             raise ValueError(
                 f"need 0 < c_lo < c_hi, got c_lo={self.c_lo}, c_hi={self.c_hi}"
@@ -124,7 +129,7 @@ class BidSolution:
 
 def score_samples(cfg: HesConfig, c: float, archive: SignalArchive) -> np.ndarray:
     """Per-window controller scores at capacity c (zero-signal windows dropped)."""
-    return _CurveEvaluator(cfg, archive).scores(c)
+    return _CurveEvaluator(cfg, archive).scores([c])[0]
 
 
 def quantile_lower(scores: np.ndarray, gamma: float) -> float:
@@ -142,6 +147,11 @@ def quantile_lower(scores: np.ndarray, gamma: float) -> float:
         raise ValueError("need at least one score sample")
     m = int(math.floor((1.0 - gamma) * s.size + 1e-9))
     return float(s[min(m, s.size - 1)])
+
+
+# capacities x windows scored in one rt_error_sums call by the coarse sweep:
+# about 0.5 MiB per (capacities, windows) float64 array it steps
+_SWEEP_BLOCK_ELEMENTS = 1 << 16
 
 
 class _CurveEvaluator:
@@ -164,27 +174,37 @@ class _CurveEvaluator:
         self.n_windows = int(matrix.shape[0])
         self._cache: dict[float, BidCurvePoint] = {}
 
-    def scores(self, c: float) -> np.ndarray:
-        """Per-window scores at capacity c, zero-signal windows dropped."""
-        batch = rt_dispatch_batch(self._cfg, c, self._matrix, self._dt)
-        return 1.0 - batch.err_sums / (c * self._l1)
+    @property
+    def n_scored(self) -> int:
+        """Windows scored per capacity (zero-signal windows dropped)."""
+        return int(self._l1.size)
+
+    def scores(self, cs: np.ndarray | list[float]) -> np.ndarray:
+        """Per-window scores at each capacity in cs, shape (capacities, windows)."""
+        cs = np.asarray(cs, dtype=float)
+        err_sums = rt_error_sums(self._cfg, cs, self._matrix, self._dt)
+        return 1.0 - err_sums / (cs[:, None] * self._l1)
+
+    def publish(self, c: float, scores: np.ndarray) -> BidCurvePoint:
+        """Cache and return the curve point for scores already taken at c."""
+        clamped = np.clip(scores, 0.0, 1.0)
+        mean_xp = float(scores.mean())
+        pt = BidCurvePoint(
+            c=c,
+            scores=scores,
+            mean_xp=mean_xp,
+            z_gamma=quantile_lower(scores, self._market.gamma),
+            prob_compliant=float(np.mean(clamped >= self._market.x_p_min)),
+            objective=c * mean_xp,
+        )
+        self._cache[c] = pt
+        return pt
 
     def __call__(self, c: float) -> BidCurvePoint:
         c = float(c)
         pt = self._cache.get(c)
         if pt is None:
-            scores = self.scores(c)
-            clamped = np.clip(scores, 0.0, 1.0)
-            mean_xp = float(scores.mean())
-            pt = BidCurvePoint(
-                c=c,
-                scores=scores,
-                mean_xp=mean_xp,
-                z_gamma=quantile_lower(scores, self._market.gamma),
-                prob_compliant=float(np.mean(clamped >= self._market.x_p_min)),
-                objective=c * mean_xp,
-            )
-            self._cache[c] = pt
+            pt = self.publish(c, self.scores([c])[0])
         return pt
 
 
@@ -201,21 +221,25 @@ def solve_bid(
     """
     evaluate = _CurveEvaluator(cfg, archive, market)
     pts = sweep.coarse_points()
-    first = evaluate(float(pts[0]))
-    if first.z_gamma < market.x_p_min:
+    # coarse sweep upward, scored a block of capacities at a time; only the
+    # points up to the first non-compliant one enter the curve
+    block = max(1, _SWEEP_BLOCK_ELEMENTS // evaluate.n_scored)
+    last_compliant = upper = None
+    for start in range(0, len(pts), block):
+        cs = pts[start : start + block]
+        for c, scores in zip(cs.tolist(), evaluate.scores(cs)):
+            if evaluate.publish(c, scores).z_gamma < market.x_p_min:
+                upper = c
+                break
+            last_compliant = c
+        if upper is not None:
+            break
+    if last_compliant is None:
+        first = evaluate(float(pts[0]))
         raise BracketError(
             f"z_gamma({pts[0]:g}) = {first.z_gamma:.6g} is already below "
             f"x_p_min = {market.x_p_min:g}; lower c_lo"
         )
-    last_compliant = float(pts[0])
-    upper = None
-    for c in pts[1:]:
-        pt = evaluate(float(c))
-        if pt.z_gamma >= market.x_p_min:
-            last_compliant = float(c)
-        else:
-            upper = float(c)
-            break
     if upper is None:
         tail = evaluate(float(pts[-1]))
         raise BracketError(

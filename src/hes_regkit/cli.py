@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -124,11 +125,17 @@ def cmd_characterize(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_capacity(capacity: float) -> None:
+    if not math.isfinite(capacity):
+        raise ConfigError(f"--capacity must be finite, got {capacity}")
+    if capacity <= 0.0:
+        raise ConfigError(f"--capacity must be > 0 MW, got {capacity}")
+
+
 def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: str) -> int:
     if capacity is None:
         raise ConfigError("dispatch needs --capacity (MW)")
-    if capacity <= 0.0:
-        raise ConfigError(f"--capacity must be > 0 MW, got {capacity}")
+    _check_capacity(capacity)
     archive = resolve_archive(cfg)
     sig = _pick_window(archive, window)
     out = _out_dir(cfg)
@@ -291,6 +298,8 @@ def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
 def cmd_soc_drift(
     cfg: RunConfig, *, vary: str | None, values: list[float], capacity: float | None
 ) -> int:
+    if capacity is not None:
+        _check_capacity(capacity)
     archive = resolve_archive(cfg)
     out = _out_dir(cfg)
     batt = cfg.hes.batt
@@ -299,8 +308,6 @@ def cmd_soc_drift(
     for vary_name, value in cases:
         hes = cfg.hes if vary_name is None else _vary_config(cfg.hes, vary_name, value)
         if capacity is not None:
-            if capacity <= 0.0:
-                raise ConfigError(f"--capacity must be > 0 MW, got {capacity}")
             c_used = capacity
         else:
             c_used = solve_bid(hes, archive, cfg.market, cfg.sweep).c_star

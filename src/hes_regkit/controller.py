@@ -18,11 +18,16 @@ absorb or supply within one interval, including conversion losses:
 
 One kernel runs the rule over many windows at once, stepping only the SoC
 and the headroom; rt_step, rt_dispatch and rt_dispatch_batch are views of
-it, and give the same bits.
+it, and give the same bits. rt_error_sums runs the same rule for many
+capacities at once and keeps only each (capacity, window)'s SoC and running
+L1 error, which is all bid scoring needs; its sums equal the batch's bitwise.
+The headroom and the SoC update are written once (_headroom, _soc_update)
+and shared by both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +49,7 @@ __all__ = [
     "rt_step",
     "rt_dispatch",
     "rt_dispatch_batch",
+    "rt_error_sums",
     "validate_trace",
     "save_trace_csv",
     "load_trace_csv",
@@ -127,14 +133,37 @@ def _battery_share(resid, d_max, c_max):
     return p_discharge, p_charge
 
 
+def _headroom(cfg: HesConfig, e):
+    """Battery limits (d_max, c_max) at SoC e: delta_d * p_max and
+    -delta_c * p_max, the power the envelope lets through in one step."""
+    batt = cfg.batt
+    pb, cap, dt = batt.p_max, batt.energy_capacity, cfg.dt
+    delta_d = np.minimum(batt.eta_d * (e - batt.soc_min) * cap / (dt * pb), 1.0)
+    delta_c = np.minimum((batt.soc_max - e) * cap / (batt.eta_c * dt * pb), 1.0)
+    return delta_d * pb, -delta_c * pb
+
+
+def _soc_update(cfg: HesConfig, e, p_discharge, p_charge):
+    """SoC after one step of battery dispatch from SoC e."""
+    batt = cfg.batt
+    de = (batt.eta_c * p_charge + p_discharge / batt.eta_d) * cfg.dt / batt.energy_capacity
+    return e - de
+
+
+def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
+    """p_hes, summed in the rule's order (into ``out`` when given)."""
+    p_hes = np.subtract(p_gen, p_load, out=out)
+    p_hes += p_discharge
+    p_hes += p_charge
+    return p_hes
+
+
 def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
     """The rule over step-major commands r, shape (n_steps, n_windows).
 
     Returns DispatchTrace's columns in its order, each step-major; soc has
     one more row and is the transpose of a (windows, steps + 1) array.
     """
-    batt = cfg.batt
-    pb, cap, dt = batt.p_max, batt.energy_capacity, cfg.dt
     target, p_gen, p_load, resid = _split_command(cfg, c, r)
     p_discharge = np.empty_like(resid)
     p_charge = np.empty_like(resid)
@@ -142,25 +171,27 @@ def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
     soc[0] = e0
     for k in range(r.shape[0]):
         e = soc[k]
-        delta_d = np.minimum(batt.eta_d * (e - batt.soc_min) * cap / (dt * pb), 1.0)
-        delta_c = np.minimum((batt.soc_max - e) * cap / (batt.eta_c * dt * pb), 1.0)
-        p_d, p_c = _battery_share(resid[k], delta_d * pb, -delta_c * pb)
+        p_d, p_c = _battery_share(resid[k], *_headroom(cfg, e))
         p_discharge[k], p_charge[k] = p_d, p_c
-        soc[k + 1] = e - (batt.eta_c * p_c + p_d / batt.eta_d) * dt / cap
-    # the residual is spent; its buffer takes p_hes, summed in the rule's order
-    p_hes = np.subtract(p_gen, p_load, out=resid)
-    p_hes += p_discharge
-    p_hes += p_charge
+        soc[k + 1] = _soc_update(cfg, e, p_d, p_c)
+    # the residual is spent; its buffer takes p_hes
+    p_hes = _net_output(p_gen, p_load, p_discharge, p_charge, out=resid)
     return target, p_gen, p_load, p_discharge, p_charge, p_hes, soc
 
 
 def _check_inputs(
-    cfg: HesConfig, c: float, dt: float, soc_init: float | None = None
+    cfg: HesConfig, c: float | np.ndarray, dt: float, soc_init: float | None = None
 ) -> float:
-    """Checks shared by the dispatch entry points; returns the initial SoC."""
+    """Checks shared by the dispatch entry points; returns the initial SoC.
+
+    ``c`` is one capacity or an array of them; each must be finite and > 0.
+    """
     ensure_dispatchable(cfg)
-    if c <= 0.0:
-        raise ValueError(f"capacity must be > 0 MW, got {c}")
+    for c_i in np.ravel(c).tolist():
+        if not math.isfinite(c_i):
+            raise ValueError(f"capacity must be finite, got {c_i}")
+        if c_i <= 0.0:
+            raise ValueError(f"capacity must be > 0 MW, got {c_i}")
     if dt != cfg.dt:
         raise ValueError(f"signal dt={dt} does not match config dt={cfg.dt}")
     e0 = cfg.batt.soc_init if soc_init is None else float(soc_init)
@@ -251,6 +282,40 @@ def rt_dispatch_batch(
         overlap_max=-float(overlap.min()),
         soc=soc,
     )
+
+
+def rt_error_sums(
+    cfg: HesConfig,
+    capacities: np.ndarray,
+    samples: np.ndarray,
+    dt: float,
+    *,
+    soc_init: float | None = None,
+) -> np.ndarray:
+    """L1 tracking error of the rule per capacity and window.
+
+    Returns a (capacities, windows) array whose row j is bitwise
+    ``rt_dispatch_batch(cfg, capacities[j], samples, dt).err_sums``. All
+    capacities step together through the (n_windows, n_steps) samples,
+    keeping only the SoC and the running sums, so memory grows with
+    capacities x windows and not with the number of steps.
+    """
+    cs = np.asarray(capacities, dtype=float)
+    if cs.ndim != 1 or cs.size == 0:
+        raise ValueError(f"capacities must be a non-empty 1-D array, got shape {cs.shape}")
+    e0 = _check_inputs(cfg, cs, dt, soc_init)
+    samples = np.asarray(samples, dtype=float)
+    _check_samples(samples, 2)
+    c = cs[:, None]
+    soc = np.full((cs.size, samples.shape[0]), e0)
+    err_sums = np.zeros_like(soc)
+    for r_k in samples.T:
+        target, p_gen, p_load, resid = _split_command(cfg, c, r_k)
+        p_d, p_c = _battery_share(resid, *_headroom(cfg, soc))
+        soc = _soc_update(cfg, soc, p_d, p_c)
+        err = np.subtract(target, _net_output(p_gen, p_load, p_d, p_c, out=resid), out=target)
+        err_sums += np.abs(err, out=err)  # step by step, as rt_dispatch_batch sums
+    return err_sums
 
 
 def validate_trace(

@@ -31,6 +31,7 @@ from .controller import (
     DispatchTrace,
     _battery_share,
     _check_inputs,
+    _net_output,
     _split_command,
     rt_dispatch,
     validate_trace,
@@ -308,7 +309,7 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
         p_load=p_load,
         p_discharge=p_discharge,
         p_charge=p_charge,
-        p_hes=p_gen - p_load + p_discharge + p_charge,
+        p_hes=_net_output(p_gen, p_load, p_discharge, p_charge),
         soc=soc,
     )
     return OfflineSolution(

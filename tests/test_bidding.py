@@ -1,8 +1,11 @@
 """Bid selection: quantiles, sweep mechanics, crossing refinement."""
 
+import math
+
 import numpy as np
 import pytest
 
+import hes_regkit.bidding as bidding
 from hes_regkit import (
     BracketError,
     RegSignal,
@@ -10,6 +13,7 @@ from hes_regkit import (
     SweepGrid,
     expected_revenue,
     quantile_lower,
+    rt_dispatch_batch,
     score_samples,
     solve_bid,
     synth_signal,
@@ -140,6 +144,119 @@ class TestSolveBid:
         assert rev.with_mileage == pytest.approx(expect, rel=1e-9)
 
 
+def sequential_solve(cfg, archive, market, sweep):
+    """Bid selection as plain Python, one rt_dispatch_batch per capacity:
+    coarse points in order up to the first non-compliant one, then bisection.
+    Returns ({c: scores}, c_bar, c_hat, c_star, diagnostics as a dict)."""
+    matrix = archive.matrix()
+    l1 = np.sum(np.abs(matrix), axis=1)
+    valid = l1 > 0.0
+    matrix, l1 = matrix[valid], l1[valid]
+    scores = {}
+
+    def z(c):
+        if c not in scores:
+            err = rt_dispatch_batch(cfg, c, matrix, archive.dt).err_sums
+            scores[c] = 1.0 - err / (c * l1)
+        return quantile_lower(scores[c], market.gamma)
+
+    pts = [float(c) for c in sweep.coarse_points()]
+    if z(pts[0]) < market.x_p_min:
+        raise BracketError(
+            f"z_gamma({pts[0]:g}) = {z(pts[0]):.6g} is already below "
+            f"x_p_min = {market.x_p_min:g}; lower c_lo"
+        )
+    lo = hi = None
+    for c in pts:
+        if z(c) < market.x_p_min:
+            hi = c
+            break
+        lo = c
+    if hi is None:
+        raise BracketError(
+            f"z_gamma({pts[-1]:g}) = {z(pts[-1]):.6g} still clears "
+            f"x_p_min = {market.x_p_min:g}; raise c_hi"
+        )
+    iterations = 0
+    while hi - lo > sweep.refine_tol:
+        mid = 0.5 * (lo + hi)
+        if z(mid) >= market.x_p_min:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    c_bar = lo
+    compliant = [c for c in sorted(scores) if c <= c_bar]
+    c_hat = max(compliant, key=lambda c: (c * float(scores[c].mean()), -c))
+    c_star = min(c_hat, market.c_max)
+    z(c_star)
+    cs = sorted(scores)
+    zs = [z(c) for c in cs]
+    diagnostics = {
+        "n_windows": int(valid.size),
+        "zero_signal_windows": int(np.sum(~valid)),
+        "coarse_points": len(pts),
+        "refine_iterations": iterations,
+        "upper_bracket_c": hi,
+        "upper_bracket_z": z(hi),
+        "z_monotonicity_violations": tuple(
+            b for a, b, za, zb in zip(cs, cs[1:], zs, zs[1:]) if zb > za + 1e-9
+        ),
+    }
+    return scores, c_bar, c_hat, c_star, diagnostics
+
+
+def mixed_archive():
+    """Distinct windows, so scores differ per window, and one quiet window."""
+    quiet = RegSignal(samples=np.zeros(120), dt=DT_2S)
+    windows = tuple(
+        synth_signal(kind, 120, DT_2S, s)
+        for s, kind in enumerate(["energy-neutral-random", "drifting"] * 3)
+    )
+    return SignalArchive(windows=windows + (quiet,))
+
+
+class TestSweepMatchesSequential:
+    """solve_bid scores coarse capacities in blocks, yet publishes what the
+    one-capacity-at-a-time sweep did, bit for bit."""
+
+    def setup_method(self):
+        self.cfg = reference_system()
+        self.market = reference_market()
+        self.archive = mixed_archive()
+
+    @pytest.mark.parametrize("budget", [None, 1, 6 * 3, 6 * 7 - 1])
+    def test_same_curve_and_selection(self, monkeypatch, budget):
+        if budget is not None:  # 6 windows are scored, so 1, 3 or 6 per block
+            monkeypatch.setattr(bidding, "_SWEEP_BLOCK_ELEMENTS", budget)
+        sweep = SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=0.01)
+        sol = solve_bid(self.cfg, self.archive, self.market, sweep)
+        scores, c_bar, c_hat, c_star, diags = sequential_solve(
+            self.cfg, self.archive, self.market, sweep
+        )
+        assert [pt.c for pt in sol.curve] == sorted(scores)
+        for pt in sol.curve:
+            assert pt.scores.tobytes() == scores[pt.c].tobytes()
+        assert (sol.c_bar, sol.c_hat, sol.c_star) == (c_bar, c_hat, c_star)
+        got = sol.diagnostics
+        assert {k: getattr(got, k) for k in diags} == diags
+        assert got.refine_iterations > 0
+        assert sol.curve[-1].c < sweep.c_hi  # the sweep stopped before its end
+
+    @pytest.mark.parametrize("budget", [None, 1, 6 * 3])
+    @pytest.mark.parametrize("c_lo, c_hi", [(17.0, 20.0), (1.0, 4.0)])
+    def test_same_bracket_errors(self, monkeypatch, budget, c_lo, c_hi):
+        if budget is not None:
+            monkeypatch.setattr(bidding, "_SWEEP_BLOCK_ELEMENTS", budget)
+        sweep = SweepGrid(c_lo=c_lo, c_hi=c_hi, coarse_step=0.5)
+        with pytest.raises(BracketError) as expected:
+            sequential_solve(self.cfg, self.archive, self.market, sweep)
+        with pytest.raises(BracketError) as got:
+            solve_bid(self.cfg, self.archive, self.market, sweep)
+        assert str(got.value) == str(expected.value)
+
+
+
 class TestSweepGrid:
     def test_coarse_points_cover_endpoints(self):
         pts = SweepGrid(c_lo=1.0, c_hi=2.1, coarse_step=0.25).coarse_points()
@@ -158,3 +275,11 @@ class TestSweepGrid:
             SweepGrid(c_lo=2.0, c_hi=1.0)
         with pytest.raises(ValueError):
             SweepGrid(c_lo=1.0, c_hi=2.0, coarse_step=0.0)
+
+    @pytest.mark.parametrize("field", ["c_lo", "c_hi", "coarse_step", "refine_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, field, value):
+        kwargs = dict(c_lo=1.0, c_hi=2.0, coarse_step=0.25, refine_tol=0.01)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SweepGrid(**kwargs)

@@ -131,6 +131,15 @@ class TestDispatch:
         assert run(["dispatch", "--config", config_path, "--capacity", -2]) == 1
         assert "capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_capacity_writes_nothing(self, config_path, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        argv = ["dispatch", "--config", config_path, "--capacity", value, "--mode", "rt",
+                "--out", out]
+        assert run(argv) == 1
+        assert "--capacity must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_out_of_range(self, config_path, capsys):
         assert (
             run(["dispatch", "--config", config_path, "--capacity", 5, "--window", 99])
@@ -232,6 +241,13 @@ class TestSocDrift:
         assert len(rows) == 5
         for row in rows:
             assert 0.1 <= float(row[2]) and float(row[3]) <= 0.9
+
+    def test_non_finite_capacity_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", config_path, "--capacity", "nan",
+                    "--out", out]) == 1
+        assert "--capacity must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_varied_cases(self, config_path, tmp_path):
         out = tmp_path / "o"

@@ -8,9 +8,12 @@ from hes_regkit import (
     SignalError,
     SignalRangeError,
     SocState,
+    closed_form_dispatch,
     load_trace_csv,
+    offline_dispatch,
     rt_dispatch,
     rt_dispatch_batch,
+    rt_error_sums,
     rt_step,
     save_trace_csv,
     synth_signal,
@@ -190,6 +193,26 @@ class TestBatchValidation:
         for shape in ((0, 20), (3, 1)):
             with pytest.raises(SignalError, match="at least 2 samples"):
                 rt_dispatch_batch(self.cfg, 8.0, np.zeros(shape), DT_2S)
+
+
+class TestNonFiniteCapacity:
+    """Every entry point that takes a capacity names a NaN or infinite one."""
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_rejected_everywhere(self, c):
+        cfg = reference_system()
+        sig = synth_signal("energy-neutral-random", 20, DT_2S, 3)
+        matrix = sig.samples[None, :]
+        calls = (
+            lambda: rt_dispatch(cfg, c, sig),
+            lambda: rt_dispatch_batch(cfg, c, matrix, DT_2S),
+            lambda: rt_error_sums(cfg, [8.0, c], matrix, DT_2S),
+            lambda: closed_form_dispatch(cfg, c, sig),
+            lambda: offline_dispatch(cfg, c, sig),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="capacity must be finite"):
+                call()
 
 
 class TestTraceCsv:

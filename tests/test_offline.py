@@ -92,6 +92,22 @@ class TestLpPath:
                 break
         assert found >= 1, "instance distribution no longer exercises the repair path"
 
+    def test_repaired_soc_holds_at_default_tolerance(self):
+        # the pipeline accepts repaired SoC within 2e-8 * n + 1e-9; what the
+        # repair actually leaves is rounding, well inside SOC_TOL (1e-12)
+        rng = np.random.default_rng(59)
+        found = 0
+        for _ in range(300):
+            cfg = random_system(rng, dt=float(rng.uniform(0.02, 0.08)))
+            sig = random_signal(rng, int(rng.integers(20, 61)), cfg.dt)
+            c = random_capacity(rng, cfg)
+            sol = offline_dispatch(cfg, c, sig)
+            if sol.solver_path != "lp-with-repair":
+                continue
+            found += 1
+            assert validate_trace(cfg, sol.trace) == []
+        assert found >= 100, "instance distribution no longer exercises the repair path"
+
     def test_burn_instance_falls_back_to_dp(self):
         cfg, sig = saturating_instance()
         sol = offline_dispatch(cfg, SAT_C, sig)

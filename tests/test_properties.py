@@ -7,6 +7,7 @@ written and what the trace files were recorded from.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -22,6 +23,7 @@ from hes_regkit import (
     closed_form_dispatch,
     rt_dispatch,
     rt_dispatch_batch,
+    rt_error_sums,
     rt_step,
     soc_step,
 )
@@ -164,3 +166,41 @@ def test_closed_form_matches_rule_where_it_applies(cfg, c, matrix):
         if cf is not None:
             for name in COLUMNS:
                 assert same_bits(getattr(cf.trace, name), getattr(trace, name)), name
+
+
+@PROPERTY
+@given(cfg=fleets(), matrix=windows(), data=st.data())
+def test_stacked_error_sums_match_batch_bitwise(cfg, matrix, data):
+    # unsorted capacity sets, with repeats
+    distinct = data.draw(st.lists(capacities, min_size=1, max_size=4))
+    cs = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+    e0 = data.draw(st.floats(cfg.batt.soc_min, cfg.batt.soc_max))
+    stacked = rt_error_sums(cfg, cs, matrix, cfg.dt, soc_init=e0)
+    assert stacked.shape == (len(cs), matrix.shape[0])
+    for row, c in zip(stacked, cs):
+        assert same_bits(row, rt_dispatch_batch(cfg, c, matrix, cfg.dt, soc_init=e0).err_sums)
+
+
+bad_capacities = st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+
+
+@PROPERTY
+@given(cfg=fleets(), matrix=windows(), data=st.data())
+def test_stacked_error_sums_reject_bad_input(cfg, matrix, data):
+    batt = cfg.batt
+    cs = data.draw(st.lists(capacities, min_size=1, max_size=4))
+    bad = list(cs)
+    bad.insert(data.draw(st.integers(0, len(cs))), data.draw(bad_capacities))
+    with pytest.raises(ValueError, match="capacity must be"):
+        rt_error_sums(cfg, bad, matrix, cfg.dt)
+    outside = data.draw(
+        st.one_of(st.floats(-1.0, batt.soc_min, exclude_max=True),
+                  st.floats(batt.soc_max, 2.0, exclude_min=True))
+    )
+    with pytest.raises(ValueError, match="soc_init"):
+        rt_error_sums(cfg, cs, matrix, cfg.dt, soc_init=outside)
+    with pytest.raises(ValueError, match="does not match config dt"):
+        rt_error_sums(cfg, cs, matrix, 2.0 * cfg.dt)
+    for shape in ((0,), (1, len(cs))):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            rt_error_sums(cfg, np.ones(shape), matrix, cfg.dt)
