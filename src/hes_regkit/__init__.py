@@ -29,7 +29,6 @@ from .controller import (
     load_trace_csv,
     rt_dispatch,
     rt_dispatch_batch,
-    rt_error_sums,
     rt_step,
     save_trace_csv,
     validate_trace,

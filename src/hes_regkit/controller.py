@@ -49,7 +49,6 @@ __all__ = [
     "rt_step",
     "rt_dispatch",
     "rt_dispatch_batch",
-    "rt_error_sums",
     "validate_trace",
     "save_trace_csv",
     "load_trace_csv",
@@ -289,8 +288,6 @@ def rt_error_sums(
     capacities: np.ndarray,
     samples: np.ndarray,
     dt: float,
-    *,
-    soc_init: float | None = None,
 ) -> np.ndarray:
     """L1 tracking error of the rule per capacity and window.
 
@@ -303,7 +300,7 @@ def rt_error_sums(
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
         raise ValueError(f"capacities must be a non-empty 1-D array, got shape {cs.shape}")
-    e0 = _check_inputs(cfg, cs, dt, soc_init)
+    e0 = _check_inputs(cfg, cs, dt)
     samples = np.asarray(samples, dtype=float)
     _check_samples(samples, 2)
     c = cs[:, None]

@@ -13,12 +13,12 @@ from hes_regkit import (
     offline_dispatch,
     rt_dispatch,
     rt_dispatch_batch,
-    rt_error_sums,
     rt_step,
     save_trace_csv,
     synth_signal,
     validate_trace,
 )
+from hes_regkit.controller import rt_error_sums
 from helpers import DT_2S, random_capacity, random_signal, random_system, reference_system
 
 

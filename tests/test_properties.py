@@ -23,10 +23,10 @@ from hes_regkit import (
     closed_form_dispatch,
     rt_dispatch,
     rt_dispatch_batch,
-    rt_error_sums,
     rt_step,
     soc_step,
 )
+from hes_regkit.controller import rt_error_sums
 
 COLUMNS = ("target", "p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -174,11 +174,10 @@ def test_stacked_error_sums_match_batch_bitwise(cfg, matrix, data):
     # unsorted capacity sets, with repeats
     distinct = data.draw(st.lists(capacities, min_size=1, max_size=4))
     cs = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
-    e0 = data.draw(st.floats(cfg.batt.soc_min, cfg.batt.soc_max))
-    stacked = rt_error_sums(cfg, cs, matrix, cfg.dt, soc_init=e0)
+    stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
     assert stacked.shape == (len(cs), matrix.shape[0])
     for row, c in zip(stacked, cs):
-        assert same_bits(row, rt_dispatch_batch(cfg, c, matrix, cfg.dt, soc_init=e0).err_sums)
+        assert same_bits(row, rt_dispatch_batch(cfg, c, matrix, cfg.dt).err_sums)
 
 
 bad_capacities = st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -187,18 +186,11 @@ bad_capacities = st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
 @PROPERTY
 @given(cfg=fleets(), matrix=windows(), data=st.data())
 def test_stacked_error_sums_reject_bad_input(cfg, matrix, data):
-    batt = cfg.batt
     cs = data.draw(st.lists(capacities, min_size=1, max_size=4))
     bad = list(cs)
     bad.insert(data.draw(st.integers(0, len(cs))), data.draw(bad_capacities))
     with pytest.raises(ValueError, match="capacity must be"):
         rt_error_sums(cfg, bad, matrix, cfg.dt)
-    outside = data.draw(
-        st.one_of(st.floats(-1.0, batt.soc_min, exclude_max=True),
-                  st.floats(batt.soc_max, 2.0, exclude_min=True))
-    )
-    with pytest.raises(ValueError, match="soc_init"):
-        rt_error_sums(cfg, cs, matrix, cfg.dt, soc_init=outside)
     with pytest.raises(ValueError, match="does not match config dt"):
         rt_error_sums(cfg, cs, matrix, 2.0 * cfg.dt)
     for shape in ((0,), (1, len(cs))):
