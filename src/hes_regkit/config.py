@@ -283,14 +283,11 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def resolve_archive(cfg: RunConfig, *, base_dir: Path | None = None) -> SignalArchive:
+def resolve_archive(cfg: RunConfig) -> SignalArchive:
     """Materialize the configured signal source into an archive."""
     if cfg.archive_path is not None:
-        path = Path(cfg.archive_path)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
         return load_archive(
-            path, cfg.window_len, cfg.hes.dt, offset=cfg.window_offset
+            cfg.archive_path, cfg.window_len, cfg.hes.dt, offset=cfg.window_offset
         )
     spec = cfg.synth
     windows = tuple(

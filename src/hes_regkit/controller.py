@@ -21,8 +21,11 @@ and the headroom; rt_step, rt_dispatch and rt_dispatch_batch are views of
 it, and give the same bits. rt_error_sums runs the same rule for many
 capacities at once and keeps only each (capacity, window)'s SoC and running
 L1 error, which is all bid scoring needs; its sums equal the batch's bitwise.
-The headroom and the SoC update are written once (_headroom, _soc_update)
-and shared by both.
+The headroom and the SoC update are written once (_headroom, _soc_update
+on model.soc_change) and shared by both.
+
+Trace files go through reports.write_csv / read_csv, with the capacity and
+the initial SoC as '#' comment lines.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from .model import (
     SocState,
     check_step_feasible,
     ensure_dispatchable,
+    soc_change,
 )
+from .reports import format_float, read_csv, write_csv
 from .signals import RegSignal, _check_samples
 
 __all__ = [
@@ -144,9 +149,7 @@ def _headroom(cfg: HesConfig, e):
 
 def _soc_update(cfg: HesConfig, e, p_discharge, p_charge):
     """SoC after one step of battery dispatch from SoC e."""
-    batt = cfg.batt
-    de = (batt.eta_c * p_charge + p_discharge / batt.eta_d) * cfg.dt / batt.energy_capacity
-    return e - de
+    return e + soc_change(cfg.batt, p_charge, p_discharge, cfg.dt)
 
 
 def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
@@ -350,58 +353,44 @@ def save_trace_csv(path: str | Path, trace: DispatchTrace, r: np.ndarray, c: flo
     r = np.asarray(r, dtype=float)
     if r.size != trace.n_steps:
         raise ValueError(f"r has {r.size} rows, trace has {trace.n_steps} steps")
-    p = Path(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# c=%.17g\n" % c)
-        fh.write("# soc_init=%.17g\n" % trace.soc[0])
-        fh.write(",".join(_TRACE_HEADER) + "\n")
-        for k in range(trace.n_steps):
-            row = (
-                str(k),
-                "%.17g" % r[k],
-                "%.17g" % trace.target[k],
-                "%.17g" % trace.p_gen[k],
-                "%.17g" % trace.p_load[k],
-                "%.17g" % trace.p_charge[k],
-                "%.17g" % trace.p_discharge[k],
-                "%.17g" % trace.p_hes[k],
-                "%.17g" % trace.soc[k + 1],
-            )
-            fh.write(",".join(row) + "\n")
-    return p
+    cols = (
+        r, trace.target, trace.p_gen, trace.p_load,
+        trace.p_charge, trace.p_discharge, trace.p_hes, trace.soc[1:],
+    )
+    return write_csv(
+        path,
+        _TRACE_HEADER,
+        zip(range(trace.n_steps), *(col.tolist() for col in cols)),
+        comments=(f"c={format_float(c)}", f"soc_init={format_float(trace.soc[0])}"),
+    )
 
 
 def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
     """Inverse of save_trace_csv. Returns (trace, r, c)."""
-    p = Path(path)
+    header, rows, comments = read_csv(path)
+    if header != _TRACE_HEADER:
+        raise ValueError(f"{path}: unexpected trace header {','.join(header)!r}")
+    if not rows:
+        raise ValueError(f"{path}: no trace data found")
     meta: dict[str, float] = {}
-    rows: list[list[str]] = []
-    saw_header = False
-    with open(p, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = float(val)
-                continue
-            if not saw_header:
-                if [h.strip() for h in line.split(",")] != _TRACE_HEADER:
-                    raise ValueError(f"{p}:{lineno}: unexpected trace header {line!r}")
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != len(_TRACE_HEADER):
-                raise ValueError(f"{p}:{lineno}: expected {len(_TRACE_HEADER)} columns")
-            rows.append(parts)
-    if not saw_header or not rows:
-        raise ValueError(f"{p}: no trace data found")
+    for body in comments:
+        key, eq, val = body.partition("=")
+        if eq:
+            try:
+                meta[key.strip()] = float(val)
+            except ValueError:
+                raise ValueError(f"{path}: bad metadata comment {body!r}") from None
     if "c" not in meta or "soc_init" not in meta:
-        raise ValueError(f"{p}: missing c/soc_init metadata comments")
-    cols = np.array([[float(v) for v in row[1:]] for row in rows])
+        raise ValueError(f"{path}: missing c/soc_init metadata comments")
+    values = []
+    for i, row in enumerate(rows, 1):
+        try:
+            if len(row) != len(_TRACE_HEADER):
+                raise ValueError(f"expected {len(_TRACE_HEADER)} columns, got {len(row)}")
+            values.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}: data row {i}: {exc}") from None
+    cols = np.array(values)
     r = cols[:, 0]
     soc = np.concatenate([[meta["soc_init"]], cols[:, 7]])
     trace = DispatchTrace(

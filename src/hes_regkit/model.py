@@ -25,6 +25,7 @@ __all__ = [
     "SocState",
     "DispatchStep",
     "FeasibilityVerdict",
+    "soc_change",
     "soc_step",
     "hes_output",
     "check_step_feasible",
@@ -166,13 +167,18 @@ class FeasibilityVerdict:
         return not self.violations
 
 
+def soc_change(batt: BatteryParams, p_charge, p_discharge, dt: float):
+    """SoC change over one interval of ``dt`` hours, for floats or arrays
+    of battery powers (elementwise)."""
+    return -(batt.eta_c * p_charge + p_discharge / batt.eta_d) * dt / batt.energy_capacity
+
+
 def soc_step(
     batt: BatteryParams, state: SocState, p_charge: float, p_discharge: float, dt: float
 ) -> SocState:
     """Advance SoC one interval of ``dt`` hours. No clamping or checks here;
     feasibility is the caller's problem (see check_step_feasible)."""
-    de = -(batt.eta_c * p_charge + p_discharge / batt.eta_d) * dt / batt.energy_capacity
-    return SocState(e=state.e + de)
+    return SocState(e=state.e + soc_change(batt, p_charge, p_discharge, dt))
 
 
 def hes_output(step: DispatchStep) -> float:

@@ -36,7 +36,7 @@ from .controller import (
     rt_dispatch,
     validate_trace,
 )
-from .model import BatteryParams, HesConfig
+from .model import BatteryParams, HesConfig, soc_change
 from .signals import RegSignal
 
 __all__ = [
@@ -187,12 +187,12 @@ def _solve_lp(cfg: HesConfig, c: float, sig: RegSignal):
 
 
 def _resimulate_soc(batt: BatteryParams, d: np.ndarray, pc: np.ndarray, dt: float) -> np.ndarray:
-    # cumsum is a sequential running sum, term for term the same arithmetic
-    # as soc_step, so closed-form trajectories compare bitwise against rule
-    # trajectories
+    # cumsum is a sequential running sum of soc_change terms, the update
+    # soc_step and the rule make, so closed-form trajectories compare
+    # bitwise against rule trajectories
     soc = np.empty(d.size + 1)
     soc[0] = batt.soc_init
-    soc[1:] = -(batt.eta_c * pc + d / batt.eta_d) * dt / batt.energy_capacity
+    soc[1:] = soc_change(batt, pc, d, dt)
     return np.cumsum(soc, out=soc)
 
 
@@ -225,7 +225,6 @@ def offline_dispatch(
     c: float,
     sig: RegSignal,
     *,
-    dp_grid: DpOracleConfig | None = None,
     dp_step_budget: int = 200,
 ) -> OfflineSolution:
     """Minimum-L1-error dispatch for one window, LP route with fallbacks."""
@@ -273,7 +272,7 @@ def offline_dispatch(
             f"complementarity repair failed and the exact oracle is limited to "
             f"{dp_step_budget} steps (window has {sig.n}); downsample the window"
         )
-    dp = dp_oracle(cfg, c, sig, grid=dp_grid or DpOracleConfig())
+    dp = dp_oracle(cfg, c, sig)
     return OfflineSolution(
         trace=dp.trace,
         objective=dp.objective,
@@ -364,7 +363,7 @@ def dp_oracle(
         b = np.linspace(-pb, pb, grid.power_grid_points)
         pd_act = np.maximum(b, 0.0)
         pc_act = np.minimum(b, 0.0)
-    de_act = -(batt.eta_c * pc_act + pd_act / batt.eta_d) * cfg.dt / batt.energy_capacity
+    de_act = soc_change(batt, pc_act, pd_act, cfg.dt)
     net_act = pd_act + pc_act
 
     target = c * sig.samples
@@ -457,7 +456,6 @@ def benchmark_controller(
     c: float,
     sig: RegSignal,
     *,
-    dp_grid: DpOracleConfig | None = None,
     dp_step_budget: int = 200,
 ) -> BenchmarkReport:
     """Compare the real-time rule against the offline optimum on one window.
@@ -467,7 +465,7 @@ def benchmark_controller(
     EquivalenceError because it means one of the routes is wrong.
     """
     j_on = rt_dispatch(cfg, c, sig).abs_error()
-    off = offline_dispatch(cfg, c, sig, dp_grid=dp_grid, dp_step_budget=dp_step_budget)
+    off = offline_dispatch(cfg, c, sig, dp_step_budget=dp_step_budget)
     return _benchmark_report(cfg, c, sig, j_on, off)
 
 

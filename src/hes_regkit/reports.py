@@ -91,10 +91,11 @@ def write_json(path: str | Path, obj: Any) -> Path:
 
 
 def _format_cell(v: Any) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    # floats first: they fill trace and signal files; bool before int, its base
     if isinstance(v, float):
         return format_float(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
@@ -114,13 +115,17 @@ def write_csv(
     *,
     comments: Sequence[str] = (),
 ) -> Path:
+    """Write '#' comment lines, the header and the rows.
+
+    Every cell is formatted before the file is opened, so a refused value
+    (non-finite float, separator in a string) leaves no partial file.
+    """
+    lines = [f"# {line}\n" for line in comments]
+    lines.append(",".join(header) + "\n")
+    lines.extend(",".join(map(_format_cell, row)) + "\n" for row in rows)
     p = Path(path)
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        fh.writelines(lines)
     return p
 
 

@@ -12,6 +12,9 @@ CSV format, shared by loaders and writers:
 
 Lines starting with '#' and blank lines are ignored. The timestamp column is
 a sample counter (or any monotone tag); only the r column is used.
+
+save_signal writes through reports.write_csv, like every CSV artifact. The
+loader keeps its own parser, since it checks outside input line by line.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .reports import write_csv
 
 __all__ = [
     "SignalError",
@@ -282,13 +287,8 @@ def load_archive(
 
 def save_signal(path: str | Path, samples: np.ndarray | RegSignal) -> Path:
     """Write samples in the archive CSV format (round-trips exactly)."""
-    arr = samples.samples if isinstance(samples, RegSignal) else np.asarray(samples)
-    p = Path(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("timestamp,r\n")
-        for k, v in enumerate(arr):
-            fh.write("%d,%.17g\n" % (k, v))
-    return p
+    arr = samples.samples if isinstance(samples, RegSignal) else np.asarray(samples, dtype=float)
+    return write_csv(path, ["timestamp", "r"], enumerate(arr.tolist()))
 
 
 SYNTH_KINDS = ("energy-neutral-random", "drifting", "square-wave")
