@@ -58,7 +58,11 @@ __all__ = ["main"]
 
 _OFFLINE_STEP_LIMIT = 20000
 
-_CURVE_HEADER = ["c", "mean_xp", "z_gamma", "prob_compliant", "objective"]
+_BID_CURVE_COLUMNS = ["c", "mean_xp", "z_gamma", "prob_compliant", "objective"]
+_SWEEP_CURVE_COLUMNS = ["c", "mean_xp", "std_xp", "z_gamma", "prob_compliant", "objective"]
+_SWEEP_COLUMNS = [
+    "value", "c_star", "c_bar", "c_hat", "mean_xp_at_c_star", "knee_low", "knee_high"
+]
 
 
 def _report_header(experiment: str, cfg: RunConfig, archive: SignalArchive | None) -> dict:
@@ -179,29 +183,33 @@ def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: s
     return 0
 
 
-def _curve_rows(solution: BidSolution):
-    for pt in solution.curve:
-        yield [pt.c, pt.mean_xp, pt.z_gamma, pt.prob_compliant, pt.objective]
+def _curve_points(solution: BidSolution) -> list[dict]:
+    """Every bid-curve point as one dict; each artifact picks its columns."""
+    return [
+        {
+            "c": pt.c,
+            "mean_xp": pt.mean_xp,
+            "std_xp": float(np.std(pt.scores)),
+            "z_gamma": pt.z_gamma,
+            "prob_compliant": pt.prob_compliant,
+            "objective": pt.objective,
+            "n_scores": int(pt.scores.size),
+        }
+        for pt in solution.curve
+    ]
 
 
-def _solution_dict(solution: BidSolution) -> dict:
+def _rows(records: list[dict], columns: list[str]):
+    return ([r[k] for k in columns] for r in records)
+
+
+def _solution_dict(solution: BidSolution, points: list[dict]) -> dict:
     d = solution.diagnostics
     return {
         "c_bar": solution.c_bar,
         "c_hat": solution.c_hat,
         "c_star": solution.c_star,
-        "curve": [
-            {
-                "c": pt.c,
-                "mean_xp": pt.mean_xp,
-                "std_xp": float(np.std(pt.scores)),
-                "z_gamma": pt.z_gamma,
-                "prob_compliant": pt.prob_compliant,
-                "objective": pt.objective,
-                "n_scores": int(pt.scores.size),
-            }
-            for pt in solution.curve
-        ],
+        "curve": points,
         "diagnostics": {
             "n_windows": d.n_windows,
             "zero_signal_windows": d.zero_signal_windows,
@@ -223,9 +231,10 @@ def cmd_bid(cfg: RunConfig) -> int:
     solution = solve_bid(cfg.hes, archive, cfg.market, cfg.sweep)
     rev = expected_revenue(solution, archive, cfg.market)
     out = _out_dir(cfg)
-    write_csv(out / "bid_curve.csv", _CURVE_HEADER, _curve_rows(solution))
+    points = _curve_points(solution)
+    write_csv(out / "bid_curve.csv", _BID_CURVE_COLUMNS, _rows(points, _BID_CURVE_COLUMNS))
     report = _report_header("bid", cfg, archive)
-    report.update(_solution_dict(solution))
+    report.update(_solution_dict(solution, points))
     report["revenue"] = rev.to_dict()
     write_json(out / "bid_solution.json", report)
     return 0
@@ -243,9 +252,13 @@ def _parse_values(raw: str | None) -> list[float]:
     if raw is None or raw.strip() == "":
         return []
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"--values must be comma-separated numbers, got {raw!r}") from None
+    for value in values:
+        if not math.isfinite(value) or value < 0.0:
+            raise ConfigError(f"--values entries must be finite and >= 0, got {value}")
+    return values
 
 
 def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
@@ -253,8 +266,6 @@ def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
     out = _out_dir(cfg)
     results = []
     for value in values:
-        if value < 0.0:
-            raise ConfigError(f"--values entries must be >= 0, got {value}")
         hes = _vary_config(cfg.hes, vary, value)
         solution = solve_bid(hes, archive, cfg.market, cfg.sweep)
         at_star = solution.point_at(solution.c_star)
@@ -273,22 +284,10 @@ def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
         )
         write_csv(
             out / ("curve_%s_%g.csv" % (vary, value)),
-            ["c", "mean_xp", "std_xp", "z_gamma", "prob_compliant", "objective"],
-            (
-                [pt.c, pt.mean_xp, float(np.std(pt.scores)), pt.z_gamma,
-                 pt.prob_compliant, pt.objective]
-                for pt in solution.curve
-            ),
+            _SWEEP_CURVE_COLUMNS,
+            _rows(_curve_points(solution), _SWEEP_CURVE_COLUMNS),
         )
-    write_csv(
-        out / "asym_sweep.csv",
-        ["value", "c_star", "c_bar", "c_hat", "mean_xp_at_c_star", "knee_low", "knee_high"],
-        (
-            [r["value"], r["c_star"], r["c_bar"], r["c_hat"],
-             r["mean_xp_at_c_star"], r["knee_low"], r["knee_high"]]
-            for r in results
-        ),
-    )
+    write_csv(out / "asym_sweep.csv", _SWEEP_COLUMNS, _rows(results, _SWEEP_COLUMNS))
     report = _report_header("asym-sweep", cfg, archive)
     report.update({"vary": vary, "values": values, "results": results})
     write_json(out / "asym_sweep.json", report)
@@ -298,6 +297,8 @@ def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
 def cmd_soc_drift(
     cfg: RunConfig, *, vary: str | None, values: list[float], capacity: float | None
 ) -> int:
+    if values and vary is None:
+        raise ConfigError("soc-drift --values needs --vary")
     if capacity is not None:
         _check_capacity(capacity)
     archive = resolve_archive(cfg)

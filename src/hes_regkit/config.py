@@ -4,6 +4,13 @@ One INI file describes a full experiment: the system under test ([hes]),
 market constants ([market]), the capacity sweep ([sweep]), exactly one signal
 source ([signal]: an archive path or a synthetic spec), and run plumbing
 ([run]: output directory and RNG seed). ``print_schema`` documents every key.
+
+The parameter dataclasses are the key list: a key is a field name, prefixed
+with ``gen_``, ``load_`` or ``batt_`` in [hes] and ``synth_`` in [signal];
+the field's annotation is its type and the field's default its default.
+Only ``dt_seconds``/``dt_hours``, ``archive``, ``window_len``,
+``window_offset``, ``out_dir`` and ``seed`` are read by name. Unknown
+sections and keys are refused.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ class SynthSpec:
 
     kind: str
     n: int
-    windows: int
+    windows: int = 1
     amplitude: float = 1.0
     period: int = 2
     bias: float = 0.0
@@ -94,9 +101,11 @@ class RunConfig:
 
 SCHEMA = """\
 # hes-regkit experiment configuration (INI). '#' and ';' start comments.
+# Unknown sections and keys are refused.
 
 [hes]
 gen_p_max = 3.0           # generator limit, MW
+gen_p_min = 0.0           # generator floor, MW (dispatch requires 0)
 load_p_max = 3.0          # controllable load limit, MW (consumption)
 batt_p_max = 5.0          # battery charge/discharge limit, MW
 batt_energy_capacity = 5.0  # battery capacity, MWh (SoC base)
@@ -142,55 +151,43 @@ def print_schema() -> str:
     return SCHEMA
 
 
-class _Section:
-    """Typed accessors over one INI section with decent error messages."""
+# the assets of HesConfig; field f of asset a is the [hes] key "a_f"
+_ASSETS = {"gen": GeneratorParams, "load": LoadParams, "batt": BatteryParams}
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self._name = name
-        self._items = dict(parser.items(name)) if parser.has_section(name) else {}
-
-    def has(self, key: str) -> bool:
-        return key in self._items
-
-    def _raw(self, key: str, default):
-        if key not in self._items:
-            if default is _REQUIRED:
-                raise ConfigError(f"[{self._name}] missing required key {key!r}")
-            return None
-        return self._items[key]
-
-    def get_float(self, key: str, default=None) -> float | None:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self._name}] {key} must be a number, got {raw!r}"
-            ) from None
-
-    def get_int(self, key: str, default=None) -> int | None:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self._name}] {key} must be an integer, got {raw!r}"
-            ) from None
-
-    def get_str(self, key: str, default=None) -> str | None:
-        raw = self._raw(key, default)
-        return default if raw is None else str(raw)
+_TYPES = {"float": (float, "a number"), "int": (int, "an integer"), "str": (str, "")}
 
 
-_REQUIRED = object()
+def _pop(items: dict, section: str, key: str, type_name: str, default):
+    """Remove ``key`` from one section's items and parse it as ``type_name``;
+    ``default`` is ``dataclasses.MISSING`` for a required key."""
+    if key not in items:
+        if default is dataclasses.MISSING:
+            raise ConfigError(f"[{section}] missing required key {key!r}")
+        return default
+    raw = items.pop(key)
+    parse, kind = _TYPES[type_name]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be {kind}, got {raw!r}") from None
+
+
+def _build(cls, items: dict, section: str, prefix: str = "", **defaults):
+    """One dataclass from the keys ``prefix + field name``. A field's annotation
+    gives the key's type, and its default (or ``defaults``) the key's default."""
+    return cls(
+        **{
+            f.name: _pop(
+                items, section, prefix + f.name, f.type, defaults.get(f.name, f.default)
+            )
+            for f in dataclasses.fields(cls)
+        }
+    )
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate one experiment INI file."""
+    """Parse and validate one experiment INI file. Unknown sections and keys
+    are refused."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -200,87 +197,56 @@ def load_config(path: str | Path) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{p}: {exc}") from None
+    if parser.defaults():  # would be read into every section
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    sections = {name: {} for name in ("hes", "market", "sweep", "signal", "run")}
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"unknown section [{name}]")
+        sections[name] = dict(parser.items(name))
+    hes_s, sig_s, run_s = sections["hes"], sections["signal"], sections["run"]
 
-    hes_s = _Section(parser, "hes")
-    if hes_s.has("dt_seconds") == hes_s.has("dt_hours"):
+    if ("dt_seconds" in hes_s) == ("dt_hours" in hes_s):
         raise ConfigError("[hes] needs exactly one of dt_seconds / dt_hours")
-    dt = (
-        hes_s.get_float("dt_seconds") / 3600.0
-        if hes_s.has("dt_seconds")
-        else hes_s.get_float("dt_hours")
-    )
+    if "dt_seconds" in hes_s:
+        dt = _pop(hes_s, "hes", "dt_seconds", "float", None) / 3600.0
+    else:
+        dt = _pop(hes_s, "hes", "dt_hours", "float", None)
     try:
         hes = HesConfig(
-            gen=GeneratorParams(
-                p_max=hes_s.get_float("gen_p_max", _REQUIRED),
-                p_min=hes_s.get_float("gen_p_min", 0.0),
-            ),
-            load=LoadParams(p_max=hes_s.get_float("load_p_max", _REQUIRED)),
-            batt=BatteryParams(
-                p_max=hes_s.get_float("batt_p_max", _REQUIRED),
-                energy_capacity=hes_s.get_float("batt_energy_capacity", _REQUIRED),
-                eta_c=hes_s.get_float("batt_eta_c", 1.0),
-                eta_d=hes_s.get_float("batt_eta_d", 1.0),
-                soc_min=hes_s.get_float("batt_soc_min", 0.0),
-                soc_max=hes_s.get_float("batt_soc_max", 1.0),
-                soc_init=hes_s.get_float("batt_soc_init", 0.5),
-            ),
+            **{a: _build(cls, hes_s, "hes", a + "_") for a, cls in _ASSETS.items()},
             dt=dt,
         )
-
-        market_s = _Section(parser, "market")
-        market = MarketParams(
-            lambda_c=market_s.get_float("lambda_c", _REQUIRED),
-            lambda_m=market_s.get_float("lambda_m", _REQUIRED),
-            x_p_min=market_s.get_float("x_p_min", _REQUIRED),
-            gamma=market_s.get_float("gamma", _REQUIRED),
-            c_max=market_s.get_float("c_max", _REQUIRED),
-        )
-
-        sweep_s = _Section(parser, "sweep")
-        sweep = SweepGrid(
-            c_lo=sweep_s.get_float("c_lo", _REQUIRED),
-            c_hi=sweep_s.get_float("c_hi", _REQUIRED),
-            coarse_step=sweep_s.get_float("coarse_step", 0.25),
-            refine_tol=sweep_s.get_float("refine_tol", 0.01),
-        )
+        market = _build(MarketParams, sections["market"], "market")
+        sweep = _build(SweepGrid, sections["sweep"], "sweep")
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from None
 
-    sig_s = _Section(parser, "signal")
-    archive_path = sig_s.get_str("archive")
-    has_synth = sig_s.has("synth_kind")
+    archive_path = _pop(sig_s, "signal", "archive", "str", None)
+    has_synth = "synth_kind" in sig_s
     if (archive_path is None) == (not has_synth):
         raise ConfigError(
             "[signal] needs exactly one source: 'archive' or 'synth_kind'"
         )
-    synth = None
-    window_len = sig_s.get_int("window_len", 1800)
-    if has_synth:
-        synth = SynthSpec(
-            kind=sig_s.get_str("synth_kind"),
-            n=sig_s.get_int("synth_n", window_len),
-            windows=sig_s.get_int("synth_windows", 1),
-            amplitude=sig_s.get_float("synth_amplitude", 1.0),
-            period=sig_s.get_int("synth_period", 2),
-            bias=sig_s.get_float("synth_bias", 0.0),
-            noise=sig_s.get_float("synth_noise", 0.5),
-        )
-
-    run_s = _Section(parser, "run")
-    return RunConfig(
+    window_len = _pop(sig_s, "signal", "window_len", "int", 1800)
+    synth = _build(SynthSpec, sig_s, "signal", "synth_", n=window_len) if has_synth else None
+    cfg = RunConfig(
         hes=hes,
         market=market,
         sweep=sweep,
         archive_path=archive_path,
         window_len=window_len,
-        window_offset=sig_s.get_int("window_offset", 0),
+        window_offset=_pop(sig_s, "signal", "window_offset", "int", 0),
         synth=synth,
-        out_dir=run_s.get_str("out_dir", "out"),
-        seed=run_s.get_int("seed", 0),
+        out_dir=_pop(run_s, "run", "out_dir", "str", "out"),
+        seed=_pop(run_s, "run", "seed", "int", 0),
     )
+    for name, items in sections.items():
+        if items:
+            raise ConfigError(f"[{name}] unknown key {', '.join(map(repr, items))}")
+    return cfg
 
 
 def resolve_archive(cfg: RunConfig) -> SignalArchive:
@@ -308,34 +274,15 @@ def resolve_archive(cfg: RunConfig) -> SignalArchive:
 
 def config_digest_payload(cfg: RunConfig) -> dict:
     """Canonical dict of everything that influences results (not out_dir)."""
-    hes, market, sweep = cfg.hes, cfg.market, cfg.sweep
+    hes = {
+        f"{asset}_{name}": value
+        for asset in _ASSETS
+        for name, value in dataclasses.asdict(getattr(cfg.hes, asset)).items()
+    }
     payload = {
-        "hes": {
-            "gen_p_max": hes.gen.p_max,
-            "gen_p_min": hes.gen.p_min,
-            "load_p_max": hes.load.p_max,
-            "batt_p_max": hes.batt.p_max,
-            "batt_energy_capacity": hes.batt.energy_capacity,
-            "batt_eta_c": hes.batt.eta_c,
-            "batt_eta_d": hes.batt.eta_d,
-            "batt_soc_min": hes.batt.soc_min,
-            "batt_soc_max": hes.batt.soc_max,
-            "batt_soc_init": hes.batt.soc_init,
-            "dt_hours": hes.dt,
-        },
-        "market": {
-            "lambda_c": market.lambda_c,
-            "lambda_m": market.lambda_m,
-            "x_p_min": market.x_p_min,
-            "gamma": market.gamma,
-            "c_max": market.c_max,
-        },
-        "sweep": {
-            "c_lo": sweep.c_lo,
-            "c_hi": sweep.c_hi,
-            "coarse_step": sweep.coarse_step,
-            "refine_tol": sweep.refine_tol,
-        },
+        "hes": {**hes, "dt_hours": cfg.hes.dt},
+        "market": dataclasses.asdict(cfg.market),
+        "sweep": dataclasses.asdict(cfg.sweep),
         "signal": {
             "archive": cfg.archive_path,
             "window_len": cfg.window_len,
@@ -344,13 +291,5 @@ def config_digest_payload(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
     }
     if cfg.synth is not None:
-        payload["signal"]["synth"] = {
-            "kind": cfg.synth.kind,
-            "n": cfg.synth.n,
-            "windows": cfg.synth.windows,
-            "amplitude": cfg.synth.amplitude,
-            "period": cfg.synth.period,
-            "bias": cfg.synth.bias,
-            "noise": cfg.synth.noise,
-        }
+        payload["signal"]["synth"] = dataclasses.asdict(cfg.synth)
     return payload

@@ -215,7 +215,7 @@ def _assemble_trace(
         p_load=l2,
         p_discharge=d,
         p_charge=pc,
-        p_hes=g2 - l2 + d + pc,
+        p_hes=_net_output(g2, l2, d, pc),
         soc=soc,
     )
 
@@ -417,7 +417,7 @@ def dp_oracle(
         p_load=p_load,
         p_discharge=p_discharge,
         p_charge=p_charge,
-        p_hes=p_gen - p_load + p_discharge + p_charge,
+        p_hes=_net_output(p_gen, p_load, p_discharge, p_charge),
         soc=soc,
     )
     return OfflineSolution(

@@ -225,6 +225,16 @@ class TestAsymSweep:
         )
         assert "--values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["0,inf", "8,-1", "nan", "3,-inf"])
+    def test_out_of_range_values_refused_before_any_work(
+        self, config_path, tmp_path, capsys, values
+    ):
+        out = tmp_path / "o"
+        assert run(["asym-sweep", "--config", config_path, "--vary", "gen", "--values",
+                    values, "--out", out]) == 1
+        assert "--values entries must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSocDrift:
     def test_fixed_capacity_summaries(self, config_path, tmp_path):
@@ -259,6 +269,20 @@ class TestSocDrift:
         report = json.loads((out / "soc_drift.json").read_text())
         assert [c["case"] for c in report["cases"]] == ["gen_0", "gen_3"]
         assert (out / "soc_windows_gen_0.csv").exists()
+
+    def test_values_without_vary_refused(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", config_path, "--values", "1,2",
+                    "--capacity", 6, "--out", out]) == 1
+        assert "--values needs --vary" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_value_refused_before_any_work(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", config_path, "--vary", "load", "--values",
+                    "2,-1", "--capacity", 6, "--out", out]) == 1
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynth:

@@ -1,16 +1,25 @@
 """INI config parsing, validation and overrides."""
 
 import configparser
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+from hes_regkit.bidding import SweepGrid
 from hes_regkit.config import (
     ConfigError,
+    SynthSpec,
     config_digest_payload,
     load_config,
     print_schema,
     resolve_archive,
 )
+from hes_regkit.model import BatteryParams, GeneratorParams, LoadParams
+from hes_regkit.scoring import MarketParams
+
+PROFILES = sorted((Path(__file__).resolve().parents[1] / "profiles").glob("*.ini"))
 
 GOOD = """\
 [hes]
@@ -170,3 +179,132 @@ class TestSchema:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         parser.read_string(print_schema())
         assert set(parser.sections()) == {"hes", "market", "sweep", "signal", "run"}
+
+
+# config_digest_payload(GOOD) as every artifact embeds it: key order and
+# int/float types are part of the inputs digest
+GOOD_PAYLOAD = {
+    "hes": {
+        "gen_p_max": 3.0,
+        "gen_p_min": 0.0,
+        "load_p_max": 3.0,
+        "batt_p_max": 5.0,
+        "batt_energy_capacity": 5.0,
+        "batt_eta_c": 0.95,
+        "batt_eta_d": 0.95,
+        "batt_soc_min": 0.1,
+        "batt_soc_max": 0.9,
+        "batt_soc_init": 0.5,
+        "dt_hours": 2.0 / 3600.0,
+    },
+    "market": {
+        "lambda_c": 40.0,
+        "lambda_m": 10.0,
+        "x_p_min": 0.75,
+        "gamma": 0.9,
+        "c_max": 20.0,
+    },
+    "sweep": {"c_lo": 1.0, "c_hi": 20.0, "coarse_step": 0.25, "refine_tol": 0.01},
+    "signal": {
+        "archive": None,
+        "window_len": 120,
+        "window_offset": 0,
+        "synth": {
+            "kind": "square-wave",
+            "n": 120,
+            "windows": 3,
+            "amplitude": 0.8,
+            "period": 2,
+            "bias": 0.0,
+            "noise": 0.5,
+        },
+    },
+    "seed": 5,
+}
+
+
+def _typed(obj):
+    """Dicts as ordered (key, value) lists and leaves as (type, value) pairs,
+    so equality also checks key order and int vs float."""
+    if isinstance(obj, dict):
+        return [(k, _typed(v)) for k, v in obj.items()]
+    return (type(obj).__name__, obj)
+
+
+def _accepted_keys() -> dict:
+    """Every key load_config reads, per section."""
+    def keys(prefix, cls):
+        return [prefix + f.name for f in dataclasses.fields(cls)]
+
+    return {
+        "hes": keys("gen_", GeneratorParams) + keys("load_", LoadParams)
+        + keys("batt_", BatteryParams) + ["dt_seconds", "dt_hours"],
+        "market": keys("", MarketParams),
+        "sweep": keys("", SweepGrid),
+        "signal": keys("synth_", SynthSpec) + ["archive", "window_len", "window_offset"],
+        "run": ["out_dir", "seed"],
+    }
+
+
+class TestKeySet:
+    def test_digest_payload_pinned(self, tmp_path):
+        payload = config_digest_payload(load_config(write_config(tmp_path, GOOD)))
+        assert _typed(payload) == _typed(GOOD_PAYLOAD)
+
+    def test_synth_defaults(self, tmp_path):
+        text = GOOD.replace("synth_n = 120\nsynth_windows = 3\n", "")
+        synth = load_config(write_config(tmp_path, text)).synth
+        assert (synth.n, synth.windows, synth.period) == (120, 1, 2)
+
+    @pytest.mark.parametrize(
+        "section, line, key",
+        [
+            ("hes", "batt_soc_int = 0.2", "batt_soc_int"),
+            ("sweep", "coarse_stp = 1.0", "coarse_stp"),
+            ("market", "lamda_c = 1.0", "lamda_c"),
+            ("signal", "synth_nosie = 0.1", "synth_nosie"),
+            ("run", "sed = 3", "sed"),
+        ],
+    )
+    def test_unknown_key_refused(self, tmp_path, section, line, key):
+        text = GOOD.replace(f"[{section}]", f"[{section}]\n{line}")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key '{key}'"):
+            load_config(write_config(tmp_path, text))
+
+    def test_synth_keys_refused_with_archive_source(self, tmp_path):
+        text = GOOD.replace("synth_kind = square-wave\n", "archive = data.csv\n")
+        with pytest.raises(ConfigError, match="synth_n"):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("section", ["sweeps", "DEFAULT"])
+    def test_unknown_section_refused(self, tmp_path, section):
+        text = f"[{section}]\nseed = 3\n" + GOOD
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+            load_config(write_config(tmp_path, text))
+
+    def test_non_integer_named(self, tmp_path):
+        text = GOOD.replace("synth_windows = 3", "synth_windows = 2.5")
+        with pytest.raises(ConfigError, match="synth_windows must be an integer"):
+            load_config(write_config(tmp_path, text))
+
+    def test_schema_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, print_schema()))
+        assert cfg.synth.windows == 8
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+    def test_profile_loads(self, profile):
+        assert load_config(profile).synth is not None
+
+    def test_profiles_found(self):
+        assert PROFILES
+
+    def test_every_accepted_key_in_schema(self):
+        schema = print_schema()
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(schema)
+        for section, keys in _accepted_keys().items():
+            # the alternatives to dt_seconds and synth_kind are named in comments
+            assert set(parser[section]) == set(keys) - {"dt_hours", "archive"}
+            text = schema.split(f"[{section}]")[1].split("\n[")[0]
+            for key in keys:
+                assert re.search(rf"\b{key}\b", text), (section, key)
