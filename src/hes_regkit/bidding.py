@@ -24,7 +24,7 @@ import numpy as np
 from .controller import rt_error_sums
 from .model import HesConfig
 from .scoring import MarketParams
-from .signals import SignalArchive, mileage
+from .signals import SignalArchive
 
 __all__ = [
     "BracketError",
@@ -313,8 +313,9 @@ def expected_revenue(
 ) -> RevenueSummary:
     """Average per-window payment at c_star over the archive."""
     pt = solution.point_at(solution.c_star)
-    l1 = np.array([float(np.sum(np.abs(w.samples))) for w in archive.windows])
-    miles = np.array([mileage(w) for w in archive.windows])[l1 > 0.0]
+    matrix = archive.matrix()
+    l1 = np.sum(np.abs(matrix), axis=1)
+    miles = np.sum(np.abs(np.diff(matrix, axis=1)), axis=1)[l1 > 0.0]
     per_window = solution.c_star * pt.scores * (market.lambda_c + market.lambda_m * miles)
     return RevenueSummary(
         c_star=solution.c_star,

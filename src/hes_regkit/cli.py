@@ -261,13 +261,25 @@ def _parse_values(raw: str | None) -> list[float]:
     return values
 
 
+def _solve_case(
+    hes: HesConfig, archive: SignalArchive, cfg: RunConfig, vary: str | None, value: float | None
+) -> BidSolution:
+    """solve_bid for one sweep case; a BracketError names the case's value."""
+    try:
+        return solve_bid(hes, archive, cfg.market, cfg.sweep)
+    except BracketError as exc:
+        if vary is None:
+            raise
+        raise BracketError(f"{vary}={value:g}: {exc}") from exc
+
+
 def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
     archive = resolve_archive(cfg)
     out = _out_dir(cfg)
     results = []
     for value in values:
         hes = _vary_config(cfg.hes, vary, value)
-        solution = solve_bid(hes, archive, cfg.market, cfg.sweep)
+        solution = _solve_case(hes, archive, cfg, vary, value)
         at_star = solution.point_at(solution.c_star)
         knee_low = min(hes.gen.p_max, hes.load.p_max) + hes.batt.p_max
         knee_high = max(hes.gen.p_max, hes.load.p_max) + hes.batt.p_max
@@ -299,6 +311,8 @@ def cmd_soc_drift(
 ) -> int:
     if values and vary is None:
         raise ConfigError("soc-drift --values needs --vary")
+    if vary is not None and not values:
+        raise ConfigError("soc-drift --vary needs --values")
     if capacity is not None:
         _check_capacity(capacity)
     archive = resolve_archive(cfg)
@@ -311,34 +325,25 @@ def cmd_soc_drift(
         if capacity is not None:
             c_used = capacity
         else:
-            c_used = solve_bid(hes, archive, cfg.market, cfg.sweep).c_star
-        rows = []
-        hit_count = 0
-        finals = []
-        batch = rt_dispatch_batch(hes, c_used, archive.matrix(), archive.dt)
-        for i, soc in enumerate(batch.soc):
-            at_floor = soc <= batt.soc_min + 1e-9
-            at_ceiling = soc >= batt.soc_max - 1e-9
-            hit = bool(np.any(at_floor) or np.any(at_ceiling))
-            hit_idx = np.flatnonzero(at_floor | at_ceiling)
-            hit_count += hit
-            finals.append(float(soc[-1]))
-            rows.append(
-                [
-                    i,
-                    float(np.median(soc)),
-                    float(soc.min()),
-                    float(soc.max()),
-                    float(soc[-1]),
-                    hit,
-                    int(hit_idx[0]) if hit else -1,
-                ]
-            )
+            c_used = _solve_case(hes, archive, cfg, vary_name, value).c_star
+        soc = rt_dispatch_batch(hes, c_used, archive.matrix(), archive.dt).soc
+        at_bound = (soc <= batt.soc_min + 1e-9) | (soc >= batt.soc_max - 1e-9)
+        hit = at_bound.any(axis=1)
+        first_hit = np.where(hit, at_bound.argmax(axis=1), -1)
+        finals = soc[:, -1].copy()  # contiguous, so np.mean sums as over a list
         label = "base" if vary_name is None else "%s_%g" % (vary_name, value)
         write_csv(
             out / f"soc_windows_{label}.csv",
             ["window", "soc_median", "soc_min", "soc_max", "soc_final", "hit_bound", "first_hit"],
-            rows,
+            zip(
+                range(archive.n_windows),
+                np.median(soc, axis=1).tolist(),
+                soc.min(axis=1).tolist(),
+                soc.max(axis=1).tolist(),
+                finals.tolist(),
+                hit.tolist(),
+                first_hit.tolist(),
+            ),
         )
         summaries.append(
             {
@@ -347,7 +352,7 @@ def cmd_soc_drift(
                 "value": value,
                 "capacity": c_used,
                 "windows": archive.n_windows,
-                "windows_hitting_bounds": hit_count,
+                "windows_hitting_bounds": int(hit.sum()),
                 "mean_final_soc": float(np.mean(finals)),
                 "min_final_soc": float(np.min(finals)),
                 "max_final_soc": float(np.max(finals)),

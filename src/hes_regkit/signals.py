@@ -14,7 +14,13 @@ Lines starting with '#' and blank lines are ignored. The timestamp column is
 a sample counter (or any monotone tag); only the r column is used.
 
 save_signal writes through reports.write_csv, like every CSV artifact. The
-loader keeps its own parser, since it checks outside input line by line.
+loader reads each file whole. A file in the plain layout above (that exact
+header on line 1, no '#', one pair per line) has its r column parsed in one
+comprehension and range-checked as one array. Any other file, and any fault
+in that pass, goes to the line-by-line reader, which skips comments and
+blank lines and names the file and line of the first bad one. load_archive
+checks the concatenated samples once as a (windows, window_len) matrix whose
+rows are the windows.
 """
 
 from __future__ import annotations
@@ -78,6 +84,11 @@ def _check_samples(arr: np.ndarray, ndim: int) -> None:
         )
 
 
+def _check_dt(dt: float) -> None:
+    if dt <= 0.0:
+        raise SignalError(f"dt must be > 0 hours, got {dt}")
+
+
 @dataclass(frozen=True, eq=False)
 class RegSignal:
     """One window of regulation commands. ``samples`` is read-only float64."""
@@ -88,10 +99,17 @@ class RegSignal:
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=float, copy=True)
         _check_samples(arr, 1)
-        if self.dt <= 0.0:
-            raise SignalError(f"dt must be > 0 hours, got {self.dt}")
+        _check_dt(self.dt)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def _row(cls, samples: np.ndarray, dt: float) -> RegSignal:
+        """A window over checked, read-only samples and a checked dt; no copy."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "samples", samples)
+        object.__setattr__(sig, "dt", dt)
+        return sig
 
     @property
     def n(self) -> int:
@@ -204,41 +222,58 @@ def archive_stats(archive: SignalArchive, *, bins: int = 50) -> ArchiveStats:
     )
 
 
-def _parse_signal_csv(path: Path) -> list[float]:
+def _read_lines(path: Path, text: str) -> list[float]:
+    """Line-by-line reader: skips comments and blank lines, names a bad line."""
     samples: list[float] = []
     saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not saw_header:
-                cols = [c.strip().lower() for c in line.split(",")]
-                if cols != ["timestamp", "r"]:
-                    raise SignalParseError(
-                        f"{path}:{lineno}: expected header 'timestamp,r', got {line!r}"
-                    )
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not saw_header:
+            cols = [c.strip().lower() for c in line.split(",")]
+            if cols != ["timestamp", "r"]:
                 raise SignalParseError(
-                    f"{path}:{lineno}: expected 2 columns, got {len(parts)}: {line!r}"
+                    f"{path}:{lineno}: expected header 'timestamp,r', got {line!r}"
                 )
-            try:
-                value = float(parts[1])
-            except ValueError:
-                raise SignalParseError(
-                    f"{path}:{lineno}: bad sample value {parts[1]!r}"
-                ) from None
-            if not math.isfinite(value) or value < -1.0 or value > 1.0:
-                raise SignalRangeError(
-                    f"{path}:{lineno}: sample {value!r} outside [-1, 1]"
-                )
-            samples.append(value)
+            saw_header = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise SignalParseError(
+                f"{path}:{lineno}: expected 2 columns, got {len(parts)}: {line!r}"
+            )
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise SignalParseError(
+                f"{path}:{lineno}: bad sample value {parts[1]!r}"
+            ) from None
+        if not math.isfinite(value) or value < -1.0 or value > 1.0:
+            raise SignalRangeError(
+                f"{path}:{lineno}: sample {value!r} outside [-1, 1]"
+            )
+        samples.append(value)
     if not saw_header:
         raise SignalParseError(f"{path}: no header line found")
     return samples
+
+
+def _parse_signal_csv(path: Path) -> np.ndarray:
+    # text mode turns \r\n and \r into \n. Both readers split on "\n" alone:
+    # str.splitlines also breaks on \x0c, \u2028 and others, which a line keeps
+    text = path.read_text(encoding="utf-8")
+    header, _, body = text.partition("\n")
+    if header == "timestamp,r" and "#" not in body:
+        try:
+            lines = body.removesuffix("\n").split("\n")
+            values = np.array([float(line.partition(",")[2]) for line in lines])
+        except ValueError:
+            pass
+        else:
+            if np.all(np.abs(values) <= 1.0):  # NaN fails too
+                return values
+    return np.array(_read_lines(path, text), dtype=float)
 
 
 def load_archive(
@@ -252,7 +287,8 @@ def load_archive(
 
     Directories are concatenated in lexicographic filename order, then the
     stream is cut into consecutive windows of ``window_len`` samples starting
-    at sample ``offset``. A trailing partial window is dropped.
+    at sample ``offset``. A trailing partial window is dropped. The windows
+    are read-only rows of one matrix.
     """
     if window_len < 2:
         raise SignalError(f"window_len must be >= 2, got {window_len}")
@@ -267,21 +303,19 @@ def load_archive(
         if not p.exists():
             raise FileNotFoundError(f"signal source not found: {p}")
         files = [p]
-    samples: list[float] = []
-    for f in files:
-        samples.extend(_parse_signal_csv(f))
-    usable = len(samples) - offset
+    samples = np.concatenate([_parse_signal_csv(f) for f in files])
+    usable = samples.size - offset
     n_win = usable // window_len if usable > 0 else 0
     if n_win <= 0:
         raise EmptyArchiveError(
             f"no complete window of length {window_len} in {p} "
-            f"({len(samples)} samples, offset {offset})"
+            f"({samples.size} samples, offset {offset})"
         )
-    data = np.array(samples[offset : offset + n_win * window_len])
-    windows = tuple(
-        RegSignal(samples=data[i * window_len : (i + 1) * window_len], dt=dt)
-        for i in range(n_win)
-    )
+    data = samples[offset : offset + n_win * window_len].reshape(n_win, window_len)
+    _check_samples(data, 2)
+    _check_dt(dt)
+    data.setflags(write=False)
+    windows = tuple(RegSignal._row(row, dt) for row in data)
     return SignalArchive(windows=windows, source=str(p))
 
 

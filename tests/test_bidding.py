@@ -12,6 +12,7 @@ from hes_regkit import (
     SignalArchive,
     SweepGrid,
     expected_revenue,
+    mileage,
     quantile_lower,
     rt_dispatch_batch,
     score_samples,
@@ -142,6 +143,22 @@ class TestSolveBid:
         miles = 0.8 * 2 * 359
         expect = sol.c_star * pt.mean_xp * (40.0 + 10.0 * miles)
         assert rev.with_mileage == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [7, 8, 129, 1000, 3601])
+    def test_expected_revenue_matches_window_by_window(self, n):
+        windows = tuple(
+            synth_signal("energy-neutral-random", n, DT_2S, s) for s in range(5)
+        )
+        arch = SignalArchive(windows=windows + (RegSignal(np.zeros(n), DT_2S),))
+        sweep = SweepGrid(c_lo=1.0, c_hi=30.0, coarse_step=1.0, refine_tol=0.05)
+        sol = solve_bid(self.cfg, arch, self.market, sweep)
+        rev = expected_revenue(sol, arch, self.market)
+        # the payment summed one window at a time, zero-signal window dropped
+        l1 = np.array([float(np.sum(np.abs(w.samples))) for w in arch.windows])
+        miles = np.array([mileage(w) for w in arch.windows])[l1 > 0.0]
+        pt = sol.point_at(sol.c_star)
+        rate = self.market.lambda_c + self.market.lambda_m * miles
+        assert rev.with_mileage == float((sol.c_star * pt.scores * rate).mean())
 
 
 def sequential_solve(cfg, archive, market, sweep):

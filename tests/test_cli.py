@@ -10,8 +10,8 @@ import pytest
 import hes_regkit.offline as offline
 from hes_regkit.cli import main
 from hes_regkit.config import load_config, resolve_archive
-from hes_regkit.controller import load_trace_csv
-from hes_regkit.reports import read_csv
+from hes_regkit.controller import load_trace_csv, rt_dispatch_batch
+from hes_regkit.reports import read_csv, write_csv
 
 BASE = """\
 [hes]
@@ -49,6 +49,20 @@ window_len = 240
 out_dir = out
 seed = 11
 """
+
+
+# z_gamma(14) clears x_p_min at load_p_max 3 but not at 0
+NARROW_SWEEP = BASE.replace("c_hi = 20.0", "c_hi = 14.0")
+
+# 242 SoC points per window; at --capacity 8 some windows reach a SoC bound
+DRIFTING = (
+    BASE.replace("batt_energy_capacity = 5.0", "batt_energy_capacity = 0.2")
+    .replace("synth_kind = energy-neutral-random",
+             "synth_kind = drifting\nsynth_bias = 0.1\nsynth_noise = 0.9")
+    .replace("synth_n = 240", "synth_n = 241")
+    .replace("window_len = 240", "window_len = 241")
+    .replace("synth_windows = 5", "synth_windows = 8")
+)
 
 
 @pytest.fixture
@@ -235,6 +249,15 @@ class TestAsymSweep:
         assert "--values entries must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bracket_error_names_the_value(self, tmp_path, capsys):
+        p = tmp_path / "exp.ini"
+        p.write_text(NARROW_SWEEP)
+        assert run(["asym-sweep", "--config", p, "--vary", "load", "--values", "0,3",
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: load=3: z_gamma(14) = ")
+        assert err.rstrip().endswith("still clears x_p_min = 0.75; raise c_hi")
+
 
 class TestSocDrift:
     def test_fixed_capacity_summaries(self, config_path, tmp_path):
@@ -283,6 +306,57 @@ class TestSocDrift:
                     "2,-1", "--capacity", 6, "--out", out]) == 1
         assert "--values" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_vary_without_values_refused(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", config_path, "--vary", "gen",
+                    "--capacity", 6, "--out", out]) == 1
+        assert "soc-drift --vary needs --values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bracket_error_names_the_value(self, tmp_path, capsys):
+        p = tmp_path / "exp.ini"
+        p.write_text(NARROW_SWEEP)
+        assert run(["soc-drift", "--config", p, "--vary", "load", "--values", "0,3",
+                    "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.startswith("error: load=3: z_gamma(14) = ")
+        # the unvaried case has no value to name
+        assert run(["soc-drift", "--config", p, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.startswith("error: z_gamma(14) = ")
+
+    def test_summaries_match_window_by_window(self, tmp_path):
+        p = tmp_path / "exp.ini"
+        p.write_text(DRIFTING)
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", p, "--capacity", 8, "--out", out]) == 0
+        cfg = load_config(p)
+        archive = resolve_archive(cfg)
+        batt = cfg.hes.batt
+        batch = rt_dispatch_batch(cfg.hes, 8.0, archive.matrix(), archive.dt)
+        assert batch.soc.shape[1] % 2 == 0  # the median averages two points
+        # the summaries one window at a time, as they were first written
+        rows, finals = [], []
+        for i, soc in enumerate(batch.soc):
+            at_floor = soc <= batt.soc_min + 1e-9
+            at_ceiling = soc >= batt.soc_max - 1e-9
+            hit = bool(np.any(at_floor) or np.any(at_ceiling))
+            hit_idx = np.flatnonzero(at_floor | at_ceiling)
+            finals.append(float(soc[-1]))
+            rows.append([i, float(np.median(soc)), float(soc.min()), float(soc.max()),
+                         float(soc[-1]), hit, int(hit_idx[0]) if hit else -1])
+        assert 0 < sum(row[5] for row in rows) < len(rows)
+        expected = write_csv(
+            tmp_path / "expected.csv",
+            ["window", "soc_median", "soc_min", "soc_max", "soc_final", "hit_bound",
+             "first_hit"],
+            rows,
+        )
+        assert (out / "soc_windows_base.csv").read_bytes() == expected.read_bytes()
+        case = json.loads((out / "soc_drift.json").read_text())["cases"][0]
+        assert case["windows_hitting_bounds"] == sum(row[5] for row in rows)
+        assert case["mean_final_soc"] == float(np.mean(finals))
+        assert case["min_final_soc"] == float(np.min(finals))
+        assert case["max_final_soc"] == float(np.max(finals))
 
 
 class TestSynth:

@@ -1,29 +1,41 @@
-"""Bitwise properties of the priority rule's entry points, on random fleets.
+"""Bitwise properties of the priority rule's entry points, on random fleets,
+and of signal CSV ingest, on random file text.
 
 Equality is checked on the bytes of each float, so 0.0 and -0.0 differ
-(``np.array_equal`` would call them equal). The reference is the rule as
-plain Python floats, one step at a time, which is how the rule was first
-written and what the trace files were recorded from.
+(``np.array_equal`` would call them equal). The rule's reference is the rule
+as plain Python floats, one step at a time, which is how the rule was first
+written and what the trace files were recorded from. The ingest reference is
+the line-by-line reader every file once went through.
 """
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hes_regkit import (
     BatteryParams,
     DispatchStep,
+    EmptyArchiveError,
     GeneratorParams,
     HesConfig,
     LoadParams,
     RegSignal,
+    SignalError,
+    SignalParseError,
+    SignalRangeError,
     SocState,
     closed_form_dispatch,
+    load_archive,
     rt_dispatch,
     rt_dispatch_batch,
     rt_step,
+    save_signal,
     soc_step,
 )
 from hes_regkit.controller import rt_error_sums
@@ -196,3 +208,167 @@ def test_stacked_error_sums_reject_bad_input(cfg, matrix, data):
     for shape in ((0,), (1, len(cs))):
         with pytest.raises(ValueError, match="non-empty 1-D"):
             rt_error_sums(cfg, np.ones(shape), matrix, cfg.dt)
+
+
+def reference_parse(path: Path) -> list[float]:
+    """The signal CSV reader as it was: one line at a time from the file."""
+    samples: list[float] = []
+    saw_header = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not saw_header:
+                cols = [c.strip().lower() for c in line.split(",")]
+                if cols != ["timestamp", "r"]:
+                    raise SignalParseError(
+                        f"{path}:{lineno}: expected header 'timestamp,r', got {line!r}"
+                    )
+                saw_header = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise SignalParseError(
+                    f"{path}:{lineno}: expected 2 columns, got {len(parts)}: {line!r}"
+                )
+            try:
+                value = float(parts[1])
+            except ValueError:
+                raise SignalParseError(
+                    f"{path}:{lineno}: bad sample value {parts[1]!r}"
+                ) from None
+            if not math.isfinite(value) or value < -1.0 or value > 1.0:
+                raise SignalRangeError(
+                    f"{path}:{lineno}: sample {value!r} outside [-1, 1]"
+                )
+            samples.append(value)
+    if not saw_header:
+        raise SignalParseError(f"{path}: no header line found")
+    return samples
+
+
+def reference_windows(files: list[Path], source: Path, window_len: int, offset: int):
+    samples: list[float] = []
+    for f in files:
+        samples.extend(reference_parse(f))
+    usable = len(samples) - offset
+    n_win = usable // window_len if usable > 0 else 0
+    if n_win <= 0:
+        raise EmptyArchiveError(
+            f"no complete window of length {window_len} in {source} "
+            f"({len(samples)} samples, offset {offset})"
+        )
+    return np.array(samples[offset : offset + n_win * window_len]).reshape(n_win, window_len)
+
+
+# each variation below as the old reader took it (_OK) or refused it (_BAD)
+HEADERS_OK = ["timestamp,r", "Timestamp,R", " timestamp , r ", "TIMESTAMP,r\t"]
+HEADERS_BAD = ["timestamp,r,x", "time,r", "timestamp", "timestamp;r", "\ufefftimestamp,r"]
+# comments, and lines blank once stripped
+SKIPPED = ["# comment", "#", "", "   ", "\t", "\x0c", "\u2028", "\x1c", " # note",
+           "#timestamp,r", "#1,0.5", "# 2, -0.25"]
+VALUES_OK = ["+0.5", ".5", "-0", "1_0e-1", "0.\u0665", "5e-324"]
+VALUES_BAD = ["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1.5", "-1.0000000000000002",
+              "abc", "", "0x1p-2", "\u0663"]
+# \x0c, \x1c-\x1e, \x85 and \u2028 split lines in str.splitlines, not in a file
+SPACING = ["{}", " {} ", "{}\x0c", "\u2028{}", "{}\t", "\x85{}", "{}\x1e"]
+FORMS_OK = ["{k},{v}", ",{v}", "{k}\x0c,{v}", " {k} ,{v}"]
+FORMS_BAD = ["{v}", "{k},{v},{k}", "{k},,{v}"]
+
+
+@st.composite
+def signal_texts(draw) -> str:
+    """Signal CSV text: the plain layout; variations the old reader took
+    (header case and spacing, CR or CRLF, comment and blank lines, spaces
+    and odd whitespace around cells); or such a variant with one fault."""
+    kind = draw(st.sampled_from(["plain", "variant", "faulty"]))
+    value = st.floats(-1.0, 1.0).map(repr)
+    header, spacing, form = st.just("timestamp,r"), st.just("{}"), st.just("{k},{v}")
+    if kind != "plain":
+        header = st.sampled_from(HEADERS_OK)
+        value = st.one_of(value, st.sampled_from(VALUES_OK))
+        spacing = st.sampled_from(SPACING)
+        form = st.sampled_from(FORMS_OK)
+    lines = [draw(header)]
+    for k in range(draw(st.integers(0, 12))):
+        lines.append(draw(form).format(k=k, v=draw(spacing).format(draw(value))))
+    if kind == "faulty":
+        fault = draw(st.sampled_from(["header", "value", "columns", "no header", "empty"]))
+        at = draw(st.integers(1, len(lines)))
+        if fault == "header":
+            lines[0] = draw(st.sampled_from(HEADERS_BAD))
+        elif fault == "value":
+            bad = draw(spacing).format(draw(st.sampled_from(VALUES_BAD)))
+            lines.insert(at, draw(form).format(k=at, v=bad))
+        elif fault == "columns":
+            lines.insert(at, draw(st.sampled_from(FORMS_BAD)).format(k=at, v=draw(value)))
+        elif fault == "no header":
+            del lines[0]
+        else:
+            lines = []
+    if kind != "plain":
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(SKIPPED)))
+    newline = "\n" if kind == "plain" else draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    return text + newline if draw(st.booleans()) else text
+
+
+@settings(PROPERTY, max_examples=400)
+@given(
+    texts=st.lists(signal_texts(), min_size=1, max_size=3),
+    window_len=st.integers(2, 5),
+    offset=st.integers(0, 3),
+)
+@example(texts=["timestamp,r\n0,0.5\n1,nan\n"], window_len=2, offset=0)
+@example(texts=["timestamp,r\n0,0.5\x0c\n1,\u20280.25\n2,-1"], window_len=3, offset=0)
+@example(texts=["timestamp,r\n0,0.5\x0c1,0.25\n2,-1\n"], window_len=2, offset=0)
+@example(texts=["timestamp,r\n0,0.5\n#1,0.25\n2,-1\n"], window_len=2, offset=0)
+@example(
+    texts=["timestamp,r\n", "timestamp,r", "timestamp,r\n0,1\n1,-1\n"], window_len=2, offset=0
+)
+def test_load_archive_matches_line_reader(texts, window_len, offset):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for i, text in enumerate(texts):
+            (d / f"day{i}.csv").write_bytes(text.encode("utf-8"))
+        files = sorted(d.glob("*.csv"))
+        source = d if len(files) > 1 else files[0]
+        try:
+            expected = reference_windows(files, source, window_len, offset)
+        except SignalError as exc:
+            with pytest.raises(SignalError) as got:
+                load_archive(source, window_len, 1.0, offset=offset)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        archive = load_archive(source, window_len, 1.0, offset=offset)
+    assert same_bits(np.stack([w.samples for w in archive.windows]), expected)
+
+
+@PROPERTY
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.integers(2, 60),
+        elements=st.one_of(
+            st.floats(-1.0, 1.0),
+            st.sampled_from([-0.0, 5e-324, -5e-324, 1.1125369292536007e-308, -1.0, 1.0]),
+        ),
+    )
+)
+def test_signal_csv_round_trip_bitwise(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_signal(Path(tmp) / "sig.csv", values)
+        archive = load_archive(path, window_len=values.size, dt=1.0)
+    assert same_bits(archive.windows[0].samples, values)
+
+
+def test_archive_windows_are_read_only(tmp_path):
+    save_signal(tmp_path / "sig.csv", np.linspace(-1.0, 1.0, 9))
+    archive = load_archive(tmp_path / "sig.csv", window_len=4, dt=1.0, offset=1)
+    for w in archive.windows:
+        assert not w.samples.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w.samples[0] = 0.0
