@@ -17,7 +17,7 @@ never moves (sum|r| = 0) are excluded and counted in the diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -300,12 +300,7 @@ class RevenueSummary:
     with_mileage: float  # mean over windows of full capacity+mileage payment
 
     def to_dict(self) -> dict:
-        return {
-            "c_star": self.c_star,
-            "mean_xp": self.mean_xp,
-            "capacity_only": self.capacity_only,
-            "with_mileage": self.with_mileage,
-        }
+        return asdict(self)
 
 
 def expected_revenue(

@@ -166,13 +166,10 @@ def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: s
         perf = make_report(capacity, sig, sol.trace, cfg.market)
         off_report = dict(header)
         off_report["performance"] = perf.to_dict()
-        off_report["solver_path"] = sol.solver_path
-        off_report["complementarity_clean"] = sol.complementarity_clean
-        off_report["objective"] = sol.objective
-        if sol.lp_bound is not None:
-            off_report["lp_bound"] = sol.lp_bound
-        if sol.dp_value is not None:
-            off_report["dp_value"] = sol.dp_value
+        for field in dataclasses.fields(sol):
+            value = getattr(sol, field.name)
+            if field.name != "trace" and value is not None:
+                off_report[field.name] = value
         write_json(out / "performance_offline.json", off_report)
     if mode == "both":
         # what benchmark_controller would compute, from the runs above
@@ -204,21 +201,12 @@ def _rows(records: list[dict], columns: list[str]):
 
 
 def _solution_dict(solution: BidSolution, points: list[dict]) -> dict:
-    d = solution.diagnostics
     return {
         "c_bar": solution.c_bar,
         "c_hat": solution.c_hat,
         "c_star": solution.c_star,
         "curve": points,
-        "diagnostics": {
-            "n_windows": d.n_windows,
-            "zero_signal_windows": d.zero_signal_windows,
-            "coarse_points": d.coarse_points,
-            "refine_iterations": d.refine_iterations,
-            "upper_bracket_c": d.upper_bracket_c,
-            "upper_bracket_z": d.upper_bracket_z,
-            "z_monotonicity_violations": list(d.z_monotonicity_violations),
-        },
+        "diagnostics": dataclasses.asdict(solution.diagnostics),
     }
 
 
@@ -379,10 +367,7 @@ def cmd_synth(cfg: RunConfig) -> int:
             "n_windows": archive.n_windows,
             "dt_hours": archive.dt,
             "seed": cfg.seed,
-            "per_window": [
-                {"w": s.w, "w_inf": s.w_inf, "mileage": s.mileage}
-                for s in (energy_stats(w) for w in archive.windows)
-            ],
+            "per_window": [dataclasses.asdict(energy_stats(w)) for w in archive.windows],
         }
     )
     write_json(out / "synth.json", report)

@@ -21,7 +21,7 @@ and the grid oracle are deliberately independent of the real-time rule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -272,7 +272,7 @@ def offline_dispatch(
             f"complementarity repair failed and the exact oracle is limited to "
             f"{dp_step_budget} steps (window has {sig.n}); downsample the window"
         )
-    dp = dp_oracle(cfg, c, sig)
+    dp = dp_oracle(cfg, c, sig, step_budget=dp_step_budget)
     return OfflineSolution(
         trace=dp.trace,
         objective=dp.objective,
@@ -441,14 +441,7 @@ class BenchmarkReport:
     solver_path: str
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "j_on": self.j_on,
-            "j_off": self.j_off,
-            "gap": self.gap,
-            "hypothesis_held": self.hypothesis_held,
-            "solver_path": self.solver_path,
-        }
+        return asdict(self)
 
 
 def benchmark_controller(

@@ -11,7 +11,7 @@ doing nothing; report consumers clamp to [0, 1] where that matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,13 +74,7 @@ class PerformanceReport:
     revenue: float
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "x_p": self.x_p,
-            "abs_error": self.abs_error,
-            "mileage": self.mileage,
-            "revenue": self.revenue,
-        }
+        return asdict(self)
 
 
 def performance_score(c: float, sig: RegSignal, trace: DispatchTrace) -> float:

@@ -18,7 +18,8 @@ loader reads each file whole. A file in the plain layout above (that exact
 header on line 1, no '#', one pair per line) has its r column parsed in one
 comprehension and range-checked as one array. Any other file, and any fault
 in that pass, goes to the line-by-line reader, which skips comments and
-blank lines and names the file and line of the first bad one. load_archive
+blank lines and names the file and line of the first bad one. A file that
+is not UTF-8 is refused with its path and byte offset. load_archive
 checks the concatenated samples once as a (windows, window_len) matrix whose
 rows are the windows.
 """
@@ -262,7 +263,10 @@ def _read_lines(path: Path, text: str) -> list[float]:
 def _parse_signal_csv(path: Path) -> np.ndarray:
     # text mode turns \r\n and \r into \n. Both readers split on "\n" alone:
     # str.splitlines also breaks on \x0c, \u2028 and others, which a line keeps
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SignalParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     header, _, body = text.partition("\n")
     if header == "timestamp,r" and "#" not in body:
         try:

@@ -7,6 +7,9 @@ starting from 0.5, dispatched on 2-second intervals.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from hes_regkit import (
@@ -20,6 +23,14 @@ from hes_regkit import (
 )
 
 DT_2S = 2.0 / 3600.0
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child Python that imports the package from src/,
+    as pytest's pythonpath setting does for the tests themselves."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def reference_system(dt: float = DT_2S) -> HesConfig:

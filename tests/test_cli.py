@@ -12,6 +12,8 @@ from hes_regkit.cli import main
 from hes_regkit.config import load_config, resolve_archive
 from hes_regkit.controller import load_trace_csv, rt_dispatch_batch
 from hes_regkit.reports import read_csv, write_csv
+from hes_regkit.signals import save_signal
+from helpers import subprocess_env
 
 BASE = """\
 [hes]
@@ -62,6 +64,18 @@ DRIFTING = (
     .replace("synth_n = 240", "synth_n = 241")
     .replace("window_len = 240", "window_len = 241")
     .replace("synth_windows = 5", "synth_windows = 8")
+)
+
+# one 60-step window at 3-minute steps whose LP repair fails at --capacity
+# 12.21, so the offline route ends in the grid oracle
+DP_ROUTE = (
+    BASE.replace("dt_seconds = 2.0", "dt_hours = 0.05")
+    .replace("synth_kind = energy-neutral-random",
+             "synth_kind = drifting\nsynth_bias = -0.7\nsynth_noise = 0.3")
+    .replace("synth_n = 240", "synth_n = 60")
+    .replace("window_len = 240", "window_len = 60")
+    .replace("synth_windows = 5", "synth_windows = 1")
+    .replace("seed = 11", "seed = 20260814")
 )
 
 
@@ -199,6 +213,21 @@ class TestBid:
         p.write_text(BASE.replace("synth_windows = 5", "synth_windows = 1"))
         assert run(["bid", "--config", p]) == 1
         assert "2 windows" in capsys.readouterr().err
+
+    def test_undecodable_archive_file_named(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_signal(data / "a.csv", np.zeros(480) + 0.1)
+        (data / "b.csv").write_bytes(b"timestamp,r\n0,0.5\n1,\xff\n")
+        p = tmp_path / "a.ini"
+        p.write_text(BASE.replace(
+            "synth_kind = energy-neutral-random\nsynth_n = 240\nsynth_windows = 5\n",
+            f"archive = {data}\n",
+        ))
+        out = tmp_path / "o"
+        assert run(["bid", "--config", p, "--out", out]) == 1
+        assert f"error: {data / 'b.csv'}: not UTF-8 at byte 20" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAsymSweep:
@@ -392,6 +421,69 @@ class TestSynth:
         assert "n >= 2" in capsys.readouterr().err
 
 
+HEADER = {"experiment", "tool_version", "config", "inputs_digest"}
+DISPATCH_HEADER = HEADER | {"window", "capacity", "mode"}
+PERFORMANCE = {"c", "x_p", "abs_error", "mileage", "revenue"}
+OFFLINE = DISPATCH_HEADER | {
+    "performance", "solver_path", "complementarity_clean", "objective", "lp_bound"
+}
+
+
+class TestReportKeys:
+    """Each JSON record's keys, written out: renaming a result dataclass
+    field must fail here before it changes an artifact."""
+
+    def test_dispatch_reports(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        assert run(["dispatch", "--config", config_path, "--capacity", 10, "--out", out]) == 0
+        rt = json.loads((out / "performance_rt.json").read_text())
+        assert set(rt) == DISPATCH_HEADER | {"performance"}
+        assert set(rt["performance"]) == PERFORMANCE
+        off = json.loads((out / "performance_offline.json").read_text())
+        assert off["solver_path"] == "lp"
+        assert set(off) == OFFLINE
+        assert set(off["performance"]) == PERFORMANCE
+        bench = json.loads((out / "benchmark.json").read_text())
+        assert set(bench) == DISPATCH_HEADER | {
+            "c", "j_on", "j_off", "gap", "hypothesis_held", "solver_path"
+        }
+
+    def test_offline_report_on_the_dp_route(self, tmp_path):
+        p = tmp_path / "exp.ini"
+        p.write_text(DP_ROUTE)
+        out = tmp_path / "o"
+        argv = ["dispatch", "--config", p, "--capacity", 12.21, "--mode", "offline",
+                "--out", out]
+        assert run(argv) == 0
+        off = json.loads((out / "performance_offline.json").read_text())
+        assert off["solver_path"] == "dp"
+        assert set(off) == OFFLINE | {"dp_value"}
+        assert set(off["performance"]) == PERFORMANCE
+
+    def test_bid_solution(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        assert run(["bid", "--config", config_path, "--out", out]) == 0
+        report = json.loads((out / "bid_solution.json").read_text())
+        assert set(report) == HEADER | {
+            "c_bar", "c_hat", "c_star", "curve", "diagnostics", "revenue"
+        }
+        assert set(report["diagnostics"]) == {
+            "n_windows", "zero_signal_windows", "coarse_points", "refine_iterations",
+            "upper_bracket_c", "upper_bracket_z", "z_monotonicity_violations",
+        }
+        assert isinstance(report["diagnostics"]["z_monotonicity_violations"], list)
+        assert set(report["revenue"]) == {"c_star", "mean_xp", "capacity_only", "with_mileage"}
+        assert set(report["curve"][0]) == {
+            "c", "mean_xp", "std_xp", "z_gamma", "prob_compliant", "objective", "n_scores"
+        }
+
+    def test_synth_per_window(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        assert run(["synth", "--config", config_path, "--out", out]) == 0
+        report = json.loads((out / "synth.json").read_text())
+        assert [set(s) for s in report["per_window"]] == [{"w", "w_inf", "mileage"}] * 5
+
+
 class TestPlumbing:
     def test_print_schema(self, capsys):
         assert main(["--print-schema"]) == 0
@@ -410,6 +502,7 @@ class TestPlumbing:
             [sys.executable, "-m", "hes_regkit.cli", "dispatch"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 2
         assert "--config" in proc.stderr

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import subprocess_env
+
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 DEMOS = sorted(DEMO_DIR.glob("0*.py"))
 
@@ -21,6 +23,7 @@ def test_demo_runs_clean(script, tmp_path):
         capture_output=True,
         text=True,
         timeout=180,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -122,6 +122,14 @@ class TestLpPath:
         with pytest.raises(BudgetError, match="downsample"):
             offline_dispatch(cfg, SAT_C, sig, dp_step_budget=30)
 
+    def test_raised_dp_budget_reaches_the_oracle(self):
+        # 250 steps: past dp_oracle's own default budget of 200
+        cfg = reference_system(dt=SAT_DT)
+        sig = synth_signal("drifting", 250, SAT_DT, SAT_SEED, bias=-0.7, noise=0.3)
+        sol = offline_dispatch(cfg, SAT_C, sig, dp_step_budget=400)
+        assert sol.solver_path == "dp"
+        assert validate_trace(cfg, sol.trace) == []
+
 
 class TestClosedForm:
     def test_matches_rule_bitwise_when_interior(self):

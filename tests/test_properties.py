@@ -1,5 +1,6 @@
 """Bitwise properties of the priority rule's entry points, on random fleets,
-and of signal CSV ingest, on random file text.
+of signal CSV ingest, on random file text, and of the trace CSV round trip;
+and the SoC envelope at every dispatch entry point.
 
 Equality is checked on the bytes of each float, so 0.0 and -0.0 differ
 (``np.array_equal`` would call them equal). The rule's reference is the rule
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hes_regkit import (
+    SOC_TOL,
     BatteryParams,
     DispatchStep,
     EmptyArchiveError,
@@ -31,14 +33,19 @@ from hes_regkit import (
     SignalRangeError,
     SocState,
     closed_form_dispatch,
+    dp_oracle,
     load_archive,
+    load_trace_csv,
+    offline_dispatch,
     rt_dispatch,
     rt_dispatch_batch,
     rt_step,
     save_signal,
+    save_trace_csv,
     soc_step,
 )
 from hes_regkit.controller import rt_error_sums
+from helpers import random_capacity, random_signal, random_system
 
 COLUMNS = ("target", "p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -372,3 +379,68 @@ def test_archive_windows_are_read_only(tmp_path):
         assert not w.samples.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             w.samples[0] = 0.0
+
+
+def assert_trace_round_trip(path: Path, trace, r: np.ndarray, c: float) -> None:
+    loaded, r_back, c_back = load_trace_csv(save_trace_csv(path, trace, r, c))
+    for name in COLUMNS:  # soc[0] is the soc_init metadata line
+        assert same_bits(getattr(loaded, name), getattr(trace, name)), name
+    assert same_bits(r_back, r)
+    assert same_bits(c_back, c)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 0.25), c=capacities,
+       matrix=windows())
+def test_rule_trace_csv_round_trip_bitwise(seed, dt, c, matrix):
+    cfg = random_system(np.random.default_rng(seed), dt)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, row in enumerate(matrix):
+            row[0] = 0.0  # a +0.0 command, whose p_load is -0.0
+            trace = rt_dispatch(cfg, c, RegSignal(samples=row, dt=dt))
+            assert np.signbit(trace.p_load[0])
+            assert_trace_round_trip(Path(tmp) / f"trace_{i}.csv", trace, row, c)
+
+
+def test_offline_trace_csv_round_trip_bitwise(tmp_path):
+    rng = np.random.default_rng(59)
+    cfg = random_system(rng, 0.05)
+    sig = random_signal(rng, 60, cfg.dt)
+    c = random_capacity(rng, cfg)
+    sol = offline_dispatch(cfg, c, sig)
+    assert_trace_round_trip(tmp_path / "trace.csv", sol.trace, sig.samples, c)
+
+
+def soc_within(cfg: HesConfig, soc: np.ndarray, tol: float) -> bool:
+    batt = cfg.batt
+    return bool(np.all((soc >= batt.soc_min - tol) & (soc <= batt.soc_max + tol)))
+
+
+@PROPERTY
+@given(cfg=fleets(), c=capacities, matrix=windows())
+def test_rule_entry_points_keep_soc_in_envelope(cfg, c, matrix):
+    assert soc_within(cfg, rt_dispatch_batch(cfg, c, matrix, cfg.dt).soc, SOC_TOL)
+    for row in matrix:
+        sig = RegSignal(samples=row, dt=cfg.dt)
+        assert soc_within(cfg, rt_dispatch(cfg, c, sig).soc, SOC_TOL)
+        cf = closed_form_dispatch(cfg, c, sig)
+        if cf is not None:
+            assert soc_within(cfg, cf.trace.soc, SOC_TOL)
+
+
+def offline_soc_tol(solver_path: str, n: int) -> float:
+    """The SoC tolerance offline_dispatch accepts on each route: the LP's SoC
+    is clipped into the envelope and the grid oracle moves within 1e-12 of
+    it, while a repaired trace is re-simulated and accepted within
+    2e-8 per step + 1e-9."""
+    return 2e-8 * n + 1e-9 if solver_path == "lp-with-repair" else SOC_TOL
+
+
+@settings(PROPERTY, max_examples=25)
+@given(cfg=fleets(), c=capacities, matrix=windows())
+def test_offline_entry_points_keep_soc_in_envelope(cfg, c, matrix):
+    for row in matrix:
+        sig = RegSignal(samples=row, dt=cfg.dt)
+        assert soc_within(cfg, dp_oracle(cfg, c, sig).trace.soc, SOC_TOL)
+        sol = offline_dispatch(cfg, c, sig)
+        assert soc_within(cfg, sol.trace.soc, offline_soc_tol(sol.solver_path, sig.n))

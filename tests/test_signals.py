@@ -127,6 +127,13 @@ class TestArchiveIO:
         with pytest.raises(SignalRangeError, match="sig.csv:3"):
             load_archive(p, window_len=2, dt=1.0)
 
+    def test_undecodable_file_is_named(self, tmp_path):
+        save_signal(tmp_path / "a.csv", np.array([0.1, 0.2]))
+        (tmp_path / "b.csv").write_bytes(b"timestamp,r\n0,0.5\n1,\xff\n")
+        with pytest.raises(SignalParseError, match=r"b\.csv: not UTF-8 at byte 20") as got:
+            load_archive(tmp_path, window_len=2, dt=1.0)
+        assert isinstance(got.value.__cause__, UnicodeDecodeError)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_archive(tmp_path / "nope.csv", window_len=2, dt=1.0)
