@@ -6,7 +6,10 @@ window, giving an empirical score sample per window. The bid machinery then
 1. finds C_bar, the largest capacity whose empirical lower gamma-quantile
    z_gamma(C) still clears the compliance threshold x_p_min (coarse sweep
    up, scoring a block of capacities per rt_error_sums call, then bisection
-   refinement of the crossing bracket),
+   refinement of the crossing bracket, scoring in one call every midpoint
+   its next few steps could visit). Both score more capacities than they
+   keep: only those a one-at-a-time search visits enter the curve, so the
+   curve and every artifact are the same as that search's,
 2. picks C_hat maximizing C * mean(x_p) over evaluated compliant capacities,
 3. returns C_star = min(C_hat, market c_max).
 
@@ -64,8 +67,13 @@ class SweepGrid:
             )
         if self.coarse_step <= 0.0:
             raise ValueError(f"coarse_step must be > 0, got {self.coarse_step}")
-        if self.refine_tol <= 0.0:
-            raise ValueError(f"refine_tol must be > 0, got {self.refine_tol}")
+        # below the float spacing at c_hi a midpoint can round onto its
+        # bracket's end, and the bisection would never finish
+        if self.refine_tol < math.ulp(self.c_hi):
+            raise ValueError(
+                f"refine_tol must be >= {math.ulp(self.c_hi):g}, the float spacing "
+                f"at c_hi={self.c_hi:g}; got {self.refine_tol:g}"
+            )
 
     def coarse_points(self) -> np.ndarray:
         n = int(math.floor((self.c_hi - self.c_lo) / self.coarse_step + 1e-9))
@@ -152,6 +160,30 @@ def quantile_lower(scores: np.ndarray, gamma: float) -> float:
 # capacities x windows scored in one rt_error_sums call by the coarse sweep:
 # about 0.5 MiB per (capacities, windows) float64 array it steps
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
+
+
+# midpoints x windows scored in one rt_error_sums call by the bisection's
+# lookahead: 1 << 10 lets asym-sweep's 8 windows finish their five-step
+# refinement in one call and keeps bid-year's 365 at depth 1, where depth 2
+# and 3 measured no faster (min of 12 interleaved solves, 2-CPU Xeon)
+_LOOKAHEAD_ELEMENTS = 1 << 10
+
+
+def _midpoint_tree(
+    lo: float, hi: float, tol: float, depth: int, node: int = 0, tree: dict | None = None
+) -> dict[int, float]:
+    """Midpoints the next ``depth`` bisection steps from [lo, hi] may visit.
+
+    Keyed by heap index: node i splits its bracket at tree[i], node 2i+1
+    holds the bracket below that midpoint and 2i+2 the one above. A bracket
+    no wider than ``tol`` is not split, as the bisection stops there.
+    """
+    tree = {} if tree is None else tree
+    if depth > 0 and hi - lo > tol:
+        mid = tree[node] = 0.5 * (lo + hi)
+        _midpoint_tree(lo, mid, tol, depth - 1, 2 * node + 1, tree)
+        _midpoint_tree(mid, hi, tol, depth - 1, 2 * node + 2, tree)
+    return tree
 
 
 class _CurveEvaluator:
@@ -247,16 +279,24 @@ def solve_bid(
             f"x_p_min = {market.x_p_min:g}; raise c_hi"
         )
 
-    # bisection-refine the crossing bracket [last_compliant, upper]
+    # bisection-refine the crossing bracket [last_compliant, upper], scoring
+    # every midpoint the next `depth` steps could visit in one call; only the
+    # midpoints the search visits enter the curve
     lo, hi = last_compliant, upper
     iterations = 0
+    # the deepest tree whose 2**depth - 1 midpoints fit the budget, or one
+    depth = max(1, (_LOOKAHEAD_ELEMENTS // evaluate.n_scored + 1).bit_length() - 1)
     while hi - lo > sweep.refine_tol:
-        mid = 0.5 * (lo + hi)
-        if evaluate(mid).z_gamma >= market.x_p_min:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+        tree = _midpoint_tree(lo, hi, sweep.refine_tol, depth)
+        rows = dict(zip(tree, evaluate.scores(list(tree.values()))))
+        node = 0
+        while node in tree:
+            mid = tree[node]
+            if evaluate.publish(mid, rows[node]).z_gamma >= market.x_p_min:
+                lo, node = mid, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
+            iterations += 1
     c_bar = lo
 
     evaluated = sorted(evaluate._cache)

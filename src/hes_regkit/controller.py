@@ -16,13 +16,15 @@ absorb or supply within one interval, including conversion losses:
     delta_c = min((soc_max - e) * cap / (eta_c * dt * p_max), 1)
     delta_d = min(eta_d * (e - soc_min) * cap / (dt * p_max), 1)
 
-One kernel runs the rule over many windows at once, stepping only the SoC
-and the headroom; rt_step, rt_dispatch and rt_dispatch_batch are views of
-it, and give the same bits. rt_error_sums runs the same rule for many
-capacities at once and keeps only each (capacity, window)'s SoC and running
-L1 error, which is all bid scoring needs; its sums equal the batch's bitwise.
-The headroom and the SoC update are written once (_headroom, _soc_update
-on model.soc_change) and shared by both.
+One kernel runs the rule over many windows at once: the SoC-free split of
+the command (_split_command) over all steps in one pass, then a loop that
+steps only the battery (_battery_steps: headroom, battery share, SoC update
+on model.soc_change). rt_step, rt_dispatch and rt_dispatch_batch are views
+of it, and give the same bits. rt_error_sums runs the same two halves for
+many capacities at once, a block of steps at a time, and keeps only each
+(capacity, window)'s SoC and running L1 error, which is all bid scoring
+needs; its sums equal the batch's bitwise, whatever the block size, and so
+do the bid curve and every artifact built from them.
 
 Trace files go through reports.write_csv / read_csv, with the capacity and
 the initial SoC as '#' comment lines.
@@ -110,6 +112,13 @@ class DispatchTrace:
         return float(np.sum(np.abs(self.target - self.p_hes)))
 
 
+# capacities x windows x steps per step-block array in rt_error_sums: on
+# asym-sweep's solves 1 << 12 ran within 3 % of the fastest, 1 << 13, and
+# 1 << 10 and 1 << 16 ran 15-20 % slower (median of 40 interleaved runs,
+# 2-CPU Xeon); the smaller block holds less memory
+_STEP_BLOCK_ELEMENTS = 1 << 12
+
+
 def _split_command(cfg: HesConfig, c: float, r: np.ndarray):
     """The SoC-free half of the rule: target, p_gen, p_load and the residual
     the battery is asked for (>= 0 where r > 0, <= 0 elsewhere)."""
@@ -126,14 +135,15 @@ def _split_command(cfg: HesConfig, c: float, r: np.ndarray):
     return target, p_gen, p_load, resid
 
 
-def _battery_share(resid, d_max, c_max):
-    """Battery (p_discharge, p_charge) for a residual, within [c_max, d_max].
+def _battery_share(resid, d_max, c_max, out=(None, None)):
+    """Battery (p_discharge, p_charge) for a residual, within [c_max, d_max]
+    (into the two arrays of ``out`` when given).
 
-    ``+ 0.0`` turns a -0.0 (a tie between zeros, e.g. c_max = -0.0 at the
+    Adding 0.0 turns a -0.0 (a tie between zeros, e.g. c_max = -0.0 at the
     SoC ceiling) into 0.0 and leaves every other value as it is.
     """
-    p_discharge = np.maximum(0.0, np.minimum(resid, d_max)) + 0.0
-    p_charge = np.minimum(0.0, np.maximum(resid, c_max)) + 0.0
+    p_discharge = np.add(np.maximum(0.0, np.minimum(resid, d_max)), 0.0, out=out[0])
+    p_charge = np.add(np.minimum(0.0, np.maximum(resid, c_max)), 0.0, out=out[1])
     return p_discharge, p_charge
 
 
@@ -147,17 +157,26 @@ def _headroom(cfg: HesConfig, e):
     return delta_d * pb, -delta_c * pb
 
 
-def _soc_update(cfg: HesConfig, e, p_discharge, p_charge):
-    """SoC after one step of battery dispatch from SoC e."""
-    return e + soc_change(cfg.batt, p_charge, p_discharge, cfg.dt)
-
-
 def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
     """p_hes, summed in the rule's order (into ``out`` when given)."""
     p_hes = np.subtract(p_gen, p_load, out=out)
     p_hes += p_discharge
     p_hes += p_charge
     return p_hes
+
+
+def _battery_steps(cfg: HesConfig, resid, soc, p_discharge, p_charge) -> None:
+    """The SoC-bound half of the rule, step by step along resid's first axis.
+
+    ``soc`` has one more step than ``resid``; from soc[0] it fills soc[1:],
+    and p_discharge and p_charge (shaped like ``resid``) with the battery's
+    dispatch.
+    """
+    for k in range(resid.shape[0]):
+        p_d, p_c = _battery_share(
+            resid[k], *_headroom(cfg, soc[k]), out=(p_discharge[k], p_charge[k])
+        )
+        np.add(soc[k], soc_change(cfg.batt, p_c, p_d, cfg.dt), out=soc[k + 1])
 
 
 def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
@@ -171,11 +190,7 @@ def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
     p_charge = np.empty_like(resid)
     soc = np.empty((r.shape[1], r.shape[0] + 1)).T
     soc[0] = e0
-    for k in range(r.shape[0]):
-        e = soc[k]
-        p_d, p_c = _battery_share(resid[k], *_headroom(cfg, e))
-        p_discharge[k], p_charge[k] = p_d, p_c
-        soc[k + 1] = _soc_update(cfg, e, p_d, p_c)
+    _battery_steps(cfg, resid, soc, p_discharge, p_charge)
     # the residual is spent; its buffer takes p_hes
     p_hes = _net_output(p_gen, p_load, p_discharge, p_charge, out=resid)
     return target, p_gen, p_load, p_discharge, p_charge, p_hes, soc
@@ -296,9 +311,12 @@ def rt_error_sums(
 
     Returns a (capacities, windows) array whose row j is bitwise
     ``rt_dispatch_batch(cfg, capacities[j], samples, dt).err_sums``. All
-    capacities step together through the (n_windows, n_steps) samples,
-    keeping only the SoC and the running sums, so memory grows with
-    capacities x windows and not with the number of steps.
+    capacities step together through the (n_windows, n_steps) samples a
+    block of steps at a time: the SoC-free half of the rule runs once per
+    block, the battery steps one by one, and each step's errors join the
+    running sums in step order. Memory grows with the block, at most about
+    _STEP_BLOCK_ELEMENTS elements per step-block array but never less than
+    one step of capacities x windows, and not with the number of steps.
     """
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
@@ -307,14 +325,26 @@ def rt_error_sums(
     samples = np.asarray(samples, dtype=float)
     _check_samples(samples, 2)
     c = cs[:, None]
-    soc = np.full((cs.size, samples.shape[0]), e0)
-    err_sums = np.zeros_like(soc)
-    for r_k in samples.T:
-        target, p_gen, p_load, resid = _split_command(cfg, c, r_k)
-        p_d, p_c = _battery_share(resid, *_headroom(cfg, soc))
-        soc = _soc_update(cfg, soc, p_d, p_c)
+    n_windows, n_steps = samples.shape
+    block = max(1, _STEP_BLOCK_ELEMENTS // (cs.size * n_windows))
+    # buffers made once per call: made per block, they slowed a bid-year-sized
+    # call (77 capacities x 365 windows, one step per block) 1.8x, in page faults
+    soc = np.empty((block + 1, cs.size, n_windows))
+    soc[0] = e0
+    p_dis = np.empty((block, cs.size, n_windows))
+    p_ch = np.empty_like(p_dis)
+    err_sums = np.zeros((cs.size, n_windows))
+    commands = np.ascontiguousarray(samples.T)  # each block one slab of memory
+    for start in range(0, n_steps, block):
+        r = commands[start : start + block, None, :]
+        n = r.shape[0]
+        target, p_gen, p_load, resid = _split_command(cfg, c, r)
+        p_d, p_c = p_dis[:n], p_ch[:n]
+        _battery_steps(cfg, resid, soc[: n + 1], p_d, p_c)
+        soc[0] = soc[n]
         err = np.subtract(target, _net_output(p_gen, p_load, p_d, p_c, out=resid), out=target)
-        err_sums += np.abs(err, out=err)  # step by step, as rt_dispatch_batch sums
+        for err_k in np.abs(err, out=err):
+            err_sums += err_k  # step by step, as rt_dispatch_batch sums
     return err_sums
 
 

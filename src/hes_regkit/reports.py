@@ -91,9 +91,12 @@ def write_json(path: str | Path, obj: Any) -> Path:
 
 
 def _format_cell(v: Any) -> str:
-    # floats first: they fill trace and signal files; bool before int, its base
+    # floats first: they fill trace and signal files, so a finite one costs
+    # this call alone; bool before int, its base
     if isinstance(v, float):
-        return format_float(v)
+        if math.isfinite(v):
+            return "%.17g" % v
+        return format_float(v)  # refuses it
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):

@@ -272,6 +272,70 @@ class TestSweepMatchesSequential:
             solve_bid(self.cfg, self.archive, self.market, sweep)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("lookahead, depth", [(6, 1), (6 * 3, 2), (6 * 7, 3), (6 * 255, 8)])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_lookahead_same_curve_and_selection(self, monkeypatch, budget, lookahead, depth):
+        # 6 windows are scored, so the bisection looks 1, 2, 3 or 8 steps ahead;
+        # this sweep's bisection takes 6
+        monkeypatch.setattr(bidding, "_LOOKAHEAD_ELEMENTS", lookahead)
+        if budget is not None:
+            monkeypatch.setattr(bidding, "_SWEEP_BLOCK_ELEMENTS", budget)
+        calls = []
+        scores_of = bidding._CurveEvaluator.scores
+        monkeypatch.setattr(
+            bidding._CurveEvaluator, "scores",
+            lambda ev, cs: calls.append([float(c) for c in cs]) or scores_of(ev, cs),
+        )
+        sweep = SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=0.01)
+        sol = solve_bid(self.cfg, self.archive, self.market, sweep)
+        scores, c_bar, c_hat, c_star, diags = sequential_solve(
+            self.cfg, self.archive, self.market, sweep
+        )
+        assert [pt.c for pt in sol.curve] == sorted(scores)
+        for pt in sol.curve:
+            assert pt.scores.tobytes() == scores[pt.c].tobytes()
+        assert (sol.c_bar, sol.c_hat, sol.c_star) == (c_bar, c_hat, c_star)
+        got = sol.diagnostics
+        assert {k: getattr(got, k) for k in diags} == diags
+        assert diags["refine_iterations"] == 6
+        # the bisection's calls score only points inside the coarse bracket
+        coarse = sweep.coarse_points().tolist()
+        lo = max(c for c in coarse if c <= c_bar)
+        hi = coarse[coarse.index(lo) + 1]
+        tree_calls = [cs for cs in calls if all(lo < c < hi for c in cs)]
+        assert len(tree_calls) == math.ceil(diags["refine_iterations"] / depth)
+        scored = {c for cs in tree_calls for c in cs}
+        unvisited = scored - set(scores)
+        assert len(scored) == len(unvisited) + diags["refine_iterations"]
+        assert bool(unvisited) == (depth > 1)
+        assert not unvisited & {pt.c for pt in sol.curve}
+
+    @pytest.mark.parametrize("lookahead", [6, 6 * 3, 6 * 7, 6 * 255])
+    @pytest.mark.parametrize("c_lo, c_hi", [(17.0, 20.0), (1.0, 4.0)])
+    def test_lookahead_same_bracket_errors(self, monkeypatch, lookahead, c_lo, c_hi):
+        monkeypatch.setattr(bidding, "_LOOKAHEAD_ELEMENTS", lookahead)
+        sweep = SweepGrid(c_lo=c_lo, c_hi=c_hi, coarse_step=0.5)
+        with pytest.raises(BracketError) as expected:
+            sequential_solve(self.cfg, self.archive, self.market, sweep)
+        with pytest.raises(BracketError) as got:
+            solve_bid(self.cfg, self.archive, self.market, sweep)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("lookahead", [None, 6 * 255])
+    def test_finest_refine_tol_ends(self, monkeypatch, lookahead):
+        # at one float spacing of c_hi every midpoint still lies strictly
+        # inside its bracket, so the bisection ends, 47 steps in
+        if lookahead is not None:
+            monkeypatch.setattr(bidding, "_LOOKAHEAD_ELEMENTS", lookahead)
+        sweep = SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=math.ulp(20.0))
+        sol = solve_bid(self.cfg, self.archive, self.market, sweep)
+        scores, c_bar, c_hat, c_star, diags = sequential_solve(
+            self.cfg, self.archive, self.market, sweep
+        )
+        assert [pt.c for pt in sol.curve] == sorted(scores)
+        assert (sol.c_bar, sol.c_hat, sol.c_star) == (c_bar, c_hat, c_star)
+        assert sol.diagnostics.refine_iterations == diags["refine_iterations"] > 40
+        assert 0.0 < sol.diagnostics.upper_bracket_c - sol.c_bar <= sweep.refine_tol
 
 
 class TestSweepGrid:
@@ -292,6 +356,12 @@ class TestSweepGrid:
             SweepGrid(c_lo=2.0, c_hi=1.0)
         with pytest.raises(ValueError):
             SweepGrid(c_lo=1.0, c_hi=2.0, coarse_step=0.0)
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -0.01, 1e-17, math.ulp(20.0) / 2])
+    def test_refine_tol_below_float_spacing_refused(self, refine_tol):
+        with pytest.raises(ValueError, match="refine_tol must be >= 3.55271e-15"):
+            SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=refine_tol)
+        SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=math.ulp(20.0))
 
     @pytest.mark.parametrize("field", ["c_lo", "c_hi", "coarse_step", "refine_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

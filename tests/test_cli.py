@@ -214,6 +214,15 @@ class TestBid:
         assert run(["bid", "--config", p]) == 1
         assert "2 windows" in capsys.readouterr().err
 
+    def test_refine_tol_below_float_spacing_refused(self, tmp_path, capsys):
+        # at 1e-17 a bisection midpoint rounds onto its bracket's end: no end
+        p = tmp_path / "fine.ini"
+        p.write_text(BASE.replace("refine_tol = 0.01", "refine_tol = 1e-17"))
+        out = tmp_path / "o"
+        assert run(["bid", "--config", p, "--out", out]) == 1
+        assert "error: refine_tol must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_undecodable_archive_file_named(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

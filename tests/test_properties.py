@@ -44,6 +44,7 @@ from hes_regkit import (
     save_trace_csv,
     soc_step,
 )
+from hes_regkit import controller
 from hes_regkit.controller import rt_error_sums
 from helpers import random_capacity, random_signal, random_system
 
@@ -195,6 +196,28 @@ def test_stacked_error_sums_match_batch_bitwise(cfg, matrix, data):
     cs = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
     stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
     assert stacked.shape == (len(cs), matrix.shape[0])
+    for row, c in zip(stacked, cs):
+        assert same_bits(row, rt_dispatch_batch(cfg, c, matrix, cfg.dt).err_sums)
+
+
+@pytest.mark.parametrize("shape", ["1 x 1", "1 x W", "many x 1"])
+@pytest.mark.parametrize("block", ["one step", "ragged", "whole window"])
+@settings(PROPERTY, max_examples=50)
+@given(cfg=fleets(), matrix=windows(), data=st.data())
+def test_error_sums_same_for_every_step_block(shape, block, cfg, matrix, data):
+    # shapes are capacities x windows; a budget counts capacities x windows x steps
+    n_caps = data.draw(st.integers(2, 6)) if shape == "many x 1" else 1
+    cs = data.draw(st.lists(capacities, min_size=n_caps, max_size=n_caps))
+    if shape != "1 x W":
+        matrix = matrix[:1]
+    n_steps = matrix.shape[1]
+    per_step = len(cs) * matrix.shape[0]
+    # n // 2 + 1 steps per block leave a shorter last block where n >= 3
+    budget = {"one step": 1, "ragged": (n_steps // 2 + 1) * per_step,
+              "whole window": n_steps * per_step}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_STEP_BLOCK_ELEMENTS", budget)
+        stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
     for row, c in zip(stacked, cs):
         assert same_bits(row, rt_dispatch_batch(cfg, c, matrix, cfg.dt).err_sums)
 
