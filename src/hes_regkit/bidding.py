@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# most coarse steps over [c_lo, c_hi]: 10**5 points already score for minutes
+_MAX_COARSE_STEPS = 100_000
+
+
 class BracketError(ValueError):
     """The compliance crossing does not lie inside the sweep interval."""
 
@@ -65,8 +69,12 @@ class SweepGrid:
             raise ValueError(
                 f"need 0 < c_lo < c_hi, got c_lo={self.c_lo}, c_hi={self.c_hi}"
             )
-        if self.coarse_step <= 0.0:
-            raise ValueError(f"coarse_step must be > 0, got {self.coarse_step}")
+        min_step = (self.c_hi - self.c_lo) / _MAX_COARSE_STEPS
+        if self.coarse_step < min_step:
+            raise ValueError(
+                f"coarse_step must be >= {min_step:g}, (c_hi - c_lo) / "
+                f"{_MAX_COARSE_STEPS}; got {self.coarse_step:g}"
+            )
         # below the float spacing at c_hi a midpoint can round onto its
         # bracket's end, and the bisection would never finish
         if self.refine_tol < math.ulp(self.c_hi):

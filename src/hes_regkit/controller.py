@@ -17,14 +17,21 @@ absorb or supply within one interval, including conversion losses:
     delta_d = min(eta_d * (e - soc_min) * cap / (dt * p_max), 1)
 
 One kernel runs the rule over many windows at once: the SoC-free split of
-the command (_split_command) over all steps in one pass, then a loop that
-steps only the battery (_battery_steps: headroom, battery share, SoC update
-on model.soc_change). rt_step, rt_dispatch and rt_dispatch_batch are views
-of it, and give the same bits. rt_error_sums runs the same two halves for
-many capacities at once, a block of steps at a time, and keeps only each
-(capacity, window)'s SoC and running L1 error, which is all bid scoring
-needs; its sums equal the batch's bitwise, whatever the block size, and so
-do the bid curve and every artifact built from them.
+the command (_split_command) over all steps in one pass, then the battery's
+half. While no SoC the battery can reach from e0 derates it, its headroom is
+(p_max, -p_max) whatever the commands, and so is its share: _free_steps
+finds that prefix of k* steps from e0, the window length and the battery
+alone, and _free_battery runs it in one pass, the SoC as one running sum of
+model.soc_change (_soc_path). Only the steps after it go through the loop
+that steps the battery (_battery_steps: headroom, battery share, SoC
+update). The prefix makes the same additions as the loop, so the route
+changes no bit. rt_step, rt_dispatch and rt_dispatch_batch are views of
+the kernel, and give the same bits. rt_error_sums runs the same two halves
+for many capacities at once, a block of steps at a time, and keeps only
+each (capacity, window)'s SoC and running L1 error, which is all bid
+scoring needs (not even the SoC while the prefix covers the window); its
+sums equal the batch's bitwise, whatever the block size, and so do the bid
+curve and every artifact built from them.
 
 Trace files go through reports.write_csv / read_csv, with the capacity and
 the initial SoC as '#' comment lines.
@@ -39,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    BatteryParams,
     DispatchStep,
     FeasibilityVerdict,
     HesConfig,
@@ -157,6 +165,67 @@ def _headroom(cfg: HesConfig, e):
     return delta_d * pb, -delta_c * pb
 
 
+def _free_steps(cfg: HesConfig, e0: float, n_steps: int) -> int:
+    """k*: how many leading steps of an n_steps window from SoC e0 run at
+    full headroom, (p_max, -p_max), whatever the commands.
+
+    A step moves the SoC by at most m, the larger |soc_change| at full
+    discharge and at full charge; within the envelope the sum rounds by at
+    most 2**-53 a step. So step j's SoC lies within j * step of e0, and as
+    _headroom is monotone in e, step j runs at full headroom if it does at
+    both ends. The candidate is where the real-arithmetic thresholds of full
+    headroom cross; _headroom's own check then moves it a step or two at most.
+    Where a single full step from e0 would cross them, k* is 0 unchecked:
+    a k* too small changes the route, never the bits.
+    """
+    batt = cfg.batt
+    m_dis = -soc_change(batt, 0.0, batt.p_max, cfg.dt)  # one full-power step
+    m_ch = soc_change(batt, -batt.p_max, 0.0, cfg.dt)
+    margin = min(e0 - batt.soc_min - m_dis, batt.soc_max - m_ch - e0)
+    if not (n_steps > 0 and margin >= 0.0):  # one full step from e0 may bind
+        return 0
+    # the margins cover the rounding of j * step and of e0 -+ j * step too
+    step = max(m_dis, m_ch) * (1.0 + 2.0**-40) + 2.0**-52
+
+    def full(j: int) -> bool:
+        lo, hi = e0 - j * step, e0 + j * step
+        d_max, c_max = _headroom(cfg, lo)
+        if hi != lo:
+            c_max = _headroom(cfg, hi)[1]
+        return d_max == batt.p_max and c_max == -batt.p_max
+
+    j = min(n_steps - 1, math.floor(margin / step))  # the last free step
+    while j >= 0 and not full(j):
+        j -= 1
+    while j + 1 < n_steps and full(j + 1):
+        j += 1
+    return j + 1
+
+
+def _soc_path(batt: BatteryParams, p_discharge, p_charge, dt: float, soc):
+    """Fill soc[1:] from soc[0] with the battery's dispatch, along the first
+    axis, and return soc: a running sum of soc_change, added in sequence as
+    soc_step and _battery_steps add, so the paths compare bitwise."""
+    soc[1:] = soc_change(batt, p_charge, p_discharge, dt)
+    return np.add.accumulate(soc, axis=0, out=soc)
+
+
+def _free_battery(cfg: HesConfig, resid, soc, p_discharge, p_charge) -> None:
+    """The battery's half of the rule at full headroom, (p_max, -p_max):
+    fills p_discharge and p_charge, and soc[1:] from soc[0] unless soc is
+    None. It runs a block of steps at a time, so that its temporaries stay
+    within _STEP_BLOCK_ELEMENTS elements."""
+    batt = cfg.batt
+    rows = max(1, _STEP_BLOCK_ELEMENTS // resid[0].size)
+    for k in range(0, resid.shape[0], rows):
+        p_d, p_c = _battery_share(
+            resid[k : k + rows], batt.p_max, -batt.p_max,
+            (p_discharge[k : k + rows], p_charge[k : k + rows]),
+        )
+        if soc is not None:
+            _soc_path(batt, p_d, p_c, cfg.dt, soc[k : k + rows + 1])
+
+
 def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
     """p_hes, summed in the rule's order (into ``out`` when given)."""
     p_hes = np.subtract(p_gen, p_load, out=out)
@@ -179,6 +248,18 @@ def _battery_steps(cfg: HesConfig, resid, soc, p_discharge, p_charge) -> None:
         np.add(soc[k], soc_change(cfg.batt, p_c, p_d, cfg.dt), out=soc[k + 1])
 
 
+def _battery_half(cfg: HesConfig, resid, soc, p_discharge, p_charge, n_free: int) -> None:
+    """_battery_steps, with the first n_free steps (clipped to resid's) run
+    at full headroom by _free_battery."""
+    k = min(max(n_free, 0), resid.shape[0])
+    if k == resid.shape[0]:
+        return _free_battery(cfg, resid, soc, p_discharge, p_charge)
+    if k:
+        _free_battery(cfg, resid[:k], soc[: k + 1], p_discharge[:k], p_charge[:k])
+        resid, soc, p_discharge, p_charge = resid[k:], soc[k:], p_discharge[k:], p_charge[k:]
+    _battery_steps(cfg, resid, soc, p_discharge, p_charge)
+
+
 def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
     """The rule over step-major commands r, shape (n_steps, n_windows).
 
@@ -190,7 +271,7 @@ def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
     p_charge = np.empty_like(resid)
     soc = np.empty((r.shape[1], r.shape[0] + 1)).T
     soc[0] = e0
-    _battery_steps(cfg, resid, soc, p_discharge, p_charge)
+    _battery_half(cfg, resid, soc, p_discharge, p_charge, _free_steps(cfg, e0, r.shape[0]))
     # the residual is spent; its buffer takes p_hes
     p_hes = _net_output(p_gen, p_load, p_discharge, p_charge, out=resid)
     return target, p_gen, p_load, p_discharge, p_charge, p_hes, soc
@@ -224,8 +305,8 @@ def rt_step(
 ) -> tuple[DispatchStep, SocState]:
     """One interval of the priority rule. Returns the dispatch and next SoC."""
     cols = _rule_columns(cfg, c, np.array([[r_k]], dtype=float), state.e)
-    step = DispatchStep(*(float(col[0, 0]) for col in cols[1:6]))
-    return step, SocState(e=float(cols[6][1, 0]))
+    step = DispatchStep(*[col.item() for col in cols[1:6]])
+    return step, SocState(e=cols[6].item(1))
 
 
 def rt_dispatch(
@@ -313,10 +394,12 @@ def rt_error_sums(
     ``rt_dispatch_batch(cfg, capacities[j], samples, dt).err_sums``. All
     capacities step together through the (n_windows, n_steps) samples a
     block of steps at a time: the SoC-free half of the rule runs once per
-    block, the battery steps one by one, and each step's errors join the
-    running sums in step order. Memory grows with the block, at most about
-    _STEP_BLOCK_ELEMENTS elements per step-block array but never less than
-    one step of capacities x windows, and not with the number of steps.
+    block, the battery's once per block within the full-headroom prefix
+    (_free_steps) and step by step after it, and each step's errors join
+    the running sums in step order. Memory grows with the block, at most
+    about _STEP_BLOCK_ELEMENTS elements per step-block array but never less
+    than one step of capacities x windows, and not with the number of
+    steps; the prefix runs in the same buffers.
     """
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
@@ -327,10 +410,11 @@ def rt_error_sums(
     c = cs[:, None]
     n_windows, n_steps = samples.shape
     block = max(1, _STEP_BLOCK_ELEMENTS // (cs.size * n_windows))
+    n_free = _free_steps(cfg, e0, n_steps)
     # buffers made once per call: made per block, they slowed a bid-year-sized
-    # call (77 capacities x 365 windows, one step per block) 1.8x, in page faults
-    soc = np.empty((block + 1, cs.size, n_windows))
-    soc[0] = e0
+    # call (77 capacities x 365 windows, one step per block) 1.8x, in page
+    # faults. No SoC is kept when the prefix covers the window.
+    soc = np.full((block + 1, cs.size, n_windows), e0) if n_free < n_steps else None
     p_dis = np.empty((block, cs.size, n_windows))
     p_ch = np.empty_like(p_dis)
     err_sums = np.zeros((cs.size, n_windows))
@@ -340,8 +424,11 @@ def rt_error_sums(
         n = r.shape[0]
         target, p_gen, p_load, resid = _split_command(cfg, c, r)
         p_d, p_c = p_dis[:n], p_ch[:n]
-        _battery_steps(cfg, resid, soc[: n + 1], p_d, p_c)
-        soc[0] = soc[n]
+        if soc is None:
+            _free_battery(cfg, resid, None, p_d, p_c)
+        else:
+            _battery_half(cfg, resid, soc[: n + 1], p_d, p_c, n_free - start)
+            soc[0] = soc[n]
         err = np.subtract(target, _net_output(p_gen, p_load, p_d, p_c, out=resid), out=target)
         for err_k in np.abs(err, out=err):
             err_sums += err_k  # step by step, as rt_dispatch_batch sums

@@ -29,14 +29,15 @@ from scipy.optimize import linprog
 
 from .controller import (
     DispatchTrace,
-    _battery_share,
     _check_inputs,
+    _free_battery,
     _net_output,
+    _soc_path,
     _split_command,
     rt_dispatch,
     validate_trace,
 )
-from .model import BatteryParams, HesConfig, soc_change
+from .model import HesConfig, soc_change
 from .signals import RegSignal
 
 __all__ = [
@@ -186,16 +187,6 @@ def _solve_lp(cfg: HesConfig, c: float, sig: RegSignal):
     return g, l, d, pc, e, float(res.fun)
 
 
-def _resimulate_soc(batt: BatteryParams, d: np.ndarray, pc: np.ndarray, dt: float) -> np.ndarray:
-    # cumsum is a sequential running sum of soc_change terms, the update
-    # soc_step and the rule make, so closed-form trajectories compare
-    # bitwise against rule trajectories
-    soc = np.empty(d.size + 1)
-    soc[0] = batt.soc_init
-    soc[1:] = soc_change(batt, pc, d, dt)
-    return np.cumsum(soc, out=soc)
-
-
 def _assemble_trace(
     cfg: HesConfig,
     target: np.ndarray,
@@ -250,7 +241,7 @@ def offline_dispatch(
     net = d + pc
     d2 = np.maximum(net, 0.0)
     pc2 = np.minimum(net, 0.0)
-    soc2 = _resimulate_soc(batt, d2, pc2, cfg.dt)
+    soc2 = _soc_path(batt, d2, pc2, cfg.dt, np.full(sig.n + 1, batt.soc_init))
     trace2 = _assemble_trace(cfg, target, g, l, d2, pc2, soc2)
     obj2 = trace2.abs_error()
     soc_tol = 2e-8 * sig.n + 1e-9  # resimulation compounds solver noise
@@ -288,15 +279,17 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
 
     Output clips the command into [-(load.p_max + batt.p_max),
     gen.p_max + batt.p_max] with the rule's priority allocation, the battery
-    headroom fixed at batt.p_max. Returns None when the resulting SoC
-    trajectory touches or crosses either envelope bound, in which case the
-    form does not apply.
+    headroom fixed at batt.p_max: the rule kernel's full-headroom prefix
+    (controller._free_battery) run over the whole window. Returns None when
+    the resulting SoC trajectory touches or crosses either envelope bound,
+    in which case the form does not apply.
     """
     _check_inputs(cfg, c, sig.dt)
     batt = cfg.batt
     target, p_gen, p_load, resid = _split_command(cfg, c, sig.samples)
-    p_discharge, p_charge = _battery_share(resid, batt.p_max, -batt.p_max)
-    soc = _resimulate_soc(batt, p_discharge, p_charge, cfg.dt)
+    p_discharge, p_charge = np.empty_like(resid), np.empty_like(resid)
+    soc = np.full(sig.n + 1, batt.soc_init)
+    _free_battery(cfg, resid, soc, p_discharge, p_charge)
     interior = soc[1:]
     if interior.size and (
         float(interior.min()) <= batt.soc_min or float(interior.max()) >= batt.soc_max

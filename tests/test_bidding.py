@@ -363,6 +363,14 @@ class TestSweepGrid:
             SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=refine_tol)
         SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=math.ulp(20.0))
 
+    @pytest.mark.parametrize("coarse_step", [1e-13, 1e-5, 0.0, -0.25])
+    def test_coarse_grid_over_step_limit_refused(self, coarse_step):
+        # 1e-13 made numpy ask for 1.35 PiB, and 1e-5 built 1 900 001 points
+        with pytest.raises(ValueError, match=r"coarse_step must be >= 0.00019, .* / 100000"):
+            SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=coarse_step)
+        finest = SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=19.0 / 100_000)
+        assert finest.coarse_points().size == 100_001
+
     @pytest.mark.parametrize("field", ["c_lo", "c_hi", "coarse_step", "refine_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_named(self, field, value):

@@ -223,6 +223,15 @@ class TestBid:
         assert "error: refine_tol must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coarse_step_over_point_limit_refused(self, tmp_path, capsys):
+        # the grid once reached numpy, which asked for 1.35 PiB
+        p = tmp_path / "fine.ini"
+        p.write_text(BASE.replace("coarse_step = 0.25", "coarse_step = 1e-13"))
+        out = tmp_path / "o"
+        assert run(["bid", "--config", p, "--out", out]) == 1
+        assert "error: coarse_step must be >= 0.00019" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_undecodable_archive_file_named(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

@@ -9,6 +9,7 @@ written and what the trace files were recorded from. The ingest reference is
 the line-by-line reader every file once went through.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -46,7 +47,8 @@ from hes_regkit import (
 )
 from hes_regkit import controller
 from hes_regkit.controller import rt_error_sums
-from helpers import random_capacity, random_signal, random_system
+from hes_regkit.model import soc_change
+from helpers import random_capacity, random_signal, random_system, reference_system
 
 COLUMNS = ("target", "p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -220,6 +222,155 @@ def test_error_sums_same_for_every_step_block(shape, block, cfg, matrix, data):
         stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
     for row, c in zip(stacked, cs):
         assert same_bits(row, rt_dispatch_batch(cfg, c, matrix, cfg.dt).err_sums)
+
+
+def prefix_system(e0: float) -> HesConfig:
+    """From SoC 0.5 its battery runs k* = 16 steps at full headroom, from
+    0.3 it runs 8, and from either bound none."""
+    return HesConfig(
+        gen=GeneratorParams(p_max=1.0),
+        load=LoadParams(p_max=0.5),
+        batt=BatteryParams(
+            p_max=2.0, energy_capacity=1.0, eta_c=0.9, eta_d=0.85,
+            soc_min=0.1, soc_max=0.9, soc_init=e0,
+        ),
+        dt=0.01,
+    )
+
+
+def reference_error_sum(ref: dict) -> float:
+    running = 0.0  # step by step, in step order
+    for t, p in zip(ref["target"], ref["p_hes"]):
+        running += abs(t - p)
+    return running
+
+
+def prefix_windows(n_steps: int) -> np.ndarray:
+    """Commands that pull the battery at full power one way or the other,
+    so that the steps after the prefix reach a bound, and two that wander."""
+    rng = np.random.default_rng(9)
+    steps = np.arange(n_steps)
+    return np.stack([
+        np.ones(n_steps), -np.ones(n_steps), np.where(steps % 3, 0.9, -1.0),
+        rng.uniform(-1.0, 1.0, n_steps),
+    ])
+
+
+@pytest.mark.parametrize(
+    "e0, n_steps, steps_per_block, k_star",
+    [
+        pytest.param(0.1, 40, None, 0, id="k* 0 at the floor"),
+        pytest.param(0.9, 40, None, 0, id="k* 0 at the ceiling"),
+        pytest.param(0.5, 40, None, 16, id="ends mid-window"),
+        pytest.param(0.5, 40, 5, 16, id="ends inside a step block"),
+        pytest.param(0.3, 40, 4, 8, id="ends at a step block's end"),
+        pytest.param(0.5, 12, 5, 12, id="covers the window"),
+    ],
+)
+def test_prefix_entry_points_match_reference_bitwise(e0, n_steps, steps_per_block, k_star):
+    cfg = prefix_system(e0)
+    pb = cfg.batt.p_max
+    matrix = prefix_windows(n_steps)
+    assert controller._free_steps(cfg, e0, n_steps) == k_star
+    cs = [0.7, 3.0, 9.0]  # at 9 MW the battery is asked for more than p_max
+    refs = {(c, i): reference_rule(cfg, c, row, e0) for c in cs for i, row in enumerate(matrix)}
+    # past the prefix the rule's headroom binds: the loop's steps are tested too
+    binds = min(refs[(9.0, 0)]["p_discharge"]) < pb or max(refs[(9.0, 1)]["p_charge"]) > -pb
+    assert binds == (k_star < n_steps)
+    for (c, i), ref in refs.items():
+        trace = rt_dispatch(cfg, c, RegSignal(samples=matrix[i], dt=cfg.dt))
+        for name in COLUMNS:
+            assert same_bits(getattr(trace, name), ref[name]), (c, i, name)
+    for c in cs:
+        batch = rt_dispatch_batch(cfg, c, matrix, cfg.dt)
+        for i in range(matrix.shape[0]):
+            assert same_bits(batch.soc[i], refs[(c, i)]["soc"]), (c, i)
+            assert same_bits(batch.err_sums[i], reference_error_sum(refs[(c, i)])), (c, i)
+    with pytest.MonkeyPatch.context() as mp:
+        if steps_per_block is not None:
+            per_step = len(cs) * matrix.shape[0]
+            mp.setattr(controller, "_STEP_BLOCK_ELEMENTS", steps_per_block * per_step)
+        stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
+    for j, c in enumerate(cs):
+        for i in range(matrix.shape[0]):
+            assert same_bits(stacked[j, i], reference_error_sum(refs[(c, i)])), (c, i)
+
+
+def test_reference_battery_prefix():
+    # 5 MW / 5 MWh at 0.95 one way, SoC in [0.1, 0.9] from 0.5, 2 s steps
+    cfg = reference_system()
+    assert controller._free_steps(cfg, 0.5, 10**6) == 683
+    assert controller._free_steps(cfg, 0.5, 180) == 180
+    assert controller._free_steps(cfg, 0.1, 180) == 0
+
+
+def soc_near_a_threshold(data, cfg: HesConfig) -> float:
+    """An initial SoC anywhere in the envelope, or a few full steps from
+    where the headroom starts to bind."""
+    batt = cfg.batt
+    m_dis = -soc_change(batt, 0.0, batt.p_max, cfg.dt)
+    m_ch = soc_change(batt, -batt.p_max, 0.0, cfg.dt)
+    steps = data.draw(st.integers(0, 40)) + data.draw(st.floats(0.0, 1.0))
+    e0 = data.draw(st.sampled_from([
+        data.draw(st.floats(batt.soc_min, batt.soc_max)),
+        batt.soc_min + m_dis * (1.0 + steps),
+        batt.soc_max - m_ch * (1.0 + steps),
+    ]))
+    return min(max(e0, batt.soc_min), batt.soc_max)
+
+
+@PROPERTY
+@given(cfg=fleets(), data=st.data())
+def test_prefix_never_outlasts_full_headroom(cfg, data):
+    # at full power one way, the reference rule's headroom binds as early as
+    # any command can make it; it must not bind before step k*
+    batt = cfg.batt
+    e0 = soc_near_a_threshold(data, cfg)
+    k_star = controller._free_steps(cfg, e0, 10**9)
+    n_steps = min(k_star + 3, 3000)
+    up = data.draw(st.booleans())
+    limit = cfg.gen.p_max if up else cfg.load.p_max
+    c = 2.0 * (batt.p_max + limit) + data.draw(st.floats(0.0, 10.0))
+    ref = reference_rule(cfg, c, np.full(n_steps, 1.0 if up else -1.0), e0)
+    free = min(k_star, n_steps)
+    if up:
+        assert ref["p_discharge"][:free] == [batt.p_max] * free
+    else:
+        assert ref["p_charge"][:free] == [-batt.p_max] * free
+
+
+@PROPERTY
+@given(cfg=fleets(), c=capacities, matrix=windows(), data=st.data())
+def test_loop_only_route_gives_the_same_bits(cfg, c, matrix, data):
+    e0 = soc_near_a_threshold(data, cfg)
+    cfg = HesConfig(cfg.gen, cfg.load, dataclasses.replace(cfg.batt, soc_init=e0), cfg.dt)
+    cs = [c, 0.5 * c, 2.0 * c]
+    sig = RegSignal(samples=matrix[0], dt=cfg.dt)
+
+    def every_entry_point():
+        return (
+            rt_step(cfg, c, float(matrix[0, 0]), SocState(e0)),
+            rt_dispatch(cfg, c, sig),
+            rt_dispatch_batch(cfg, c, matrix, cfg.dt),
+            rt_error_sums(cfg, cs, matrix, cfg.dt),
+        )
+
+    default = every_entry_point()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_free_steps", lambda cfg, e0, n_steps: 0)
+        loop_only = every_entry_point()
+    (step, nxt), trace, batch, sums = default
+    (step0, nxt0), trace0, batch0, sums0 = loop_only
+    for name in COLUMNS[1:6]:
+        assert same_bits(getattr(step, name), getattr(step0, name)), name
+    assert same_bits(nxt.e, nxt0.e)
+    for name in COLUMNS:
+        assert same_bits(getattr(trace, name), getattr(trace0, name)), name
+    for name in ("err_sums", "soc"):
+        assert same_bits(getattr(batch, name), getattr(batch0, name)), name
+    for name in ("gen_max", "load_max", "discharge_max", "charge_min", "overlap_max"):
+        assert same_bits(getattr(batch, name), getattr(batch0, name)), name
+    assert same_bits(sums, sums0)
 
 
 bad_capacities = st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
