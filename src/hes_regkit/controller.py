@@ -17,21 +17,23 @@ absorb or supply within one interval, including conversion losses:
     delta_d = min(eta_d * (e - soc_min) * cap / (dt * p_max), 1)
 
 One kernel runs the rule over many windows at once: the SoC-free split of
-the command (_split_command) over all steps in one pass, then the battery's
-half. While no SoC the battery can reach from e0 derates it, its headroom is
+the command (_split_command) over all steps at once, then the battery's
+half. The split is one product, target = c * r, and then in-place ufunc
+passes over contiguous arrays, as is the battery's share (_battery_share).
+While no SoC the battery can reach from e0 derates it, its headroom is
 (p_max, -p_max) whatever the commands, and so is its share: _free_steps
 finds that prefix of k* steps from e0, the window length and the battery
 alone, and _free_battery runs it in one pass, the SoC as one running sum of
 model.soc_change (_soc_path). Only the steps after it go through the loop
 that steps the battery (_battery_steps: headroom, battery share, SoC
 update). The prefix makes the same additions as the loop, so the route
-changes no bit. rt_step, rt_dispatch and rt_dispatch_batch are views of
-the kernel, and give the same bits. rt_error_sums runs the same two halves
-for many capacities at once, a block of steps at a time, and keeps only
-each (capacity, window)'s SoC and running L1 error, which is all bid
-scoring needs (not even the SoC while the prefix covers the window); its
-sums equal the batch's bitwise, whatever the block size, and so do the bid
-curve and every artifact built from them.
+changes no bit. rt_step, rt_dispatch and rt_dispatch_batch are views of the
+kernel, and give the same bits. rt_error_sums runs the same two halves for
+many capacities at once, a block of steps at a time, and keeps only each
+(capacity, window)'s SoC and running L1 error, which is all bid scoring
+needs (not even the SoC while the prefix covers the window); its sums equal
+the batch's bitwise, whatever the block size, and so do the bid curve and
+every artifact built from them.
 
 Trace files go through reports.write_csv / read_csv, with the capacity and
 the initial SoC as '#' comment lines.
@@ -120,38 +122,56 @@ class DispatchTrace:
         return float(np.sum(np.abs(self.target - self.p_hes)))
 
 
-# capacities x windows x steps per step-block array in rt_error_sums: on
-# asym-sweep's solves 1 << 12 ran within 3 % of the fastest, 1 << 13, and
-# 1 << 10 and 1 << 16 ran 15-20 % slower (median of 40 interleaved runs,
-# 2-CPU Xeon); the smaller block holds less memory
+# capacities x windows x steps per step-block array in rt_error_sums: in
+# perfbench runs (10 s, two rounds, 2-CPU Xeon) asym-sweep took 0.039-0.042 s
+# at 1 << 12 and 1 << 13, and 0.042-0.049 s at 1 << 10, 1 << 11 and 1 << 14
+# to 1 << 16; bid-year, whose coarse sweep runs one step per block at every
+# one of these sizes, spread over 0.24-0.28 s with no size ahead. The
+# smaller block holds less memory
 _STEP_BLOCK_ELEMENTS = 1 << 12
 
 
-def _split_command(cfg: HesConfig, c: float, r: np.ndarray):
+def _split_command(cfg: HesConfig, c, r, out=(None, None, None, None)):
     """The SoC-free half of the rule: target, p_gen, p_load and the residual
-    the battery is asked for (>= 0 where r > 0, <= 0 elsewhere)."""
-    target = c * r
-    pos = r > 0.0
-    gmax, lmax = cfg.gen.p_max, cfg.load.p_max
-    # where, not np.minimum, which may pick either of two tied zeros: at
-    # r = +0.0, p_load = min(-target, lmax) is -0.0, and trace files show it
-    p_gen = np.where(pos, np.where(gmax < target, gmax, target), 0.0)
-    p_load = -target
-    p_load = np.where(pos, 0.0, np.where(lmax < p_load, lmax, p_load))
-    resid = target - p_gen
+    the battery is asked for (>= 0 where r > 0, <= 0 elsewhere), into the
+    four arrays of ``out`` when given."""
+    target, p_gen, p_load, resid = out
+    target = np.multiply(c, r, out=target)
+    # clips of target and -target, in place: np.minimum and np.maximum may
+    # pick either of two tied zeros, and + 0.0 turns a -0.0 into 0.0 and
+    # leaves every other value as it is (model keeps limits off -0.0)
+    p_gen = np.maximum(target, 0.0, out=p_gen)
+    np.minimum(p_gen, cfg.gen.p_max, out=p_gen)
+    p_gen += 0.0
+    p_load = np.negative(target, out=p_load)
+    np.maximum(p_load, 0.0, out=p_load)
+    np.minimum(p_load, cfg.load.p_max, out=p_load)
+    p_load += 0.0
+    # the rule's one signed zero: at r = +0.0 (no bit set), p_load =
+    # min(-target, load.p_max) is -0.0, and trace files show it. It is 0.0
+    # where r > 0, also where c * r underflows to +0.0, so r marks it
+    np.negative(p_load, out=p_load, where=r.view(np.int64) == 0)
+    resid = np.subtract(target, p_gen, out=resid)
     resid += p_load
     return target, p_gen, p_load, resid
 
 
-def _battery_share(resid, d_max, c_max, out=(None, None)):
-    """Battery (p_discharge, p_charge) for a residual, within [c_max, d_max]
-    (into the two arrays of ``out`` when given).
+def _battery_share(resid, d_max, c_max, out):
+    """Battery (p_discharge, p_charge) for a residual, within [c_max, d_max],
+    into the two arrays of ``out``.
 
     Adding 0.0 turns a -0.0 (a tie between zeros, e.g. c_max = -0.0 at the
-    SoC ceiling) into 0.0 and leaves every other value as it is.
+    SoC ceiling) into 0.0 and leaves every other value as it is. Not
+    np.clip: where rounding leaves d_max a hair below 0 at the SoC floor,
+    clip gives d_max and the rule gives 0.0.
     """
-    p_discharge = np.add(np.maximum(0.0, np.minimum(resid, d_max)), 0.0, out=out[0])
-    p_charge = np.add(np.minimum(0.0, np.maximum(resid, c_max)), 0.0, out=out[1])
+    p_discharge, p_charge = out
+    np.minimum(resid, d_max, out=p_discharge)
+    np.maximum(p_discharge, 0.0, out=p_discharge)
+    p_discharge += 0.0
+    np.maximum(resid, c_max, out=p_charge)
+    np.minimum(p_charge, 0.0, out=p_charge)
+    p_charge += 0.0
     return p_discharge, p_charge
 
 
@@ -396,10 +416,11 @@ def rt_error_sums(
     block of steps at a time: the SoC-free half of the rule runs once per
     block, the battery's once per block within the full-headroom prefix
     (_free_steps) and step by step after it, and each step's errors join
-    the running sums in step order. Memory grows with the block, at most
-    about _STEP_BLOCK_ELEMENTS elements per step-block array but never less
-    than one step of capacities x windows, and not with the number of
-    steps; the prefix runs in the same buffers.
+    the running sums in step order. Memory grows with the block, not with
+    the number of steps: seven step-block arrays (the split's four, the
+    battery's two, and the SoC's, one step longer), each at most about
+    _STEP_BLOCK_ELEMENTS elements but never less than one step of
+    capacities x windows; the prefix runs in the same buffers.
     """
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
@@ -415,15 +436,14 @@ def rt_error_sums(
     # call (77 capacities x 365 windows, one step per block) 1.8x, in page
     # faults. No SoC is kept when the prefix covers the window.
     soc = np.full((block + 1, cs.size, n_windows), e0) if n_free < n_steps else None
-    p_dis = np.empty((block, cs.size, n_windows))
-    p_ch = np.empty_like(p_dis)
+    buffers = [np.empty((block, cs.size, n_windows)) for _ in range(6)]
     err_sums = np.zeros((cs.size, n_windows))
     commands = np.ascontiguousarray(samples.T)  # each block one slab of memory
     for start in range(0, n_steps, block):
         r = commands[start : start + block, None, :]
         n = r.shape[0]
-        target, p_gen, p_load, resid = _split_command(cfg, c, r)
-        p_d, p_c = p_dis[:n], p_ch[:n]
+        target, p_gen, p_load, resid, p_d, p_c = (a[:n] for a in buffers)
+        _split_command(cfg, c, r, (target, p_gen, p_load, resid))
         if soc is None:
             _free_battery(cfg, resid, None, p_d, p_c)
         else:

@@ -55,6 +55,7 @@ class GeneratorParams:
                 "generator limits must satisfy 0 <= p_min <= p_max, "
                 f"got p_min={self.p_min}, p_max={self.p_max}"
             )
+        object.__setattr__(self, "p_max", abs(self.p_max))  # a -0.0 limit is 0.0
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class LoadParams:
     def __post_init__(self) -> None:
         if self.p_max < 0.0:
             raise ValueError(f"load p_max must be >= 0, got {self.p_max}")
+        object.__setattr__(self, "p_max", abs(self.p_max))  # a -0.0 limit is 0.0
 
 
 @dataclass(frozen=True)

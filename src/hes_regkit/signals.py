@@ -15,18 +15,20 @@ a sample counter (or any monotone tag); only the r column is used.
 
 save_signal writes through reports.write_csv, like every CSV artifact. The
 loader reads each file whole. A file in the plain layout above (that exact
-header on line 1, no '#', one pair per line) has its r column parsed in one
-comprehension and range-checked as one array. Any other file, and any fault
-in that pass, goes to the line-by-line reader, which skips comments and
-blank lines and names the file and line of the first bad one. A file that
-is not UTF-8 is refused with its path and byte offset. load_archive
-checks the concatenated samples once as a (windows, window_len) matrix whose
-rows are the windows.
+header on line 1, no '#', one pair per line) has its r column parsed by one
+map of float over the lines' second fields and range-checked as one array.
+Any other file, and any fault in that pass, goes to the line-by-line
+reader, which skips comments and blank lines and names the file and line of
+the first bad one. A file that is not UTF-8 is refused with its path and
+byte offset. load_archive lists a directory with one os.scandir, and checks
+the concatenated samples once as a (windows, window_len) matrix whose rows
+are the windows.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -271,13 +273,21 @@ def _parse_signal_csv(path: Path) -> np.ndarray:
     if header == "timestamp,r" and "#" not in body:
         try:
             lines = body.removesuffix("\n").split("\n")
-            values = np.array([float(line.partition(",")[2]) for line in lines])
+            values = np.array(list(map(float, [line.partition(",")[2] for line in lines])))
         except ValueError:
             pass
         else:
             if np.all(np.abs(values) <= 1.0):  # NaN fails too
                 return values
     return np.array(_read_lines(path, text), dtype=float)
+
+
+def _csv_files(directory: Path) -> list[Path]:
+    """sorted(directory.glob("*.csv")), from one os.scandir: every entry
+    whose name ends in ".csv", dotfiles and sub-directories too, by name."""
+    with os.scandir(directory) as entries:
+        names = sorted(entry.name for entry in entries if entry.name.endswith(".csv"))
+    return [directory / name for name in names]
 
 
 def load_archive(
@@ -300,7 +310,7 @@ def load_archive(
         raise SignalError(f"offset must be >= 0, got {offset}")
     p = Path(path)
     if p.is_dir():
-        files = sorted(p.glob("*.csv"))
+        files = _csv_files(p)
         if not files:
             raise EmptyArchiveError(f"no *.csv files in directory {p}")
     else:

@@ -147,6 +147,19 @@ capacities = st.floats(0.05, 30.0)
 
 @PROPERTY
 @given(cfg=fleets(), c=capacities, matrix=windows())
+@example(  # rounding leaves the headroom a hair below 0 at the SoC floor
+    cfg=HesConfig(
+        gen=GeneratorParams(p_max=0.0),
+        load=LoadParams(p_max=0.0),
+        batt=BatteryParams(
+            p_max=1.0, energy_capacity=1.0, eta_c=1.0, eta_d=1.0,
+            soc_min=7.368990982424278e-208, soc_init=7.368990982424278e-208,
+        ),
+        dt=0.25,
+    ),
+    c=1.0,
+    matrix=np.array([[-1.0, 1.0, -1.0]]),
+)
 def test_rt_dispatch_matches_reference_bitwise(cfg, c, matrix):
     for row in matrix:
         trace = rt_dispatch(cfg, c, RegSignal(samples=row, dt=cfg.dt))
@@ -222,6 +235,47 @@ def test_error_sums_same_for_every_step_block(shape, block, cfg, matrix, data):
         stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
     for row, c in zip(stacked, cs):
         assert same_bits(row, rt_dispatch_batch(cfg, c, matrix, cfg.dt).err_sums)
+
+
+SIGNED_COMMANDS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("c", [0.05, 2.0], ids=["c*r underflows", "c*r does not"])
+@pytest.mark.parametrize("gen_max", [-0.0, 0.0, 3.0])
+@pytest.mark.parametrize("load_max", [-0.0, 0.0, 3.0])
+def test_split_corner_cases_match_reference_bitwise(c, gen_max, load_max):
+    # signed zeros, the smallest subnormals and full commands, at zero and
+    # non-zero limits; a battery that stays interior, so the closed form holds
+    cfg = HesConfig(
+        gen=GeneratorParams(p_max=gen_max),
+        load=LoadParams(p_max=load_max),
+        batt=BatteryParams(p_max=2.0, energy_capacity=1.0, soc_init=0.5),
+        dt=0.01,
+    )
+    assert not np.signbit(cfg.gen.p_max) and not np.signbit(cfg.load.p_max)
+    row = np.array(SIGNED_COMMANDS)
+    matrix = np.stack([row, row[::-1], *(np.full(row.size, r) for r in SIGNED_COMMANDS)])
+    refs = [reference_rule(cfg, c, r, 0.5) for r in matrix]
+    # the rule's one signed zero: p_load is -0.0 where r is +0.0, and 0.0
+    # where r > 0, also where c * r underflows to +0.0
+    p_load = refs[0]["p_load"]
+    assert [math.copysign(1.0, x) for x in p_load[:3]] == [-1.0, 1.0, 1.0]
+    assert (refs[0]["target"][2] == 0.0) == (c == 0.05)
+    batch = rt_dispatch_batch(cfg, c, matrix, cfg.dt)
+    stacked = rt_error_sums(cfg, [c, 3.0 * c], matrix, cfg.dt)
+    for i, (r, ref) in enumerate(zip(matrix, refs)):
+        sig = RegSignal(samples=r, dt=cfg.dt)
+        cf = closed_form_dispatch(cfg, c, sig)
+        assert cf is not None
+        for trace in (rt_dispatch(cfg, c, sig), cf.trace):
+            for name in COLUMNS:
+                assert same_bits(getattr(trace, name), ref[name]), (i, name)
+        assert same_bits(batch.soc[i], ref["soc"]), i
+        assert same_bits(batch.err_sums[i], reference_error_sum(ref)), i
+        assert same_bits(stacked[0, i], reference_error_sum(ref)), i
+        assert same_bits(
+            stacked[1, i], reference_error_sum(reference_rule(cfg, 3.0 * c, r, 0.5))
+        ), i
 
 
 def prefix_system(e0: float) -> HesConfig:

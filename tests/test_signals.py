@@ -17,6 +17,7 @@ from hes_regkit import (
     save_signal,
     synth_signal,
 )
+from hes_regkit import signals
 from helpers import DT_2S
 
 
@@ -162,6 +163,23 @@ class TestArchiveIO:
         assert arch.n_windows == 2
         assert arch.windows[0].samples.tolist() == [0.1, 0.2]
         assert arch.windows[1].samples.tolist() == [0.3, 0.4]
+
+    def test_directory_lists_what_glob_lists(self, tmp_path):
+        # one os.scandir, sorted by name: dotfiles and a sub-directory whose
+        # name ends in .csv are listed, as glob lists them; .CSV is not
+        names = ["b.csv", "a.csv", ".dot.csv", "10.csv", "9.csv", "upper.CSV", "notes.txt"]
+        for i, name in enumerate(names):
+            save_signal(tmp_path / name, np.array([0.1 * i, -0.1 * i]))
+        (tmp_path / "x.csv").mkdir()
+        listed = signals._csv_files(tmp_path)
+        assert listed == sorted(tmp_path.glob("*.csv"))
+        assert [p.name for p in listed] == [
+            ".dot.csv", "10.csv", "9.csv", "a.csv", "b.csv", "x.csv",
+        ]
+        (tmp_path / "x.csv").rmdir()
+        arch = load_archive(tmp_path, window_len=2, dt=1.0)
+        order = [names.index(p.name) for p in sorted(tmp_path.glob("*.csv"))]
+        assert arch.matrix().tolist() == [[0.1 * i, -0.1 * i] for i in order]
 
 
 class TestArchiveContainer:
