@@ -50,10 +50,10 @@ for c in (6.0, 12.0):
     print(f"  hourly revenue: ${pay:,.0f}")
     print("  k    r       target   gen    load   batt    achieved")
     for k in (0, 1, 2, 600, 1200):
-        s = trace.step(k)
-        batt = s.p_discharge + s.p_charge
+        batt = trace.p_discharge[k] + trace.p_charge[k]
         print(f"  {k:<4d} {sig.samples[k]:+.3f}  {c * sig.samples[k]:+7.3f}  "
-              f"{s.p_gen:5.2f}  {s.p_load:5.2f}  {batt:+6.2f}  {s.p_hes:+7.3f}")
+              f"{trace.p_gen[k]:5.2f}  {trace.p_load[k]:5.2f}  {batt:+6.2f}  "
+              f"{trace.p_hes[k]:+7.3f}")
 
 print("""
 At 6 MW every command is within the 8 MW reach on both sides, so the

@@ -67,9 +67,7 @@ _SWEEP_COLUMNS = [
 
 def _report_header(experiment: str, cfg: RunConfig, archive: SignalArchive | None) -> dict:
     payload = config_digest_payload(cfg)
-    blobs = (
-        tuple(w.samples.tobytes() for w in archive.windows) if archive is not None else ()
-    )
+    blobs = (w.samples for w in archive.windows) if archive is not None else ()
     return {
         "experiment": experiment,
         "tool_version": __version__,
@@ -243,9 +241,14 @@ def _parse_values(raw: str | None) -> list[float]:
         values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"--values must be comma-separated numbers, got {raw!r}") from None
+    labels: dict[str, float] = {}
     for value in values:
         if not math.isfinite(value) or value < 0.0:
             raise ConfigError(f"--values entries must be finite and >= 0, got {value}")
+        label = "%g" % value  # names the value's output files
+        if label in labels:
+            raise ConfigError(f"--values {labels[label]!r} and {value!r} both name files {label!r}")
+        labels[label] = value
     return values
 
 
@@ -314,7 +317,8 @@ def cmd_soc_drift(
             c_used = capacity
         else:
             c_used = _solve_case(hes, archive, cfg, vary_name, value).c_star
-        soc = rt_dispatch_batch(hes, c_used, archive.matrix(), archive.dt).soc
+        batch = rt_dispatch_batch(hes, c_used, archive.matrix(), archive.dt)
+        soc = batch.soc
         at_bound = (soc <= batt.soc_min + 1e-9) | (soc >= batt.soc_max - 1e-9)
         hit = at_bound.any(axis=1)
         first_hit = np.where(hit, at_bound.argmax(axis=1), -1)
@@ -326,8 +330,8 @@ def cmd_soc_drift(
             zip(
                 range(archive.n_windows),
                 np.median(soc, axis=1).tolist(),
-                soc.min(axis=1).tolist(),
-                soc.max(axis=1).tolist(),
+                batch.soc_lowest.tolist(),
+                batch.soc_highest.tolist(),
                 finals.tolist(),
                 hit.tolist(),
                 first_hit.tolist(),

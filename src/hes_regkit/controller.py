@@ -35,8 +35,9 @@ needs (not even the SoC while the prefix covers the window); its sums equal
 the batch's bitwise, whatever the block size, and so do the bid curve and
 every artifact built from them.
 
-Trace files go through reports.write_csv / read_csv, with the capacity and
-the initial SoC as '#' comment lines.
+validate_trace runs the envelope check of model.check_step_feasible once
+over a trace's columns. Trace files go through reports.write_csv /
+read_csv, with the capacity and the initial SoC as '#' comment lines.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    POWER_TOL,
+    SOC_TOL,
     BatteryParams,
     DispatchStep,
     FeasibilityVerdict,
     HesConfig,
     SocState,
-    check_step_feasible,
+    _envelope_violations,
     ensure_dispatchable,
     soc_change,
 )
@@ -107,15 +110,6 @@ class DispatchTrace:
     @property
     def n_steps(self) -> int:
         return int(self.target.size)
-
-    def step(self, k: int) -> DispatchStep:
-        return DispatchStep(
-            p_gen=float(self.p_gen[k]),
-            p_load=float(self.p_load[k]),
-            p_discharge=float(self.p_discharge[k]),
-            p_charge=float(self.p_charge[k]),
-            p_hes=float(self.p_hes[k]),
-        )
 
     def abs_error(self) -> float:
         """L1 tracking error, sum |target - p_hes|."""
@@ -459,23 +453,15 @@ def validate_trace(
     cfg: HesConfig,
     trace: DispatchTrace,
     *,
-    power_tol: float | None = None,
-    soc_tol: float | None = None,
+    power_tol: float = POWER_TOL,
+    soc_tol: float = SOC_TOL,
 ) -> list[tuple[int, FeasibilityVerdict]]:
-    """Run check_step_feasible over every step; returns offending (k, verdict)."""
-    kwargs = {}
-    if power_tol is not None:
-        kwargs["power_tol"] = power_tol
-    if soc_tol is not None:
-        kwargs["soc_tol"] = soc_tol
-    bad = []
-    for k in range(trace.n_steps):
-        verdict = check_step_feasible(
-            cfg, trace.step(k), SocState(e=float(trace.soc[k + 1])), **kwargs
-        )
-        if not verdict.feasible:
-            bad.append((k, verdict))
-    return bad
+    """check_step_feasible over every step, as one column-wise check;
+    returns the offending (k, verdict) in step order."""
+    return _envelope_violations(
+        cfg, trace.p_gen, trace.p_load, trace.p_discharge, trace.p_charge, trace.soc[1:],
+        power_tol=power_tol, soc_tol=soc_tol,
+    )
 
 
 _TRACE_HEADER = ["k", "r", "target", "p_gen", "p_load", "p_charge", "p_discharge", "p_hes", "soc"]

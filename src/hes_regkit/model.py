@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "POWER_TOL",
     "SOC_TOL",
@@ -188,6 +190,52 @@ def hes_output(step: DispatchStep) -> float:
     return step.p_gen - step.p_load + step.p_discharge + step.p_charge
 
 
+def _bound(label: str, name: str, x: np.ndarray, lo: float, hi: float, tol: float):
+    """(mask, message) of one bound. The mask negates
+    ``lo - tol <= x <= hi + tol``, so NaN fails it."""
+    mask = ~((lo - tol <= x) & (x <= hi + tol))
+    return mask, lambda k: f"{label}: {name}={x[k].item()!r} outside [{lo}, {hi}]"
+
+
+def _envelope_violations(
+    cfg: HesConfig, p_gen, p_load, p_discharge, p_charge, soc_next,
+    *, power_tol: float = POWER_TOL, soc_tol: float = SOC_TOL,
+) -> list[tuple[int, FeasibilityVerdict]]:
+    """The envelope over float64 columns of steps, one whole-column test per
+    constraint: (k, verdict) for each step k that breaks it, in step order.
+
+    Each verdict collects every violated constraint rather than stopping at
+    the first, so fuzz harnesses can report what actually broke:
+
+    - generator within [p_min, p_max]
+    - load within [0, p_max]
+    - discharge within [0, batt.p_max], charge within [-batt.p_max, 0]
+    - complementarity: p_discharge * (-p_charge) <= power_tol
+    - resulting SoC within [soc_min, soc_max] (tolerance soc_tol)
+    """
+    gen, load, batt = cfg.gen, cfg.load, cfg.batt
+    # as in Python floats: inf * -0.0 is NaN (no overlap), overflow is inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        overlap = p_discharge * -p_charge
+    checks = (
+        _bound("generator-bounds", "p_gen", p_gen, gen.p_min, gen.p_max, power_tol),
+        _bound("load-bounds", "p_load", p_load, 0, load.p_max, power_tol),
+        _bound("battery-discharge-bounds", "p_discharge", p_discharge, 0, batt.p_max, power_tol),
+        _bound("battery-charge-bounds", "p_charge", p_charge, -batt.p_max, 0, power_tol),
+        (
+            overlap > power_tol,
+            lambda k: "complementarity: simultaneous charge and discharge "
+            f"(p_discharge={p_discharge[k].item()!r}, p_charge={p_charge[k].item()!r})",
+        ),
+        _bound("soc-bounds", "e", soc_next, batt.soc_min, batt.soc_max, soc_tol),
+    )
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    return [
+        (k, FeasibilityVerdict(tuple(message(k) for mask, message in checks if mask[k])))
+        for k in np.flatnonzero(failing).tolist()
+    ]
+
+
 def check_step_feasible(
     cfg: HesConfig,
     step: DispatchStep,
@@ -196,49 +244,13 @@ def check_step_feasible(
     power_tol: float = POWER_TOL,
     soc_tol: float = SOC_TOL,
 ) -> FeasibilityVerdict:
-    """Check one dispatch step against asset limits.
-
-    Verdicts collect every violated constraint rather than stopping at the
-    first, so fuzz harnesses can report what actually broke:
-
-    - generator within [p_min, p_max]
-    - load within [0, p_max]
-    - discharge within [0, batt.p_max], charge within [-batt.p_max, 0]
-    - complementarity: p_discharge * (-p_charge) <= power_tol
-    - resulting SoC within [soc_min, soc_max] (tolerance soc_tol)
-    """
-    violations: list[str] = []
-    gen, load, batt = cfg.gen, cfg.load, cfg.batt
-
-    if not gen.p_min - power_tol <= step.p_gen <= gen.p_max + power_tol:
-        violations.append(
-            f"generator-bounds: p_gen={step.p_gen!r} outside "
-            f"[{gen.p_min}, {gen.p_max}]"
-        )
-    if not -power_tol <= step.p_load <= load.p_max + power_tol:
-        violations.append(
-            f"load-bounds: p_load={step.p_load!r} outside [0, {load.p_max}]"
-        )
-    if not -power_tol <= step.p_discharge <= batt.p_max + power_tol:
-        violations.append(
-            f"battery-discharge-bounds: p_discharge={step.p_discharge!r} "
-            f"outside [0, {batt.p_max}]"
-        )
-    if not -batt.p_max - power_tol <= step.p_charge <= power_tol:
-        violations.append(
-            f"battery-charge-bounds: p_charge={step.p_charge!r} "
-            f"outside [{-batt.p_max}, 0]"
-        )
-    if step.p_discharge * (-step.p_charge) > power_tol:
-        violations.append(
-            "complementarity: simultaneous charge and discharge "
-            f"(p_discharge={step.p_discharge!r}, p_charge={step.p_charge!r})"
-        )
-    if not batt.soc_min - soc_tol <= e_next.e <= batt.soc_max + soc_tol:
-        violations.append(
-            f"soc-bounds: e={e_next.e!r} outside [{batt.soc_min}, {batt.soc_max}]"
-        )
-    return FeasibilityVerdict(violations=tuple(violations))
+    """Check one dispatch step against asset limits: the one-step view of
+    _envelope_violations."""
+    cols = np.array(
+        [[step.p_gen], [step.p_load], [step.p_discharge], [step.p_charge], [e_next.e]], dtype=float
+    )
+    bad = _envelope_violations(cfg, *cols, power_tol=power_tol, soc_tol=soc_tol)
+    return bad[0][1] if bad else FeasibilityVerdict(violations=())
 
 
 def ensure_dispatchable(cfg: HesConfig) -> None:

@@ -17,7 +17,10 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from collections.abc import Buffer  # bytes, memoryview, C-contiguous arrays
 
 __all__ = [
     "format_float",
@@ -25,7 +28,6 @@ __all__ = [
     "write_json",
     "write_csv",
     "read_csv",
-    "sha256_update_json",
     "digest_of",
 ]
 
@@ -154,15 +156,10 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]], list[str]]:
     return header, rows, comments
 
 
-def sha256_update_json(h: "hashlib._Hash", obj: Any) -> None:
-    """Feed a canonical JSON rendering of obj into a hash object."""
-    h.update(dumps_json(obj).encode("utf-8"))
-
-
-def digest_of(obj: Any, *blobs: bytes) -> str:
-    """sha256 hex digest of a canonical JSON object plus raw byte blobs."""
-    h = hashlib.sha256()
-    sha256_update_json(h, obj)
+def digest_of(obj: Any, *blobs: Buffer) -> str:
+    """sha256 hex digest of a canonical JSON rendering of obj, then of raw
+    blobs: bytes-like objects, each hashed from its own buffer."""
+    h = hashlib.sha256(dumps_json(obj).encode("utf-8"))
     for blob in blobs:
         h.update(blob)
     return h.hexdigest()

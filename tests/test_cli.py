@@ -305,6 +305,24 @@ class TestAsymSweep:
         assert err.startswith("error: load=3: z_gamma(14) = ")
         assert err.rstrip().endswith("still clears x_p_min = 0.75; raise c_hi")
 
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ("8,8.0000001", "8.0 and 8.0000001 both name files '8'"),
+            ("3,3", "3.0 and 3.0 both name files '3'"),
+            ("0,1e-7,0.0", "0.0 and 0.0 both name files '0'"),
+        ],
+    )
+    def test_values_sharing_a_file_label_refused_before_any_work(
+        self, config_path, tmp_path, capsys, values, named
+    ):
+        # curve_gen_<value %g>.csv: two such values would write one file
+        out = tmp_path / "o"
+        assert run(["asym-sweep", "--config", config_path, "--vary", "gen", "--values",
+                    values, "--out", out]) == 1
+        assert f"--values {named}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSocDrift:
     def test_fixed_capacity_summaries(self, config_path, tmp_path):
@@ -404,6 +422,16 @@ class TestSocDrift:
         assert case["mean_final_soc"] == float(np.mean(finals))
         assert case["min_final_soc"] == float(np.min(finals))
         assert case["max_final_soc"] == float(np.max(finals))
+
+    def test_values_sharing_a_file_label_refused_before_any_work(
+        self, config_path, tmp_path, capsys
+    ):
+        # soc_windows_load_<value %g>.csv: both values would write one file
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", config_path, "--vary", "load", "--values",
+                    "2,2.0000001", "--capacity", 6, "--out", out]) == 1
+        assert "--values 2.0 and 2.0000001 both name files '2'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynth:

@@ -6,12 +6,14 @@ Equality is checked on the bytes of each float, so 0.0 and -0.0 differ
 (``np.array_equal`` would call them equal). The rule's reference is the rule
 as plain Python floats, one step at a time, which is how the rule was first
 written and what the trace files were recorded from. The ingest reference is
-the line-by-line reader every file once went through.
+the line-by-line reader every file once went through, and the envelope
+check's is the per-step loop validate_trace once ran.
 """
 
 import dataclasses
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hes_regkit import (
+    POWER_TOL,
     SOC_TOL,
     BatteryParams,
     DispatchStep,
+    DispatchTrace,
     EmptyArchiveError,
+    FeasibilityVerdict,
     GeneratorParams,
     HesConfig,
     LoadParams,
@@ -33,6 +38,7 @@ from hes_regkit import (
     SignalParseError,
     SignalRangeError,
     SocState,
+    check_step_feasible,
     closed_form_dispatch,
     dp_oracle,
     load_archive,
@@ -44,6 +50,7 @@ from hes_regkit import (
     save_signal,
     save_trace_csv,
     soc_step,
+    validate_trace,
 )
 from hes_regkit import controller
 from hes_regkit.controller import rt_error_sums
@@ -672,3 +679,126 @@ def test_offline_entry_points_keep_soc_in_envelope(cfg, c, matrix):
         assert soc_within(cfg, dp_oracle(cfg, c, sig).trace.soc, SOC_TOL)
         sol = offline_dispatch(cfg, c, sig)
         assert soc_within(cfg, sol.trace.soc, offline_soc_tol(sol.solver_path, sig.n))
+
+
+def reference_check_step(cfg, step, e_next, *, power_tol, soc_tol) -> FeasibilityVerdict:
+    """The envelope check as it was: one step, in plain Python floats."""
+    violations: list[str] = []
+    gen, load, batt = cfg.gen, cfg.load, cfg.batt
+    if not gen.p_min - power_tol <= step.p_gen <= gen.p_max + power_tol:
+        violations.append(
+            f"generator-bounds: p_gen={step.p_gen!r} outside "
+            f"[{gen.p_min}, {gen.p_max}]"
+        )
+    if not -power_tol <= step.p_load <= load.p_max + power_tol:
+        violations.append(
+            f"load-bounds: p_load={step.p_load!r} outside [0, {load.p_max}]"
+        )
+    if not -power_tol <= step.p_discharge <= batt.p_max + power_tol:
+        violations.append(
+            f"battery-discharge-bounds: p_discharge={step.p_discharge!r} "
+            f"outside [0, {batt.p_max}]"
+        )
+    if not -batt.p_max - power_tol <= step.p_charge <= power_tol:
+        violations.append(
+            f"battery-charge-bounds: p_charge={step.p_charge!r} "
+            f"outside [{-batt.p_max}, 0]"
+        )
+    if step.p_discharge * (-step.p_charge) > power_tol:
+        violations.append(
+            "complementarity: simultaneous charge and discharge "
+            f"(p_discharge={step.p_discharge!r}, p_charge={step.p_charge!r})"
+        )
+    if not batt.soc_min - soc_tol <= e_next.e <= batt.soc_max + soc_tol:
+        violations.append(
+            f"soc-bounds: e={e_next.e!r} outside [{batt.soc_min}, {batt.soc_max}]"
+        )
+    return FeasibilityVerdict(violations=tuple(violations))
+
+
+def reference_validate(cfg, trace, *, power_tol, soc_tol) -> list:
+    """validate_trace as it was: a DispatchStep, a SocState and a verdict
+    per step."""
+    bad = []
+    for k in range(trace.n_steps):
+        step = DispatchStep(
+            p_gen=float(trace.p_gen[k]),
+            p_load=float(trace.p_load[k]),
+            p_discharge=float(trace.p_discharge[k]),
+            p_charge=float(trace.p_charge[k]),
+            p_hes=float(trace.p_hes[k]),
+        )
+        verdict = reference_check_step(
+            cfg, step, SocState(e=float(trace.soc[k + 1])), power_tol=power_tol, soc_tol=soc_tol
+        )
+        if not verdict.feasible:
+            bad.append((k, verdict))
+    return bad
+
+
+def near(*edges: float) -> list[float]:
+    """Each edge and its two float neighbours."""
+    return [x for e in edges for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+
+
+@st.composite
+def envelope_cases(draw):
+    """A fleet (generator p_min too), tolerances, and a trace whose every
+    column holds values on, next to and beyond each bound it is checked
+    against, with and without the tolerance, plus +-0.0, NaN and +-inf."""
+    cfg = draw(fleets())
+    gen = GeneratorParams(p_max=cfg.gen.p_max + 1.0, p_min=draw(st.sampled_from([0.0, 0.5])))
+    cfg = dataclasses.replace(cfg, gen=gen)
+    n = draw(st.integers(1, 12))
+    power_tol, soc_tol = draw(
+        st.one_of(
+            st.just((POWER_TOL, SOC_TOL)),
+            st.just((1e-6, 2e-8 * n + 1e-9)),  # the offline repair's tolerances
+            st.just((0.0, 0.0)),
+            st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.05)),
+        )
+    )
+    batt, ptol, stol = cfg.batt, power_tol, soc_tol
+    edges = {
+        "p_gen": (gen.p_min, gen.p_max, gen.p_min - ptol, gen.p_max + ptol),
+        "p_load": (0.0, cfg.load.p_max, -ptol, cfg.load.p_max + ptol),
+        # 1.0 * ptol is ptol exactly: on the complementarity bound with -ptol
+        "p_discharge": (0.0, 1.0, batt.p_max, -ptol, batt.p_max + ptol, math.sqrt(ptol)),
+        "p_charge": (0.0, -batt.p_max, -batt.p_max - ptol, ptol, -ptol, -math.sqrt(ptol)),
+        "soc": (batt.soc_min, batt.soc_max, batt.soc_min - stol, batt.soc_max + stol),
+    }
+    cols = {}
+    for name, bounds in edges.items():
+        special = near(*bounds) + [0.0, -0.0, math.nan, math.inf, -math.inf]
+        element = st.one_of(
+            st.sampled_from(special),
+            st.floats(min(bounds) - 1.0, max(bounds) + 1.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        size = n + 1 if name == "soc" else n
+        cols[name] = np.array(draw(st.lists(element, min_size=size, max_size=size)))
+    trace = DispatchTrace(target=np.zeros(n), p_hes=np.zeros(n), **cols)
+    return cfg, trace, power_tol, soc_tol
+
+
+@settings(PROPERTY, max_examples=300)
+@given(case=envelope_cases())
+def test_validate_trace_matches_per_step_loop(case):
+    cfg, trace, power_tol, soc_tol = case
+    expected = reference_validate(cfg, trace, power_tol=power_tol, soc_tol=soc_tol)
+    with warnings.catch_warnings():  # Python floats do not warn on inf * 0.0
+        warnings.simplefilter("error", RuntimeWarning)
+        got = validate_trace(cfg, trace, power_tol=power_tol, soc_tol=soc_tol)
+    assert got == expected
+    if (power_tol, soc_tol) == (POWER_TOL, SOC_TOL):
+        assert validate_trace(cfg, trace) == expected
+    # check_step_feasible is the same check on one step
+    verdicts = dict(expected)
+    for k in range(trace.n_steps):
+        step = DispatchStep.from_assets(
+            *(float(getattr(trace, name)[k]) for name in COLUMNS[1:5])
+        )
+        verdict = check_step_feasible(
+            cfg, step, SocState(float(trace.soc[k + 1])), power_tol=power_tol, soc_tol=soc_tol
+        )
+        assert verdict == verdicts.get(k, FeasibilityVerdict(violations=()))
