@@ -238,7 +238,9 @@ def _parse_values(raw: str | None) -> list[float]:
     if raw is None or raw.strip() == "":
         return []
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        # + 0.0 stores -0 as 0, as the model stores a -0.0 limit, so that it
+        # names the files 0 names
+        values = [float(tok) + 0.0 for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"--values must be comma-separated numbers, got {raw!r}") from None
     labels: dict[str, float] = {}
@@ -252,49 +254,55 @@ def _parse_values(raw: str | None) -> list[float]:
     return values
 
 
-def _solve_case(
-    hes: HesConfig, archive: SignalArchive, cfg: RunConfig, vary: str | None, value: float | None
-) -> BidSolution:
-    """solve_bid for one sweep case; a BracketError names the case's value."""
-    try:
-        return solve_bid(hes, archive, cfg.market, cfg.sweep)
-    except BracketError as exc:
-        if vary is None:
-            raise
-        raise BracketError(f"{vary}={value:g}: {exc}") from exc
+def _sweep(cases, run_case) -> tuple[list, list[dict]]:
+    """run_case(vary, value) over every case. A varied case whose bid has
+    no bracket gets one 'error: <vary>=<value>: ...' line on stderr, and the
+    sweep goes on; the unvaried case's error propagates. Returns the
+    finished cases' results and a {"value", "error"} record per failed
+    case."""
+    results, failed = [], []
+    for vary, value in cases:
+        try:
+            results.append(run_case(vary, value))
+        except BracketError as exc:
+            if vary is None:
+                raise
+            message = f"{vary}={value:g}: {exc}"
+            print(f"error: {message}", file=sys.stderr)
+            failed.append({"value": value, "error": message})
+    return results, failed
 
 
 def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
     archive = resolve_archive(cfg)
     out = _out_dir(cfg)
-    results = []
-    for value in values:
+
+    def run_case(vary: str, value: float) -> dict:
         hes = _vary_config(cfg.hes, vary, value)
-        solution = _solve_case(hes, archive, cfg, vary, value)
-        at_star = solution.point_at(solution.c_star)
-        knee_low = min(hes.gen.p_max, hes.load.p_max) + hes.batt.p_max
-        knee_high = max(hes.gen.p_max, hes.load.p_max) + hes.batt.p_max
-        results.append(
-            {
-                "value": value,
-                "c_star": solution.c_star,
-                "c_bar": solution.c_bar,
-                "c_hat": solution.c_hat,
-                "mean_xp_at_c_star": at_star.mean_xp,
-                "knee_low": knee_low,
-                "knee_high": knee_high,
-            }
-        )
+        solution = solve_bid(hes, archive, cfg.market, cfg.sweep)
         write_csv(
             out / ("curve_%s_%g.csv" % (vary, value)),
             _SWEEP_CURVE_COLUMNS,
             _rows(_curve_points(solution), _SWEEP_CURVE_COLUMNS),
         )
+        return {
+            "value": value,
+            "c_star": solution.c_star,
+            "c_bar": solution.c_bar,
+            "c_hat": solution.c_hat,
+            "mean_xp_at_c_star": solution.point_at(solution.c_star).mean_xp,
+            "knee_low": min(hes.gen.p_max, hes.load.p_max) + hes.batt.p_max,
+            "knee_high": max(hes.gen.p_max, hes.load.p_max) + hes.batt.p_max,
+        }
+
+    results, failed = _sweep([(vary, v) for v in values], run_case)
     write_csv(out / "asym_sweep.csv", _SWEEP_COLUMNS, _rows(results, _SWEEP_COLUMNS))
     report = _report_header("asym-sweep", cfg, archive)
     report.update({"vary": vary, "values": values, "results": results})
+    if failed:
+        report["failed"] = failed
     write_json(out / "asym_sweep.json", report)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_soc_drift(
@@ -309,14 +317,13 @@ def cmd_soc_drift(
     archive = resolve_archive(cfg)
     out = _out_dir(cfg)
     batt = cfg.hes.batt
-    cases = [(vary, v) for v in values] if vary else [(None, None)]
-    summaries = []
-    for vary_name, value in cases:
+
+    def run_case(vary_name: str | None, value: float | None) -> dict:
         hes = cfg.hes if vary_name is None else _vary_config(cfg.hes, vary_name, value)
         if capacity is not None:
             c_used = capacity
         else:
-            c_used = _solve_case(hes, archive, cfg, vary_name, value).c_star
+            c_used = solve_bid(hes, archive, cfg.market, cfg.sweep).c_star
         batch = rt_dispatch_batch(hes, c_used, archive.matrix(), archive.dt)
         soc = batch.soc
         at_bound = (soc <= batt.soc_min + 1e-9) | (soc >= batt.soc_max - 1e-9)
@@ -337,23 +344,26 @@ def cmd_soc_drift(
                 first_hit.tolist(),
             ),
         )
-        summaries.append(
-            {
-                "case": label,
-                "vary": vary_name,
-                "value": value,
-                "capacity": c_used,
-                "windows": archive.n_windows,
-                "windows_hitting_bounds": int(hit.sum()),
-                "mean_final_soc": float(np.mean(finals)),
-                "min_final_soc": float(np.min(finals)),
-                "max_final_soc": float(np.max(finals)),
-            }
-        )
+        return {
+            "case": label,
+            "vary": vary_name,
+            "value": value,
+            "capacity": c_used,
+            "windows": archive.n_windows,
+            "windows_hitting_bounds": int(hit.sum()),
+            "mean_final_soc": float(np.mean(finals)),
+            "min_final_soc": float(np.min(finals)),
+            "max_final_soc": float(np.max(finals)),
+        }
+
+    cases = [(vary, v) for v in values] if vary else [(None, None)]
+    summaries, failed = _sweep(cases, run_case)
     report = _report_header("soc-drift", cfg, archive)
     report["cases"] = summaries
+    if failed:
+        report["failed"] = failed
     write_json(out / "soc_drift.json", report)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_synth(cfg: RunConfig) -> int:

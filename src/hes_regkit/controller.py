@@ -31,9 +31,12 @@ changes no bit. rt_step, rt_dispatch and rt_dispatch_batch are views of the
 kernel, and give the same bits. rt_error_sums runs the same two halves for
 many capacities at once, a block of steps at a time, and keeps only each
 (capacity, window)'s SoC and running L1 error, which is all bid scoring
-needs (not even the SoC while the prefix covers the window); its sums equal
-the batch's bitwise, whatever the block size, and so do the bid curve and
-every artifact built from them.
+needs. Where the prefix covers the window it needs neither the split nor
+the SoC: at full headroom the net output is the command clipped to the
+assets' reach, first to [-load.p_max, gen.p_max], then its rest to
+[-batt.p_max, batt.p_max] (_saturated_error), which gives the same
+|target - p_hes| bit for bit. Its sums equal the batch's bitwise, whatever
+the block size, and so do the bid curve and every artifact built from them.
 
 validate_trace runs the envelope check of model.check_step_feasible once
 over a trace's columns. Trace files go through reports.write_csv /
@@ -226,9 +229,9 @@ def _soc_path(batt: BatteryParams, p_discharge, p_charge, dt: float, soc):
 
 def _free_battery(cfg: HesConfig, resid, soc, p_discharge, p_charge) -> None:
     """The battery's half of the rule at full headroom, (p_max, -p_max):
-    fills p_discharge and p_charge, and soc[1:] from soc[0] unless soc is
-    None. It runs a block of steps at a time, so that its temporaries stay
-    within _STEP_BLOCK_ELEMENTS elements."""
+    fills p_discharge and p_charge, and soc[1:] from soc[0]. It runs a block
+    of steps at a time, so that its temporaries stay within
+    _STEP_BLOCK_ELEMENTS elements."""
     batt = cfg.batt
     rows = max(1, _STEP_BLOCK_ELEMENTS // resid[0].size)
     for k in range(0, resid.shape[0], rows):
@@ -236,8 +239,28 @@ def _free_battery(cfg: HesConfig, resid, soc, p_discharge, p_charge) -> None:
             resid[k : k + rows], batt.p_max, -batt.p_max,
             (p_discharge[k : k + rows], p_charge[k : k + rows]),
         )
-        if soc is not None:
-            _soc_path(batt, p_d, p_c, cfg.dt, soc[k : k + rows + 1])
+        _soc_path(batt, p_d, p_c, cfg.dt, soc[k : k + rows + 1])
+
+
+def _saturated_error(cfg: HesConfig, c, r, out):
+    """target - p_hes of the rule at full headroom, into out[0], with out[1]
+    and out[2] as scratch: the net output is the command clipped to the
+    assets' reach, gl = clip(target, -load.p_max, gen.p_max) and then
+    b = clip(target - gl, -batt.p_max, batt.p_max), with no split.
+
+    At full headroom at most one of p_gen and p_load is non-zero, and at
+    most one of p_discharge and p_charge, so gl is p_gen - p_load, b is
+    p_discharge + p_charge, and gl + b is the rule's p_hes but perhaps for
+    the sign of a zero, which |target - p_hes| drops.
+    """
+    target, gl, b = out
+    pb = cfg.batt.p_max
+    np.multiply(c, r, out=target)
+    np.clip(target, -cfg.load.p_max, cfg.gen.p_max, out=gl)
+    np.subtract(target, gl, out=b)
+    np.clip(b, -pb, pb, out=b)
+    gl += b
+    return np.subtract(target, gl, out=target)
 
 
 def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
@@ -407,14 +430,16 @@ def rt_error_sums(
     Returns a (capacities, windows) array whose row j is bitwise
     ``rt_dispatch_batch(cfg, capacities[j], samples, dt).err_sums``. All
     capacities step together through the (n_windows, n_steps) samples a
-    block of steps at a time: the SoC-free half of the rule runs once per
-    block, the battery's once per block within the full-headroom prefix
-    (_free_steps) and step by step after it, and each step's errors join
-    the running sums in step order. Memory grows with the block, not with
-    the number of steps: seven step-block arrays (the split's four, the
-    battery's two, and the SoC's, one step longer), each at most about
-    _STEP_BLOCK_ELEMENTS elements but never less than one step of
-    capacities x windows; the prefix runs in the same buffers.
+    block of steps at a time, and each step's errors join the running sums
+    in step order. Where the full-headroom prefix (_free_steps) covers the
+    window, each block's errors come from the saturation form
+    (_saturated_error). Elsewhere the SoC-free half of the rule runs once
+    per block, the battery's once per block within the prefix and step by
+    step after it. Memory grows with the block, not with the number of
+    steps: step-block arrays of at most about _STEP_BLOCK_ELEMENTS elements
+    each, but never less than one step of capacities x windows. There are
+    three where the prefix covers the window, else seven (the split's four,
+    the battery's two, and the SoC's, one step longer).
     """
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
@@ -428,22 +453,24 @@ def rt_error_sums(
     n_free = _free_steps(cfg, e0, n_steps)
     # buffers made once per call: made per block, they slowed a bid-year-sized
     # call (77 capacities x 365 windows, one step per block) 1.8x, in page
-    # faults. No SoC is kept when the prefix covers the window.
-    soc = np.full((block + 1, cs.size, n_windows), e0) if n_free < n_steps else None
-    buffers = [np.empty((block, cs.size, n_windows)) for _ in range(6)]
+    # faults. The saturation form needs three and no SoC.
+    saturated = n_free >= n_steps
+    buffers = [np.empty((block, cs.size, n_windows)) for _ in range(3 if saturated else 6)]
+    soc = None if saturated else np.full((block + 1, cs.size, n_windows), e0)
     err_sums = np.zeros((cs.size, n_windows))
     commands = np.ascontiguousarray(samples.T)  # each block one slab of memory
     for start in range(0, n_steps, block):
         r = commands[start : start + block, None, :]
         n = r.shape[0]
-        target, p_gen, p_load, resid, p_d, p_c = (a[:n] for a in buffers)
-        _split_command(cfg, c, r, (target, p_gen, p_load, resid))
-        if soc is None:
-            _free_battery(cfg, resid, None, p_d, p_c)
+        if saturated:
+            err = _saturated_error(cfg, c, r, [a[:n] for a in buffers])
         else:
+            target, p_gen, p_load, resid, p_d, p_c = (a[:n] for a in buffers)
+            _split_command(cfg, c, r, (target, p_gen, p_load, resid))
             _battery_half(cfg, resid, soc[: n + 1], p_d, p_c, n_free - start)
             soc[0] = soc[n]
-        err = np.subtract(target, _net_output(p_gen, p_load, p_d, p_c, out=resid), out=target)
+            p_hes = _net_output(p_gen, p_load, p_d, p_c, out=resid)
+            err = np.subtract(target, p_hes, out=target)
         for err_k in np.abs(err, out=err):
             err_sums += err_k  # step by step, as rt_dispatch_batch sums
     return err_sums

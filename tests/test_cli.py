@@ -90,6 +90,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def outputs(out) -> dict:
+    """Every file a run wrote, by name, as bytes."""
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
 class TestCharacterize:
     def test_artifacts(self, config_path, tmp_path):
         out = tmp_path / "o"
@@ -323,6 +328,44 @@ class TestAsymSweep:
         assert f"--values {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_zero_is_zero(self, config_path, tmp_path, capsys):
+        # -0 names the files 0 names, so the two are one value
+        out = tmp_path / "o"
+        assert run(["asym-sweep", "--config", config_path, "--vary", "gen", "--values",
+                    "0,-0", "--out", out]) == 1
+        assert "--values 0.0 and 0.0 both name files '0'" in capsys.readouterr().err
+        assert not out.exists()
+        for value in ("0", "-0"):
+            assert run(["asym-sweep", "--config", config_path, "--vary", "gen", "--values",
+                        value, "--out", tmp_path / value]) == 0
+        assert outputs(tmp_path / "-0") == outputs(tmp_path / "0")
+        assert sorted(outputs(tmp_path / "0")) == [
+            "asym_sweep.csv", "asym_sweep.json", "curve_gen_0.csv"
+        ]
+
+    def test_bracket_error_keeps_every_finished_value(self, tmp_path, capsys):
+        p = tmp_path / "exp.ini"
+        p.write_text(NARROW_SWEEP)
+        out = tmp_path / "o"
+        # the failing value first: the values after it still run
+        assert run(["asym-sweep", "--config", p, "--vary", "load", "--values", "3,0",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: load=3: z_gamma(14) = ") and err.count("\n") == 1
+        report = json.loads((out / "asym_sweep.json").read_text())
+        assert report["values"] == [3.0, 0.0]
+        assert [r["value"] for r in report["results"]] == [0.0]
+        assert report["failed"] == [{"value": 3.0, "error": err[len("error: "):].rstrip()}]
+        _, rows, _ = read_csv(out / "asym_sweep.csv")
+        assert [row[0] for row in rows] == ["0"]
+        assert sorted(outputs(out)) == ["asym_sweep.csv", "asym_sweep.json", "curve_load_0.csv"]
+        # a sweep where every value finishes has no failed list
+        assert run(["asym-sweep", "--config", p, "--vary", "load", "--values", "0",
+                    "--out", tmp_path / "ok"]) == 0
+        ok = json.loads((tmp_path / "ok" / "asym_sweep.json").read_text())
+        assert "failed" not in ok
+        assert ok["results"] == report["results"]
+
 
 class TestSocDrift:
     def test_fixed_capacity_summaries(self, config_path, tmp_path):
@@ -432,6 +475,36 @@ class TestSocDrift:
                     "2,2.0000001", "--capacity", 6, "--out", out]) == 1
         assert "--values 2.0 and 2.0000001 both name files '2'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_zero_is_zero(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", config_path, "--vary", "load", "--values",
+                    "0,-0", "--capacity", 6, "--out", out]) == 1
+        assert "--values 0.0 and 0.0 both name files '0'" in capsys.readouterr().err
+        assert not out.exists()
+        for value in ("0", "-0"):
+            assert run(["soc-drift", "--config", config_path, "--vary", "load", "--values",
+                        value, "--capacity", 6, "--out", tmp_path / value]) == 0
+        assert outputs(tmp_path / "-0") == outputs(tmp_path / "0")
+        assert sorted(outputs(tmp_path / "0")) == ["soc_drift.json", "soc_windows_load_0.csv"]
+
+    def test_bracket_error_keeps_every_finished_value(self, tmp_path, capsys):
+        p = tmp_path / "exp.ini"
+        p.write_text(NARROW_SWEEP)
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", p, "--vary", "load", "--values", "3,0",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: load=3: z_gamma(14) = ") and err.count("\n") == 1
+        report = json.loads((out / "soc_drift.json").read_text())
+        assert [c["case"] for c in report["cases"]] == ["load_0"]
+        assert report["failed"] == [{"value": 3.0, "error": err[len("error: "):].rstrip()}]
+        assert sorted(outputs(out)) == ["soc_drift.json", "soc_windows_load_0.csv"]
+        assert run(["soc-drift", "--config", p, "--vary", "load", "--values", "0",
+                    "--out", tmp_path / "ok"]) == 0
+        ok = json.loads((tmp_path / "ok" / "soc_drift.json").read_text())
+        assert "failed" not in ok
+        assert ok["cases"] == report["cases"]
 
 
 class TestSynth:

@@ -365,6 +365,60 @@ def test_reference_battery_prefix():
     assert controller._free_steps(cfg, 0.1, 180) == 0
 
 
+def assert_scored_without_the_split(cfg: HesConfig, cs, matrix, e0: float) -> None:
+    """rt_error_sums with the rule's split and battery share made to raise,
+    so that only the whole-prefix route can run, against the reference rule
+    bitwise."""
+    def unused(*args, **kwargs):
+        raise AssertionError("the whole-prefix route ran the rule's split")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_split_command", unused)
+        mp.setattr(controller, "_battery_share", unused)
+        stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
+    for j, c in enumerate(cs):
+        for i, r in enumerate(matrix):
+            ref = reference_error_sum(reference_rule(cfg, c, r, e0))
+            assert same_bits(stacked[j, i], ref), (c, i)
+
+
+@pytest.mark.parametrize(
+    "gen_max, load_max",
+    [(1.5, 0.75), (0.75, 1.5), (1.5, 0.0), (0.0, 1.5), (0.0, 0.0), (-0.0, 1.5), (1.5, 1.5)],
+)
+def test_whole_prefix_scoring_runs_no_split(gen_max, load_max):
+    # limits exact in binary, so that at c = 8 commands land on each knee of
+    # the rule: gen.p_max, gen.p_max + batt.p_max and their load twins
+    cfg = HesConfig(
+        gen=GeneratorParams(p_max=gen_max),
+        load=LoadParams(p_max=load_max),
+        batt=BatteryParams(p_max=2.0, energy_capacity=1.0, soc_init=0.5),
+        dt=0.01,
+    )
+    pb = cfg.batt.p_max
+    knees = [gen_max, gen_max + pb, -load_max, -(load_max + pb)]
+    row = np.array(SIGNED_COMMANDS + [k / 8.0 for k in knees])
+    assert (8.0 * row[len(SIGNED_COMMANDS):]).tolist() == knees
+    matrix = np.stack([row, row[::-1], *(np.full(row.size, r) for r in row)])
+    assert controller._free_steps(cfg, 0.5, row.size) == row.size
+    # c * r underflows at 0.05
+    assert_scored_without_the_split(cfg, [8.0, 0.05, 2.0, 16.0], matrix, 0.5)
+
+
+@PROPERTY
+@given(cfg=fleets(), matrix=windows(), data=st.data())
+def test_whole_prefix_scoring_matches_reference_bitwise(cfg, matrix, data):
+    # from mid-envelope, with dt cut so that the window fits in the prefix
+    batt = cfg.batt
+    n = matrix.shape[1]
+    half = 0.5 * (batt.soc_max - batt.soc_min)
+    dt = min(cfg.dt, 0.5 * half * batt.energy_capacity * batt.eta_d / (batt.p_max * (n + 1)))
+    e0 = batt.soc_min + half
+    cfg = HesConfig(cfg.gen, cfg.load, dataclasses.replace(batt, soc_init=e0), dt)
+    assert controller._free_steps(cfg, e0, n) == n
+    cs = data.draw(st.lists(capacities, min_size=1, max_size=4))
+    assert_scored_without_the_split(cfg, cs, matrix, e0)
+
+
 def soc_near_a_threshold(data, cfg: HesConfig) -> float:
     """An initial SoC anywhere in the envelope, or a few full steps from
     where the headroom starts to bind."""
