@@ -13,6 +13,8 @@ per-window drift that compounds across consecutive hours.
 Run:  python3 demos/05_asymmetry_and_drift.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from hes_regkit import (
@@ -64,12 +66,13 @@ print("state-of-charge drift across 8 back-to-back windows, C = 8 MW")
 drift_sig = synth_signal("drifting", n=1800, dt=DT, seed=9, bias=-0.10, noise=0.5)
 for gen, load in ((3.0, 3.0), (0.0, 3.0), (3.0, 0.0)):
     cfg = system(gen, load)
-    soc = batt.soc_init
     finals = []
     for _ in range(8):
-        trace = rt_dispatch(cfg, 8.0, drift_sig, soc_init=soc)
+        trace = rt_dispatch(cfg, 8.0, drift_sig)
         soc = float(trace.soc[-1])
         finals.append(soc)
+        # the next window starts where this one ended
+        cfg = dataclasses.replace(cfg, batt=dataclasses.replace(cfg.batt, soc_init=soc))
     path = " -> ".join(f"{v:.3f}" for v in finals)
     print(f"  gen={gen:.0f} load={load:.0f}: {path}")
 

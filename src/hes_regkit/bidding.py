@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .controller import rt_error_sums
-from .model import HesConfig
+from .model import HesConfig, _require_finite
 from .scoring import MarketParams
 from .signals import SignalArchive
 
@@ -61,10 +61,7 @@ class SweepGrid:
     refine_tol: float = 0.01
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        _require_finite("", self, *(f.name for f in fields(self)))
         if not 0.0 < self.c_lo < self.c_hi:
             raise ValueError(
                 f"need 0 < c_lo < c_hi, got c_lo={self.c_lo}, c_hi={self.c_hi}"

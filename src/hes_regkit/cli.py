@@ -337,8 +337,8 @@ def cmd_soc_drift(
             zip(
                 range(archive.n_windows),
                 np.median(soc, axis=1).tolist(),
-                batch.soc_lowest.tolist(),
-                batch.soc_highest.tolist(),
+                soc.min(axis=1).tolist(),
+                soc.max(axis=1).tolist(),
                 finals.tolist(),
                 hit.tolist(),
                 first_hit.tolist(),

@@ -10,7 +10,9 @@ with ``gen_``, ``load_`` or ``batt_`` in [hes] and ``synth_`` in [signal];
 the field's annotation is its type and the field's default its default.
 Only ``dt_seconds``/``dt_hours``, ``archive``, ``window_len``,
 ``window_offset``, ``out_dir`` and ``seed`` are read by name. Unknown
-sections and keys are refused.
+sections and keys are refused. With a synthetic source, ``window_len`` and
+``synth_n`` are one length: either key sets both, and a pair that disagrees
+is refused.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ class SynthSpec:
         if self.kind not in SYNTH_KINDS:
             raise ConfigError(
                 f"[signal] synth_kind must be one of {SYNTH_KINDS}, got {self.kind!r}"
+            )
+        if self.n < 2:
+            raise ConfigError(
+                f"[signal] synth_n: a window needs n >= 2 samples, got {self.n}"
             )
         if self.windows < 1:
             raise ConfigError(f"[signal] synth_windows must be >= 1, got {self.windows}")
@@ -131,7 +137,7 @@ refine_tol = 0.01         # bisection width target, MW
 
 [signal]                  # exactly one source: archive OR synth_kind
 # archive = data/regd/    # CSV file or directory of CSVs (header: timestamp,r)
-window_len = 1800         # samples per window
+window_len = 1800         # samples per window (synth_n, with a synth source)
 window_offset = 0         # samples to skip before the first window
 synth_kind = energy-neutral-random  # or: drifting | square-wave
 synth_n = 1800            # samples per synthetic window
@@ -230,8 +236,16 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             "[signal] needs exactly one source: 'archive' or 'synth_kind'"
         )
+    len_given = "window_len" in sig_s
     window_len = _pop(sig_s, "signal", "window_len", "int", 1800)
-    synth = _build(SynthSpec, sig_s, "signal", "synth_", n=window_len) if has_synth else None
+    synth = None
+    if has_synth:  # one window length: either key gives the other's default
+        synth = _build(SynthSpec, sig_s, "signal", "synth_", n=window_len)
+        if len_given and window_len != synth.n:
+            raise ConfigError(
+                f"[signal] window_len = {window_len} disagrees with synth_n = {synth.n}"
+            )
+        window_len = synth.n
     cfg = RunConfig(
         hes=hes,
         market=market,

@@ -28,11 +28,14 @@ model.soc_change (_soc_path). Only the steps after it go through the loop
 that steps the battery (_battery_steps: headroom, battery share, SoC
 update). The prefix makes the same additions as the loop, so the route
 changes no bit. rt_step, rt_dispatch and rt_dispatch_batch are views of the
-kernel, and give the same bits. rt_error_sums runs the same two halves for
-many capacities at once, a block of steps at a time, and keeps only each
-(capacity, window)'s SoC and running L1 error, which is all bid scoring
-needs. Where the prefix covers the window it needs neither the split nor
-the SoC: at full headroom the net output is the command clipped to the
+kernel, and give the same bits; every window starts at cfg.batt.soc_init
+(rt_step at the state it is given), and rt_dispatch_batch keeps only each
+window's L1 error and SoC path. offline.closed_form_dispatch is the kernel
+with the whole window in the prefix. rt_error_sums runs the same two
+halves for many capacities at once, a block of steps at a time, and keeps
+only each (capacity, window)'s SoC and running L1 error, which is all bid
+scoring needs. Where the prefix covers the window it needs neither the
+split nor the SoC: at full headroom the net output is the command clipped to the
 assets' reach, first to [-load.p_max, gen.p_max], then its rest to
 [-batt.p_max, batt.p_max] (_saturated_error), which gives the same
 |target - p_hes| bit for bit. Its sums equal the batch's bitwise, whatever
@@ -297,27 +300,30 @@ def _battery_half(cfg: HesConfig, resid, soc, p_discharge, p_charge, n_free: int
     _battery_steps(cfg, resid, soc, p_discharge, p_charge)
 
 
-def _rule_columns(cfg: HesConfig, c: float, r: np.ndarray, e0: float) -> tuple:
-    """The rule over step-major commands r, shape (n_steps, n_windows).
+def _rule_columns(
+    cfg: HesConfig, c: float, r: np.ndarray, e0: float, n_free: int | None = None
+) -> tuple:
+    """The rule over step-major commands r, shape (n_steps, n_windows), with
+    the first n_free steps (k* from _free_steps when None) at full headroom.
 
     Returns DispatchTrace's columns in its order, each step-major; soc has
     one more row and is the transpose of a (windows, steps + 1) array.
     """
+    if n_free is None:
+        n_free = _free_steps(cfg, e0, r.shape[0])
     target, p_gen, p_load, resid = _split_command(cfg, c, r)
     p_discharge = np.empty_like(resid)
     p_charge = np.empty_like(resid)
     soc = np.empty((r.shape[1], r.shape[0] + 1)).T
     soc[0] = e0
-    _battery_half(cfg, resid, soc, p_discharge, p_charge, _free_steps(cfg, e0, r.shape[0]))
+    _battery_half(cfg, resid, soc, p_discharge, p_charge, n_free)
     # the residual is spent; its buffer takes p_hes
     p_hes = _net_output(p_gen, p_load, p_discharge, p_charge, out=resid)
     return target, p_gen, p_load, p_discharge, p_charge, p_hes, soc
 
 
-def _check_inputs(
-    cfg: HesConfig, c: float | np.ndarray, dt: float, soc_init: float | None = None
-) -> float:
-    """Checks shared by the dispatch entry points; returns the initial SoC.
+def _check_inputs(cfg: HesConfig, c: float | np.ndarray, dt: float) -> None:
+    """Checks shared by the dispatch entry points.
 
     ``c`` is one capacity or an array of them; each must be finite and > 0.
     """
@@ -329,12 +335,6 @@ def _check_inputs(
             raise ValueError(f"capacity must be > 0 MW, got {c_i}")
     if dt != cfg.dt:
         raise ValueError(f"signal dt={dt} does not match config dt={cfg.dt}")
-    e0 = cfg.batt.soc_init if soc_init is None else float(soc_init)
-    if not cfg.batt.soc_min <= e0 <= cfg.batt.soc_max:
-        raise ValueError(
-            f"soc_init={e0} outside envelope [{cfg.batt.soc_min}, {cfg.batt.soc_max}]"
-        )
-    return e0
 
 
 def rt_step(
@@ -346,77 +346,40 @@ def rt_step(
     return step, SocState(e=cols[6].item(1))
 
 
-def rt_dispatch(
-    cfg: HesConfig, c: float, sig: RegSignal, *, soc_init: float | None = None
-) -> DispatchTrace:
-    """Run the rule over a whole window."""
-    e0 = _check_inputs(cfg, c, sig.dt, soc_init)
-    cols = _rule_columns(cfg, c, sig.samples[:, None], e0)
+def rt_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> DispatchTrace:
+    """Run the rule over a whole window, from cfg.batt.soc_init."""
+    _check_inputs(cfg, c, sig.dt)
+    cols = _rule_columns(cfg, c, sig.samples[:, None], cfg.batt.soc_init)
     return DispatchTrace(*(col[:, 0] for col in cols))
 
 
 @dataclass(frozen=True, eq=False)
 class BatchDispatch:
-    """Many windows dispatched in lockstep, reduced per window and overall.
-
-    Holds per-window L1 error (summed step by step, in step order), the
-    (windows, steps + 1) SoC trajectories and their extremes, plus global
-    extremes of each asset power and of the charge*discharge overlap, which
-    is what safety fuzzing reads.
-    """
+    """Many windows dispatched in lockstep: per-window L1 error (summed step
+    by step, in step order) and the (windows, steps + 1) SoC trajectories."""
 
     err_sums: np.ndarray
-    soc_final: np.ndarray
-    soc_lowest: np.ndarray
-    soc_highest: np.ndarray
-    gen_max: float
-    load_max: float
-    discharge_max: float
-    charge_min: float
-    asset_sign_min: float  # most negative of any gen/load/discharge, and -charge
-    overlap_max: float  # max over steps of p_discharge * (-p_charge)
     soc: np.ndarray  # soc[i, 0] is the initial state, soc[i, k+1] after step k
 
 
 def rt_dispatch_batch(
-    cfg: HesConfig,
-    c: float,
-    samples: np.ndarray,
-    dt: float,
-    *,
-    soc_init: float | None = None,
+    cfg: HesConfig, c: float, samples: np.ndarray, dt: float
 ) -> BatchDispatch:
-    """The rule over an (n_windows, n_steps) sample matrix.
+    """The rule over an (n_windows, n_steps) sample matrix, from
+    cfg.batt.soc_init.
 
     Each window's dispatch is bitwise the one rt_dispatch gives. Samples are
     checked as RegSignal checks a window.
     """
-    e0 = _check_inputs(cfg, c, dt, soc_init)
+    _check_inputs(cfg, c, dt)
     samples = np.asarray(samples, dtype=float)
     _check_samples(samples, 2)
-    target, p_gen, p_load, p_dis, p_ch, p_hes, soc = _rule_columns(cfg, c, samples.T, e0)
+    target, _, _, _, _, p_hes, soc = _rule_columns(cfg, c, samples.T, cfg.batt.soc_init)
     # the kernel's matrices are this call's own: target's buffer is reused
     err = np.subtract(target, p_hes, out=target)
     np.abs(err, out=err)
     np.add.accumulate(err, axis=0, out=err)  # sequential, like a running +=
-    err_sums = err[-1].copy()
-    overlap = np.multiply(p_dis, p_ch, out=err)
-    soc = soc.T
-    return BatchDispatch(
-        err_sums=err_sums,
-        soc_final=soc[:, -1],
-        soc_lowest=soc.min(axis=1),
-        soc_highest=soc.max(axis=1),
-        gen_max=float(p_gen.max()),
-        load_max=float(p_load.max()),
-        discharge_max=float(p_dis.max()),
-        charge_min=float(p_ch.min()),
-        asset_sign_min=min(
-            float(p_gen.min()), float(p_load.min()), float(p_dis.min()), -float(p_ch.max())
-        ),
-        overlap_max=-float(overlap.min()),
-        soc=soc,
-    )
+    return BatchDispatch(err_sums=err[-1].copy(), soc=soc.T)
 
 
 def rt_error_sums(
@@ -444,7 +407,8 @@ def rt_error_sums(
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
         raise ValueError(f"capacities must be a non-empty 1-D array, got shape {cs.shape}")
-    e0 = _check_inputs(cfg, cs, dt)
+    _check_inputs(cfg, cs, dt)
+    e0 = cfg.batt.soc_init
     samples = np.asarray(samples, dtype=float)
     _check_samples(samples, 2)
     c = cs[:, None]

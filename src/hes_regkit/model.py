@@ -13,6 +13,7 @@ so round-trip losses show up as SoC that charging cannot fully recover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ __all__ = [
     "ensure_dispatchable",
 ]
 
+
+def _require_finite(owner: str, obj, *names: str) -> None:
+    """Refuse a NaN or infinite field of ``obj``, naming it."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}{name} must be finite, got {value}")
+
+
 # Absolute tolerances used by feasibility checks. Power-side slack absorbs
 # float noise accumulated over ~1e3 steps; SoC is checked near exactly.
 POWER_TOL = 1e-9  # MW
@@ -52,6 +62,7 @@ class GeneratorParams:
     p_min: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite("generator ", self, "p_max")
         if not 0.0 <= self.p_min <= self.p_max:
             raise ValueError(
                 "generator limits must satisfy 0 <= p_min <= p_max, "
@@ -67,6 +78,7 @@ class LoadParams:
     p_max: float
 
     def __post_init__(self) -> None:
+        _require_finite("load ", self, "p_max")
         if self.p_max < 0.0:
             raise ValueError(f"load p_max must be >= 0, got {self.p_max}")
         object.__setattr__(self, "p_max", abs(self.p_max))  # a -0.0 limit is 0.0
@@ -90,6 +102,7 @@ class BatteryParams:
     soc_init: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite("battery ", self, "p_max", "energy_capacity")
         if self.p_max <= 0.0:
             raise ValueError(f"battery p_max must be > 0, got {self.p_max}")
         if self.energy_capacity <= 0.0:
@@ -122,6 +135,7 @@ class HesConfig:
     dt: float
 
     def __post_init__(self) -> None:
+        _require_finite("", self, "dt")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0 hours, got {self.dt}")
 

@@ -14,9 +14,9 @@ and the grid oracle are deliberately independent of the real-time rule:
   battery power grid. Complementarity is structural. Used to sanity-check
   the LP on small instances.
 - ``closed_form_dispatch``: the saturation form p_hes = clip(C r, -(load+batt),
-  gen+batt), the rule's own allocation with the battery headroom fixed at
-  its power rating, valid only while SoC never touches its envelope; doubles
-  as the hypothesis test for rule-vs-offline equivalence.
+  gen+batt), the rule's own kernel with the battery headroom fixed at its
+  power rating, valid only while SoC never touches its envelope; doubles as
+  the hypothesis test for rule-vs-offline equivalence.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from scipy.optimize import linprog
 from .controller import (
     DispatchTrace,
     _check_inputs,
-    _free_battery,
     _net_output,
+    _rule_columns,
     _soc_path,
-    _split_command,
     rt_dispatch,
     validate_trace,
 )
@@ -279,31 +278,20 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
 
     Output clips the command into [-(load.p_max + batt.p_max),
     gen.p_max + batt.p_max] with the rule's priority allocation, the battery
-    headroom fixed at batt.p_max: the rule kernel's full-headroom prefix
-    (controller._free_battery) run over the whole window. Returns None when
-    the resulting SoC trajectory touches or crosses either envelope bound,
-    in which case the form does not apply.
+    headroom fixed at batt.p_max: the rule kernel (controller._rule_columns)
+    with the whole window in its full-headroom prefix. Returns None when the
+    resulting SoC trajectory touches or crosses either envelope bound, in
+    which case the form does not apply.
     """
     _check_inputs(cfg, c, sig.dt)
     batt = cfg.batt
-    target, p_gen, p_load, resid = _split_command(cfg, c, sig.samples)
-    p_discharge, p_charge = np.empty_like(resid), np.empty_like(resid)
-    soc = np.full(sig.n + 1, batt.soc_init)
-    _free_battery(cfg, resid, soc, p_discharge, p_charge)
-    interior = soc[1:]
+    cols = _rule_columns(cfg, c, sig.samples[:, None], batt.soc_init, n_free=sig.n)
+    trace = DispatchTrace(*(col[:, 0] for col in cols))
+    interior = trace.soc[1:]
     if interior.size and (
         float(interior.min()) <= batt.soc_min or float(interior.max()) >= batt.soc_max
     ):
         return None
-    trace = DispatchTrace(
-        target=target,
-        p_gen=p_gen,
-        p_load=p_load,
-        p_discharge=p_discharge,
-        p_charge=p_charge,
-        p_hes=_net_output(p_gen, p_load, p_discharge, p_charge),
-        soc=soc,
-    )
     return OfflineSolution(
         trace=trace,
         objective=trace.abs_error(),

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .controller import DispatchTrace
+from .model import _require_finite
 from .signals import RegSignal, mileage
 
 __all__ = [
@@ -50,6 +51,7 @@ class MarketParams:
     c_max: float
 
     def __post_init__(self) -> None:
+        _require_finite("", self, "lambda_c", "lambda_m", "c_max")
         if self.lambda_c < 0.0 or self.lambda_m < 0.0:
             raise ValueError(
                 f"prices must be >= 0, got lambda_c={self.lambda_c}, "

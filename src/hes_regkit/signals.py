@@ -88,6 +88,8 @@ def _check_samples(arr: np.ndarray, ndim: int) -> None:
 
 
 def _check_dt(dt: float) -> None:
+    if not math.isfinite(dt):
+        raise SignalError(f"dt must be finite, got {dt}")
     if dt <= 0.0:
         raise SignalError(f"dt must be > 0 hours, got {dt}")
 

@@ -21,6 +21,8 @@ from hes_regkit import (
     RegSignal,
     synth_signal,
 )
+from hes_regkit import controller
+from hes_regkit.model import _envelope_violations
 
 DT_2S = 2.0 / 3600.0
 
@@ -102,3 +104,23 @@ def random_signal(rng: np.random.Generator, n: int, dt: float) -> RegSignal:
 def random_capacity(rng: np.random.Generator, cfg: HesConfig, *, lo=0.2, hi=1.2) -> float:
     reach = max(cfg.gen.p_max, cfg.load.p_max) + cfg.batt.p_max
     return float(rng.uniform(lo, hi) * reach)
+
+
+def same_bits(a, b) -> bool:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def batch_envelope(cfg: HesConfig, c: float, samples: np.ndarray, *, power_tol, soc_tol):
+    """The envelope check over every step of the kernel call rt_dispatch_batch
+    makes on (windows, steps) samples. Returns the (k, verdict) violations,
+    k over the flattened step-major columns, and the kernel's step-major
+    SoC, shape (steps + 1, windows)."""
+    cols = controller._rule_columns(cfg, c, samples.T, cfg.batt.soc_init)
+    _, p_gen, p_load, p_discharge, p_charge, _, soc = cols
+    bad = _envelope_violations(
+        cfg, *(col.ravel() for col in (p_gen, p_load, p_discharge, p_charge, soc[1:])),
+        power_tol=power_tol, soc_tol=soc_tol,
+    )
+    return bad, soc

@@ -13,11 +13,13 @@ import pytest
 
 from helpers import (
     DT_2S,
+    batch_envelope,
     random_capacity,
     random_signal,
     random_system,
     reference_market,
     reference_system,
+    same_bits,
 )
 from hes_regkit.bidding import SweepGrid, score_samples, solve_bid
 from hes_regkit.cli import main
@@ -143,20 +145,12 @@ def test_criterion_3_dispatch_safety(capsys):
             [random_signal(rng, n, DT_2S).samples for _ in range(windows_per)]
         )
         b = rt_dispatch_batch(cfg, c, samples, DT_2S)
-        batt = cfg.batt
-        checks = {
-            "soc-low": b.soc_lowest.min() >= batt.soc_min - 1e-12,
-            "soc-high": b.soc_highest.max() <= batt.soc_max + 1e-12,
-            "gen": b.gen_max <= cfg.gen.p_max + 1e-9,
-            "load": b.load_max <= cfg.load.p_max + 1e-9,
-            "discharge": b.discharge_max <= batt.p_max + 1e-9,
-            "charge": b.charge_min >= -batt.p_max - 1e-9,
-            "signs": b.asset_sign_min >= -1e-9,
-            "overlap": b.overlap_max <= 1e-9,
-        }
-        for label, good in checks.items():
-            if not good:
-                problems.append(f"system {i}: {label}")
+        # the envelope over every step of the kernel call b came from
+        bad, soc = batch_envelope(cfg, c, samples, power_tol=1e-9, soc_tol=1e-12)
+        if bad:
+            problems.append(f"system {i}: {bad[0]}")
+        if not same_bits(b.soc, soc.T):
+            problems.append(f"system {i}: batch SoC is not the kernel's")
     # spot-check the scalar path with the full per-step validator too
     for i in range(50):
         cfg = random_system(rng, DT_2S)

@@ -237,6 +237,23 @@ class TestBid:
         assert "error: coarse_step must be >= 0.00019" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("load_p_max = 3.0", "load_p_max = nan", "load p_max must be finite, got nan"),
+            ("dt_seconds = 2.0", "dt_seconds = nan", "dt must be finite, got nan"),
+            ("lambda_c = 40.0", "lambda_c = inf", "lambda_c must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_parameter_refused(self, tmp_path, capsys, line, bad, message):
+        # a NaN load limit once gave a NaN quantile that counted as compliant
+        p = tmp_path / "nan.ini"
+        p.write_text(BASE.replace(line, bad))
+        out = tmp_path / "o"
+        assert run(["bid", "--config", p, "--out", out]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_undecodable_archive_file_named(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

@@ -256,6 +256,22 @@ class TestKeySet:
         synth = load_config(write_config(tmp_path, text)).synth
         assert (synth.n, synth.windows, synth.period) == (120, 1, 2)
 
+    def test_window_len_defaults_to_synth_n(self, tmp_path):
+        text = GOOD.replace("window_len = 120\n", "").replace("synth_n = 120", "synth_n = 100")
+        cfg = load_config(write_config(tmp_path, text))
+        assert (cfg.window_len, cfg.synth.n) == (100, 100)
+        assert config_digest_payload(cfg)["signal"]["window_len"] == 100
+
+    def test_window_len_disagreeing_with_synth_n_refused(self, tmp_path):
+        text = GOOD.replace("window_len = 120", "window_len = 100")
+        with pytest.raises(ConfigError, match="window_len = 100 disagrees with synth_n = 120"):
+            load_config(write_config(tmp_path, text))
+
+    def test_synth_n_below_two_refused_first(self, tmp_path):
+        text = GOOD.replace("synth_n = 120", "synth_n = 1")
+        with pytest.raises(ConfigError, match="synth_n: a window needs n >= 2 samples, got 1"):
+            load_config(write_config(tmp_path, text))
+
     @pytest.mark.parametrize(
         "section, line, key",
         [

@@ -1,5 +1,7 @@
 """Real-time rule: hand-traced steps, priority/safety properties, batch parity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,15 @@ from hes_regkit import (
     validate_trace,
 )
 from hes_regkit.controller import rt_error_sums
-from helpers import DT_2S, random_capacity, random_signal, random_system, reference_system
+from helpers import (
+    DT_2S,
+    batch_envelope,
+    random_capacity,
+    random_signal,
+    random_system,
+    reference_system,
+    same_bits,
+)
 
 
 class TestRtStep:
@@ -111,7 +121,8 @@ class TestRtDispatch:
 
     def test_soc_init_override(self):
         sig = synth_signal("square-wave", 16, DT_2S, 0)
-        trace = rt_dispatch(self.cfg, 8.0, sig, soc_init=0.2)
+        batt = dataclasses.replace(self.cfg.batt, soc_init=0.2)
+        trace = rt_dispatch(dataclasses.replace(self.cfg, batt=batt), 8.0, sig)
         assert trace.soc[0] == 0.2
 
     def test_rejects_bad_inputs(self):
@@ -120,8 +131,6 @@ class TestRtDispatch:
             rt_dispatch(self.cfg, 0.0, sig)
         with pytest.raises(ValueError, match="dt"):
             rt_dispatch(self.cfg, 8.0, RegSignal(samples=np.zeros(4), dt=1.0))
-        with pytest.raises(ValueError, match="soc_init"):
-            rt_dispatch(self.cfg, 8.0, sig, soc_init=0.99)
 
     def test_randomized_traces_always_feasible(self):
         rng = np.random.default_rng(17)
@@ -142,9 +151,7 @@ class TestBatchParity:
         for i in range(6):
             trace = rt_dispatch(cfg, 11.0, RegSignal(samples=matrix[i], dt=DT_2S))
             assert batch.err_sums[i] == pytest.approx(trace.abs_error(), abs=1e-9)
-            assert batch.soc_final[i] == pytest.approx(trace.soc[-1], abs=1e-12)
-            assert batch.soc_lowest[i] <= trace.soc[1:].min() + 1e-15
-            assert batch.soc_highest[i] >= trace.soc[1:].max() - 1e-15
+            assert same_bits(batch.soc[i], trace.soc)
 
     def test_batch_extremes_respect_bounds(self):
         rng = np.random.default_rng(29)
@@ -153,14 +160,10 @@ class TestBatchParity:
             matrix = rng.uniform(-1, 1, size=(40, 60))
             c = random_capacity(rng, cfg, hi=1.5)
             batch = rt_dispatch_batch(cfg, c, matrix, cfg.dt)
-            assert batch.gen_max <= cfg.gen.p_max + 1e-9
-            assert batch.load_max <= cfg.load.p_max + 1e-9
-            assert batch.discharge_max <= cfg.batt.p_max + 1e-9
-            assert batch.charge_min >= -cfg.batt.p_max - 1e-9
-            assert batch.asset_sign_min >= -1e-12
-            assert batch.overlap_max <= 1e-12
-            assert batch.soc_lowest.min() >= cfg.batt.soc_min - 1e-12
-            assert batch.soc_highest.max() <= cfg.batt.soc_max + 1e-12
+            # every power bound, the overlap and the SoC to 1e-12
+            bad, soc = batch_envelope(cfg, c, matrix, power_tol=1e-12, soc_tol=1e-12)
+            assert bad == []
+            assert same_bits(batch.soc, soc.T)
 
     def test_batch_rejects_bad_shapes(self):
         cfg = reference_system()
@@ -174,10 +177,6 @@ class TestBatchValidation:
     def setup_method(self):
         self.cfg = reference_system()
         self.matrix = np.random.default_rng(31).uniform(-1, 1, size=(3, 20))
-
-    def test_rejects_soc_init_outside_envelope(self):
-        with pytest.raises(ValueError, match="soc_init"):
-            rt_dispatch_batch(self.cfg, 8.0, self.matrix, DT_2S, soc_init=2.0)
 
     def test_rejects_nan_samples(self):
         self.matrix[1, 7] = np.nan

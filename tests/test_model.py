@@ -64,6 +64,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_batt(**overrides)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda v: GeneratorParams(p_max=v), "generator p_max must be finite"),
+            (lambda v: LoadParams(p_max=v), "load p_max must be finite"),
+        ],
+        ids=["generator", "load"],
+    )
+    def test_asset_limits_must_be_finite(self, make, message, value):
+        with pytest.raises(ValueError, match=message):
+            make(value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["p_max", "energy_capacity"])
+    def test_battery_ratings_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"battery {field} must be finite"):
+            make_batt(**{field: value})
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_config_dt_must_be_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            HesConfig(gen=GeneratorParams(3.0), load=LoadParams(3.0), batt=make_batt(), dt=dt)
+
     def test_config_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError, match="dt"):
             HesConfig(

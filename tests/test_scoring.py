@@ -109,6 +109,12 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             reference_market(**overrides)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["lambda_c", "lambda_m", "c_max"])
+    def test_prices_and_cap_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            reference_market(**{field: value})
+
 
 class TestReport:
     def test_consistent_with_parts(self):

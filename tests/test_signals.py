@@ -46,6 +46,11 @@ class TestRegSignal:
         with pytest.raises(SignalError):
             RegSignal(samples=np.array([0.5, 0.5]), dt=0.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(SignalError, match="dt must be finite"):
+            RegSignal(samples=np.array([0.5, 0.5]), dt=dt)
+
     def test_len(self):
         assert len(RegSignal(samples=np.zeros(7), dt=1.0)) == 7
 
