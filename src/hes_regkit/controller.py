@@ -16,30 +16,33 @@ absorb or supply within one interval, including conversion losses:
     delta_c = min((soc_max - e) * cap / (eta_c * dt * p_max), 1)
     delta_d = min(eta_d * (e - soc_min) * cap / (dt * p_max), 1)
 
-One kernel runs the rule over many windows at once: the SoC-free split of
-the command (_split_command) over all steps at once, then the battery's
-half. The split is one product, target = c * r, and then in-place ufunc
-passes over contiguous arrays, as is the battery's share (_battery_share).
-While no SoC the battery can reach from e0 derates it, its headroom is
-(p_max, -p_max) whatever the commands, and so is its share: _free_steps
-finds that prefix of k* steps from e0, the window length and the battery
-alone, and _free_battery runs it in one pass, the SoC as one running sum of
-model.soc_change (_soc_path). Only the steps after it go through the loop
-that steps the battery (_battery_steps: headroom, battery share, SoC
-update). The prefix makes the same additions as the loop, so the route
-changes no bit. rt_step, rt_dispatch and rt_dispatch_batch are views of the
-kernel, and give the same bits; every window starts at cfg.batt.soc_init
-(rt_step at the state it is given), and rt_dispatch_batch keeps only each
-window's L1 error and SoC path. offline.closed_form_dispatch is the kernel
-with the whole window in the prefix. rt_error_sums runs the same two
-halves for many capacities at once, a block of steps at a time, and keeps
-only each (capacity, window)'s SoC and running L1 error, which is all bid
-scoring needs. Where the prefix covers the window it needs neither the
-split nor the SoC: at full headroom the net output is the command clipped to the
-assets' reach, first to [-load.p_max, gen.p_max], then its rest to
-[-batt.p_max, batt.p_max] (_saturated_error), which gives the same
-|target - p_hes| bit for bit. Its sums equal the batch's bitwise, whatever
-the block size, and so do the bid curve and every artifact built from them.
+One block body (_rule_block) runs the rule over a block of steps of many
+windows at once: the SoC-free split of the command (_split_command), then
+the battery's half, then the net output. The split is one product, target
+= c * r, and then in-place ufunc passes over contiguous arrays, as is the
+battery's share (_battery_share). While no SoC the battery can reach from
+e0 derates it, its headroom is (p_max, -p_max) whatever the commands, and
+so is its share: _free_steps finds that prefix of k* steps from e0, the
+window length and the battery alone, and the block runs its steps in one
+pass, the SoC as one running sum of model.soc_change (_soc_path). Only the
+steps after it go through the loop that steps the battery (headroom,
+battery share, SoC update). The prefix makes the same additions as the
+loop, so the route changes no bit.
+
+rt_step, rt_dispatch and offline.closed_form_dispatch (the whole window in
+the prefix) run the block once over the whole window (_rule_columns).
+Every many-window call runs one stream (_rule_stream): all capacities step
+together through the windows a block of steps at a time, and each step's
+|target - p_hes| joins the running L1 sums in step order. rt_error_sums
+keeps only a rotating SoC block, which is all bid scoring needs; where the
+prefix covers the window it needs neither the split nor the SoC: at full
+headroom the net output is the command clipped to the assets' reach, first
+to [-load.p_max, gen.p_max], then its rest to [-batt.p_max, batt.p_max]
+(_saturated_error), which gives the same |target - p_hes| bit for bit.
+rt_dispatch_batch is the stream for one capacity, writing each window's
+whole SoC path. Every window starts at cfg.batt.soc_init (rt_step at the
+state it is given), every entry point gives the same bits, whatever the
+block size, and so do the bid curve and every artifact built from them.
 
 validate_trace runs the envelope check of model.check_step_feasible once
 over a trace's columns. Trace files go through reports.write_csv /
@@ -67,7 +70,7 @@ from .model import (
     soc_change,
 )
 from .reports import format_float, read_csv, write_csv
-from .signals import RegSignal, _check_samples
+from .signals import RegSignal, SignalRangeError, _check_samples
 
 __all__ = [
     "DispatchTrace",
@@ -122,7 +125,7 @@ class DispatchTrace:
         return float(np.sum(np.abs(self.target - self.p_hes)))
 
 
-# capacities x windows x steps per step-block array in rt_error_sums: in
+# capacities x windows x steps per step-block array in _rule_stream: in
 # perfbench runs (10 s, two rounds, 2-CPU Xeon) asym-sweep took 0.039-0.042 s
 # at 1 << 12 and 1 << 13, and 0.042-0.049 s at 1 << 10, 1 << 11 and 1 << 14
 # to 1 << 16; bid-year, whose coarse sweep runs one step per block at every
@@ -131,19 +134,19 @@ class DispatchTrace:
 _STEP_BLOCK_ELEMENTS = 1 << 12
 
 
-def _split_command(cfg: HesConfig, c, r, out=(None, None, None, None)):
+def _split_command(cfg: HesConfig, c, r, out) -> None:
     """The SoC-free half of the rule: target, p_gen, p_load and the residual
     the battery is asked for (>= 0 where r > 0, <= 0 elsewhere), into the
-    four arrays of ``out`` when given."""
+    four arrays of ``out``."""
     target, p_gen, p_load, resid = out
-    target = np.multiply(c, r, out=target)
+    np.multiply(c, r, out=target)
     # clips of target and -target, in place: np.minimum and np.maximum may
     # pick either of two tied zeros, and + 0.0 turns a -0.0 into 0.0 and
     # leaves every other value as it is (model keeps limits off -0.0)
-    p_gen = np.maximum(target, 0.0, out=p_gen)
+    np.maximum(target, 0.0, out=p_gen)
     np.minimum(p_gen, cfg.gen.p_max, out=p_gen)
     p_gen += 0.0
-    p_load = np.negative(target, out=p_load)
+    np.negative(target, out=p_load)
     np.maximum(p_load, 0.0, out=p_load)
     np.minimum(p_load, cfg.load.p_max, out=p_load)
     p_load += 0.0
@@ -151,9 +154,8 @@ def _split_command(cfg: HesConfig, c, r, out=(None, None, None, None)):
     # min(-target, load.p_max) is -0.0, and trace files show it. It is 0.0
     # where r > 0, also where c * r underflows to +0.0, so r marks it
     np.negative(p_load, out=p_load, where=r.view(np.int64) == 0)
-    resid = np.subtract(target, p_gen, out=resid)
+    np.subtract(target, p_gen, out=resid)
     resid += p_load
-    return target, p_gen, p_load, resid
 
 
 def _battery_share(resid, d_max, c_max, out):
@@ -225,24 +227,9 @@ def _free_steps(cfg: HesConfig, e0: float, n_steps: int) -> int:
 def _soc_path(batt: BatteryParams, p_discharge, p_charge, dt: float, soc):
     """Fill soc[1:] from soc[0] with the battery's dispatch, along the first
     axis, and return soc: a running sum of soc_change, added in sequence as
-    soc_step and _battery_steps add, so the paths compare bitwise."""
+    soc_step and _rule_block's step loop add, so the paths compare bitwise."""
     soc[1:] = soc_change(batt, p_charge, p_discharge, dt)
     return np.add.accumulate(soc, axis=0, out=soc)
-
-
-def _free_battery(cfg: HesConfig, resid, soc, p_discharge, p_charge) -> None:
-    """The battery's half of the rule at full headroom, (p_max, -p_max):
-    fills p_discharge and p_charge, and soc[1:] from soc[0]. It runs a block
-    of steps at a time, so that its temporaries stay within
-    _STEP_BLOCK_ELEMENTS elements."""
-    batt = cfg.batt
-    rows = max(1, _STEP_BLOCK_ELEMENTS // resid[0].size)
-    for k in range(0, resid.shape[0], rows):
-        p_d, p_c = _battery_share(
-            resid[k : k + rows], batt.p_max, -batt.p_max,
-            (p_discharge[k : k + rows], p_charge[k : k + rows]),
-        )
-        _soc_path(batt, p_d, p_c, cfg.dt, soc[k : k + rows + 1])
 
 
 def _saturated_error(cfg: HesConfig, c, r, out):
@@ -274,30 +261,27 @@ def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
     return p_hes
 
 
-def _battery_steps(cfg: HesConfig, resid, soc, p_discharge, p_charge) -> None:
-    """The SoC-bound half of the rule, step by step along resid's first axis.
-
-    ``soc`` has one more step than ``resid``; from soc[0] it fills soc[1:],
-    and p_discharge and p_charge (shaped like ``resid``) with the battery's
-    dispatch.
-    """
-    for k in range(resid.shape[0]):
+def _rule_block(cfg: HesConfig, c, r, soc, n_free: int, cols) -> tuple:
+    """One block of steps of the rule along r's first axis, into ``cols``:
+    DispatchTrace's columns but the SoC, in its order, each shaped like
+    c * r. The split, its residual held in the p_hes column; the battery at
+    full headroom on the first n_free steps (clipped to the block's), its
+    SoC one running sum, and step by step after them; the net output.
+    ``soc`` has one more step than r; from soc[0] it fills soc[1:]."""
+    target, p_gen, p_load, p_discharge, p_charge, resid = cols
+    _split_command(cfg, c, r, (target, p_gen, p_load, resid))
+    k = min(max(n_free, 0), r.shape[0])
+    pb = cfg.batt.p_max
+    _battery_share(resid[:k], pb, -pb, (p_discharge[:k], p_charge[:k]))
+    _soc_path(cfg.batt, p_discharge[:k], p_charge[:k], cfg.dt, soc[: k + 1])
+    for j in range(k, r.shape[0]):
         p_d, p_c = _battery_share(
-            resid[k], *_headroom(cfg, soc[k]), out=(p_discharge[k], p_charge[k])
+            resid[j], *_headroom(cfg, soc[j]), out=(p_discharge[j], p_charge[j])
         )
-        np.add(soc[k], soc_change(cfg.batt, p_c, p_d, cfg.dt), out=soc[k + 1])
-
-
-def _battery_half(cfg: HesConfig, resid, soc, p_discharge, p_charge, n_free: int) -> None:
-    """_battery_steps, with the first n_free steps (clipped to resid's) run
-    at full headroom by _free_battery."""
-    k = min(max(n_free, 0), resid.shape[0])
-    if k == resid.shape[0]:
-        return _free_battery(cfg, resid, soc, p_discharge, p_charge)
-    if k:
-        _free_battery(cfg, resid[:k], soc[: k + 1], p_discharge[:k], p_charge[:k])
-        resid, soc, p_discharge, p_charge = resid[k:], soc[k:], p_discharge[k:], p_charge[k:]
-    _battery_steps(cfg, resid, soc, p_discharge, p_charge)
+        np.add(soc[j], soc_change(cfg.batt, p_c, p_d, cfg.dt), out=soc[j + 1])
+    # the residual is spent; its buffer takes p_hes
+    _net_output(p_gen, p_load, p_discharge, p_charge, out=resid)
+    return cols
 
 
 def _rule_columns(
@@ -311,15 +295,10 @@ def _rule_columns(
     """
     if n_free is None:
         n_free = _free_steps(cfg, e0, r.shape[0])
-    target, p_gen, p_load, resid = _split_command(cfg, c, r)
-    p_discharge = np.empty_like(resid)
-    p_charge = np.empty_like(resid)
     soc = np.empty((r.shape[1], r.shape[0] + 1)).T
     soc[0] = e0
-    _battery_half(cfg, resid, soc, p_discharge, p_charge, n_free)
-    # the residual is spent; its buffer takes p_hes
-    p_hes = _net_output(p_gen, p_load, p_discharge, p_charge, out=resid)
-    return target, p_gen, p_load, p_discharge, p_charge, p_hes, soc
+    cols = _rule_block(cfg, c, r, soc, n_free, [np.empty_like(r) for _ in range(6)])
+    return (*cols, soc)
 
 
 def _check_inputs(cfg: HesConfig, c: float | np.ndarray, dt: float) -> None:
@@ -340,7 +319,18 @@ def _check_inputs(cfg: HesConfig, c: float | np.ndarray, dt: float) -> None:
 def rt_step(
     cfg: HesConfig, c: float, r_k: float, state: SocState
 ) -> tuple[DispatchStep, SocState]:
-    """One interval of the priority rule. Returns the dispatch and next SoC."""
+    """One interval of the priority rule. Returns the dispatch and next SoC.
+
+    r_k is checked as RegSignal checks a sample; the state may lie SOC_TOL
+    outside the envelope, so that every SoC the rule gives is accepted."""
+    _check_inputs(cfg, c, cfg.dt)
+    if not -1.0 <= r_k <= 1.0:  # also refuses NaN
+        raise SignalRangeError(f"r_k must be a finite sample in [-1, 1], got {r_k}")
+    batt = cfg.batt
+    if not batt.soc_min - SOC_TOL <= state.e <= batt.soc_max + SOC_TOL:
+        raise ValueError(
+            f"state SoC {state.e} lies outside [{batt.soc_min}, {batt.soc_max}]"
+        )
     cols = _rule_columns(cfg, c, np.array([[r_k]], dtype=float), state.e)
     step = DispatchStep(*[col.item() for col in cols[1:6]])
     return step, SocState(e=cols[6].item(1))
@@ -366,7 +356,8 @@ def rt_dispatch_batch(
     cfg: HesConfig, c: float, samples: np.ndarray, dt: float
 ) -> BatchDispatch:
     """The rule over an (n_windows, n_steps) sample matrix, from
-    cfg.batt.soc_init.
+    cfg.batt.soc_init: the stream of rt_error_sums (_rule_stream) for one
+    capacity, writing each window's whole SoC path.
 
     Each window's dispatch is bitwise the one rt_dispatch gives. Samples are
     checked as RegSignal checks a window.
@@ -374,12 +365,10 @@ def rt_dispatch_batch(
     _check_inputs(cfg, c, dt)
     samples = np.asarray(samples, dtype=float)
     _check_samples(samples, 2)
-    target, _, _, _, _, p_hes, soc = _rule_columns(cfg, c, samples.T, cfg.batt.soc_init)
-    # the kernel's matrices are this call's own: target's buffer is reused
-    err = np.subtract(target, p_hes, out=target)
-    np.abs(err, out=err)
-    np.add.accumulate(err, axis=0, out=err)  # sequential, like a running +=
-    return BatchDispatch(err_sums=err[-1].copy(), soc=soc.T)
+    soc = np.empty((samples.shape[0], samples.shape[1] + 1))
+    soc[:, 0] = cfg.batt.soc_init
+    err_sums = _rule_stream(cfg, np.array([c], dtype=float), samples, soc.T[:, None])
+    return BatchDispatch(err_sums=err_sums[0], soc=soc)
 
 
 def rt_error_sums(
@@ -391,52 +380,66 @@ def rt_error_sums(
     """L1 tracking error of the rule per capacity and window.
 
     Returns a (capacities, windows) array whose row j is bitwise
-    ``rt_dispatch_batch(cfg, capacities[j], samples, dt).err_sums``. All
-    capacities step together through the (n_windows, n_steps) samples a
-    block of steps at a time, and each step's errors join the running sums
-    in step order. Where the full-headroom prefix (_free_steps) covers the
-    window, each block's errors come from the saturation form
-    (_saturated_error). Elsewhere the SoC-free half of the rule runs once
-    per block, the battery's once per block within the prefix and step by
-    step after it. Memory grows with the block, not with the number of
-    steps: step-block arrays of at most about _STEP_BLOCK_ELEMENTS elements
-    each, but never less than one step of capacities x windows. There are
-    three where the prefix covers the window, else seven (the split's four,
-    the battery's two, and the SoC's, one step longer).
+    ``rt_dispatch_batch(cfg, capacities[j], samples, dt).err_sums``, from
+    the stream (_rule_stream) with one rotating SoC block.
     """
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
         raise ValueError(f"capacities must be a non-empty 1-D array, got shape {cs.shape}")
     _check_inputs(cfg, cs, dt)
-    e0 = cfg.batt.soc_init
     samples = np.asarray(samples, dtype=float)
     _check_samples(samples, 2)
+    return _rule_stream(cfg, cs, samples)
+
+
+def _rule_stream(
+    cfg: HesConfig, cs: np.ndarray, samples: np.ndarray, soc_path=None
+) -> np.ndarray:
+    """The rule for every capacity in cs over the (n_windows, n_steps)
+    samples, from cfg.batt.soc_init, a block of steps at a time. Returns
+    the (capacities, windows) L1 errors, each step's joining the running
+    sums in step order.
+
+    Each block runs _rule_block, its first steps at full headroom while the
+    prefix (_free_steps) lasts. With ``soc_path``, a step-major (steps + 1,
+    capacities, windows) array whose row 0 holds cfg.batt.soc_init, the
+    blocks fill the rest of it. Without, one rotating block holds the SoC, its row 0 carrying it from
+    block to block; and where the prefix covers the window, the blocks need
+    neither the split nor the SoC: their errors come from the saturation
+    form (_saturated_error). Memory grows with the block, not with the
+    number of steps: step-block arrays of at most about _STEP_BLOCK_ELEMENTS
+    elements each, but never less than one step of capacities x windows.
+    There are three for the saturation form, else six and the SoC block.
+    """
+    e0 = cfg.batt.soc_init
     c = cs[:, None]
     n_windows, n_steps = samples.shape
     block = max(1, _STEP_BLOCK_ELEMENTS // (cs.size * n_windows))
     n_free = _free_steps(cfg, e0, n_steps)
+    saturated = soc_path is None and n_free >= n_steps
     # buffers made once per call: made per block, they slowed a bid-year-sized
     # call (77 capacities x 365 windows, one step per block) 1.8x, in page
-    # faults. The saturation form needs three and no SoC.
-    saturated = n_free >= n_steps
+    # faults
     buffers = [np.empty((block, cs.size, n_windows)) for _ in range(3 if saturated else 6)]
-    soc = None if saturated else np.full((block + 1, cs.size, n_windows), e0)
+    soc = soc_path
+    if soc is None and not saturated:
+        soc = np.full((block + 1, cs.size, n_windows), e0)
     err_sums = np.zeros((cs.size, n_windows))
     commands = np.ascontiguousarray(samples.T)  # each block one slab of memory
     for start in range(0, n_steps, block):
         r = commands[start : start + block, None, :]
         n = r.shape[0]
+        cols = [a[:n] for a in buffers]
         if saturated:
-            err = _saturated_error(cfg, c, r, [a[:n] for a in buffers])
+            err = _saturated_error(cfg, c, r, cols)
         else:
-            target, p_gen, p_load, resid, p_d, p_c = (a[:n] for a in buffers)
-            _split_command(cfg, c, r, (target, p_gen, p_load, resid))
-            _battery_half(cfg, resid, soc[: n + 1], p_d, p_c, n_free - start)
-            soc[0] = soc[n]
-            p_hes = _net_output(p_gen, p_load, p_d, p_c, out=resid)
+            at = 0 if soc_path is None else start  # the block's first SoC row
+            target, *_, p_hes = _rule_block(cfg, c, r, soc[at : at + n + 1], n_free - start, cols)
+            if soc_path is None:
+                soc[0] = soc[n]
             err = np.subtract(target, p_hes, out=target)
         for err_k in np.abs(err, out=err):
-            err_sums += err_k  # step by step, as rt_dispatch_batch sums
+            err_sums += err_k  # step by step, in step order
     return err_sums
 
 

@@ -11,6 +11,7 @@ doing nothing; report consumers clamp to [0, 1] where that matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -79,8 +80,16 @@ class PerformanceReport:
         return asdict(self)
 
 
+def _check_finite(**values: float) -> None:
+    """Refuse a NaN or infinite argument, naming it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def performance_score(c: float, sig: RegSignal, trace: DispatchTrace) -> float:
     """Tracking score of one window. Raises ZeroSignalError on a flat window."""
+    _check_finite(c=c)
     if c <= 0.0:
         raise ValueError(f"capacity must be > 0 MW, got {c}")
     if trace.n_steps != sig.n:
@@ -95,6 +104,7 @@ def performance_score(c: float, sig: RegSignal, trace: DispatchTrace) -> float:
 
 def revenue(c: float, x_p: float, market: MarketParams, sig_mileage: float) -> float:
     """Window payment at capacity c given score and signal mileage."""
+    _check_finite(c=c, x_p=x_p, sig_mileage=sig_mileage)
     if c <= 0.0:
         raise ValueError(f"capacity must be > 0 MW, got {c}")
     if sig_mileage < 0.0:

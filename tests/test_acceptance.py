@@ -145,12 +145,12 @@ def test_criterion_3_dispatch_safety(capsys):
             [random_signal(rng, n, DT_2S).samples for _ in range(windows_per)]
         )
         b = rt_dispatch_batch(cfg, c, samples, DT_2S)
-        # the envelope over every step of the kernel call b came from
+        # the envelope over every step of the rule's columns, whose SoC is b's
         bad, soc = batch_envelope(cfg, c, samples, power_tol=1e-9, soc_tol=1e-12)
         if bad:
             problems.append(f"system {i}: {bad[0]}")
         if not same_bits(b.soc, soc.T):
-            problems.append(f"system {i}: batch SoC is not the kernel's")
+            problems.append(f"system {i}: batch SoC is not the rule's columns")
     # spot-check the scalar path with the full per-step validator too
     for i in range(50):
         cfg = random_system(rng, DT_2S)

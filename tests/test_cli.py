@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -522,6 +523,27 @@ class TestSocDrift:
         ok = json.loads((tmp_path / "ok" / "soc_drift.json").read_text())
         assert "failed" not in ok
         assert ok["cases"] == report["cases"]
+
+    def test_traced_peak_within_a_multiple_of_the_matrix(self, tmp_path):
+        # 250 hour-long windows: the SoC paths the summaries need, the
+        # archive's matrix, its stack and the transposed commands, and one
+        # step block of the rule. 4.10x measured; 9.06x while the batch
+        # built every kernel column over the whole matrix
+        n_windows, n_steps = 250, 1800
+        p = tmp_path / "exp.ini"
+        p.write_text(
+            BASE.replace("synth_n = 240", f"synth_n = {n_steps}")
+            .replace("window_len = 240", f"window_len = {n_steps}")
+            .replace("synth_windows = 5", f"synth_windows = {n_windows}")
+        )
+        tracemalloc.start()
+        try:
+            assert run(["soc-drift", "--config", p, "--capacity", 12,
+                        "--out", tmp_path / "o"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n_windows * n_steps * 8
 
 
 class TestSynth:

@@ -76,6 +76,45 @@ class TestRtStep:
         assert step.p_charge == 0.0
         assert nxt.e == 0.5
 
+    @pytest.mark.parametrize(
+        "c, r_k, e, gen_p_min, error, match",
+        [
+            pytest.param(8.0, 0.5, 0.5, 1.0, ValueError, "p_min = 0", id="gen p_min 1"),
+            pytest.param(np.nan, 0.5, 0.5, 0.0, ValueError, "finite", id="nan capacity"),
+            pytest.param(-4.0, 0.5, 0.5, 0.0, ValueError, "> 0 MW", id="negative capacity"),
+            pytest.param(8.0, 7.0, 0.5, 0.0, SignalRangeError, "7.0", id="r_k 7"),
+            pytest.param(8.0, -1.5, 0.5, 0.0, SignalRangeError, "-1.5", id="r_k -1.5"),
+            pytest.param(8.0, np.nan, 0.5, 0.0, SignalRangeError, "nan", id="nan r_k"),
+            pytest.param(8.0, np.inf, 0.5, 0.0, SignalRangeError, "inf", id="inf r_k"),
+            pytest.param(8.0, 0.5, 1.7, 0.0, ValueError, "state SoC 1.7", id="SoC 1.7"),
+            pytest.param(8.0, 0.5, 0.1 - 1e-9, 0.0, ValueError, "state SoC", id="SoC below"),
+            pytest.param(8.0, 0.5, np.nan, 0.0, ValueError, "state SoC nan", id="nan SoC"),
+        ],
+    )
+    def test_refuses_what_the_other_entry_points_refuse(
+        self, c, r_k, e, gen_p_min, error, match
+    ):
+        cfg = self.cfg
+        if gen_p_min:
+            cfg = dataclasses.replace(
+                cfg, gen=dataclasses.replace(cfg.gen, p_min=gen_p_min)
+            )
+        with pytest.raises(error, match=match):
+            rt_step(cfg, c, r_k, SocState(e))
+
+    @pytest.mark.parametrize("r_k", [1.0, -1.0])
+    def test_accepts_every_soc_the_rule_gives(self, r_k):
+        # from a hair inside each bound, at full power towards it, the rule
+        # lands on the bound give or take rounding; that state steps on
+        cfg = reference_system(dt=0.1)
+        batt = cfg.batt
+        e = batt.soc_min + 1e-6 if r_k > 0 else batt.soc_max - 1e-6
+        _, nxt = rt_step(cfg, 20.0, r_k, SocState(e))
+        assert abs(nxt.e - (batt.soc_min if r_k > 0 else batt.soc_max)) <= 1e-15
+        rt_step(cfg, 20.0, r_k, nxt)
+        for edge in (batt.soc_min - 0.5e-12, batt.soc_max + 0.5e-12):
+            rt_step(cfg, 20.0, r_k, SocState(edge))
+
 
 class TestRtDispatch:
     def setup_method(self):

@@ -65,6 +65,13 @@ class TestScore:
         with pytest.raises(ValueError, match="capacity"):
             performance_score(0.0, sig, trace)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_capacity_must_be_finite(self, c):
+        sig = RegSignal(samples=np.array([1.0, -1.0]), dt=1.0)
+        trace = trace_for([1.0, -1.0], [1.0, -1.0])
+        with pytest.raises(ValueError, match=f"c must be finite, got {c}"):
+            performance_score(c, sig, trace)
+
     def test_length_mismatch(self):
         sig = RegSignal(samples=np.array([1.0, -1.0, 0.5]), dt=1.0)
         trace = trace_for([1.0, -1.0], [1.0, -1.0])
@@ -90,6 +97,30 @@ class TestRevenue:
             revenue(-1.0, 0.9, market, 10.0)
         with pytest.raises(ValueError):
             revenue(1.0, 0.9, market, -1.0)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("c", (np.nan, 0.9, 10.0)),
+            ("c", (np.inf, 0.9, 10.0)),
+            ("x_p", (1.0, np.nan, 10.0)),
+            ("x_p", (1.0, -np.inf, 10.0)),
+            ("sig_mileage", (1.0, 0.9, np.nan)),
+            ("sig_mileage", (1.0, 0.9, np.inf)),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, name, args):
+        c, x_p, sig_mileage = args
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            revenue(c, x_p, reference_market(), sig_mileage)
+
+    def test_keeps_the_range_messages_and_a_negative_score(self):
+        market = reference_market()
+        with pytest.raises(ValueError, match="capacity must be > 0 MW, got -1.0"):
+            revenue(-1.0, 0.9, market, 10.0)
+        with pytest.raises(ValueError, match="mileage must be >= 0, got -1.0"):
+            revenue(1.0, 0.9, market, -1.0)
+        assert revenue(2.0, -0.5, market, 10.0) == -140.0
 
 
 class TestMarketParams:
