@@ -13,6 +13,11 @@ window, giving an empirical score sample per window. The bid machinery then
 2. picks C_hat maximizing C * mean(x_p) over evaluated compliant capacities,
 3. returns C_star = min(C_hat, market c_max).
 
+Each point's statistics are row reductions over its block's (capacities,
+windows) score array, one numpy call per statistic per block; numpy reduces
+each row as it reduces that row alone, so a point's bits do not depend on
+the block it was scored in.
+
 Scores are evaluated in-sample over the same archive; windows whose command
 never moves (sum|r| = 0) are excluded and counted in the diagnostics.
 """
@@ -158,8 +163,13 @@ def quantile_lower(scores: np.ndarray, gamma: float) -> float:
     s = np.sort(np.asarray(scores, dtype=float))
     if s.size == 0:
         raise ValueError("need at least one score sample")
-    m = int(math.floor((1.0 - gamma) * s.size + 1e-9))
-    return float(s[min(m, s.size - 1)])
+    return float(s[_order_index(gamma, s.size)])
+
+
+def _order_index(gamma: float, n: int) -> int:
+    """Index of the lower gamma-quantile among n sorted samples (see
+    quantile_lower): floor((1 - gamma) * n), nudged up by 1e-9, at most n - 1."""
+    return min(int(math.floor((1.0 - gamma) * n + 1e-9)), n - 1)
 
 
 # capacities x windows scored in one rt_error_sums call by the coarse sweep:
@@ -192,7 +202,12 @@ def _midpoint_tree(
 
 
 class _CurveEvaluator:
-    """Scores windows, and caches per-capacity curve points, over one archive."""
+    """Scores windows, and caches per-capacity curve points, over one archive.
+
+    ``block`` scores capacities in one rt_error_sums call and takes each
+    statistic of all their rows in one row reduction (_block_stats); only the
+    points the search publishes are cached.
+    """
 
     def __init__(
         self, cfg: HesConfig, archive: SignalArchive, market: MarketParams | None = None
@@ -204,11 +219,13 @@ class _CurveEvaluator:
             raise ValueError("archive has no window with nonzero command movement")
         self._cfg = cfg
         self._dt = archive.dt
-        self._matrix = matrix[valid]
-        self._l1 = l1[valid]
+        if not np.all(valid):
+            matrix, l1 = matrix[valid], l1[valid]
+        self._matrix = matrix
+        self._l1 = l1
         self._market = market
         self.zero_windows = int(np.sum(~valid))
-        self.n_windows = int(matrix.shape[0])
+        self.n_windows = int(valid.size)
         self._cache: dict[float, BidCurvePoint] = {}
 
     @property
@@ -222,27 +239,36 @@ class _CurveEvaluator:
         err_sums = rt_error_sums(self._cfg, cs, self._matrix, self._dt)
         return 1.0 - err_sums / (cs[:, None] * self._l1)
 
-    def publish(self, c: float, scores: np.ndarray) -> BidCurvePoint:
-        """Cache and return the curve point for scores already taken at c."""
-        clamped = np.clip(scores, 0.0, 1.0)
-        mean_xp = float(scores.mean())
-        pt = BidCurvePoint(
-            c=c,
-            scores=scores,
-            mean_xp=mean_xp,
-            z_gamma=quantile_lower(scores, self._market.gamma),
-            prob_compliant=float(np.mean(clamped >= self._market.x_p_min)),
-            objective=c * mean_xp,
-        )
-        self._cache[c] = pt
+    def block(self, cs: np.ndarray | list[float]) -> list[tuple]:
+        """The statistics at each capacity in cs, scored as one block (see
+        _block_stats); a point enters the curve only once published."""
+        cs = np.asarray(cs, dtype=float)
+        return _block_stats(cs.tolist(), self.scores(cs), self._market)
+
+    def publish(self, stats: tuple) -> BidCurvePoint:
+        """Cache and return the curve point of one row of a block."""
+        c, _, mean_xp, _, _ = stats
+        pt = self._cache[c] = BidCurvePoint(*stats, objective=c * mean_xp)
         return pt
 
     def __call__(self, c: float) -> BidCurvePoint:
         c = float(c)
         pt = self._cache.get(c)
         if pt is None:
-            pt = self.publish(c, self.scores([c])[0])
+            pt = self.publish(self.block([c])[0])
         return pt
+
+
+def _block_stats(cs: list[float], scores: np.ndarray, market: MarketParams) -> list[tuple]:
+    """(c, scores, mean_xp, z_gamma, prob_compliant), BidCurvePoint's leading
+    fields, for each row of a C-contiguous (capacities, windows) score block
+    taken at cs. Each statistic is one reduction along the windows axis, with
+    the bits of the same reduction over one row (quantile_lower for z_gamma)."""
+    means = scores.mean(axis=1).tolist()
+    m = _order_index(market.gamma, scores.shape[1])
+    z_gammas = np.sort(scores, axis=1)[:, m].tolist()
+    compliant = np.mean(np.clip(scores, 0.0, 1.0) >= market.x_p_min, axis=1).tolist()
+    return list(zip(cs, scores, means, z_gammas, compliant))
 
 
 def solve_bid(
@@ -263,12 +289,12 @@ def solve_bid(
     block = max(1, _SWEEP_BLOCK_ELEMENTS // evaluate.n_scored)
     last_compliant = upper = None
     for start in range(0, len(pts), block):
-        cs = pts[start : start + block]
-        for c, scores in zip(cs.tolist(), evaluate.scores(cs)):
-            if evaluate.publish(c, scores).z_gamma < market.x_p_min:
-                upper = c
+        for stats in evaluate.block(pts[start : start + block]):
+            pt = evaluate.publish(stats)
+            if pt.z_gamma < market.x_p_min:
+                upper = pt.c
                 break
-            last_compliant = c
+            last_compliant = pt.c
         if upper is not None:
             break
     if last_compliant is None:
@@ -293,14 +319,14 @@ def solve_bid(
     depth = max(1, (_LOOKAHEAD_ELEMENTS // evaluate.n_scored + 1).bit_length() - 1)
     while hi - lo > sweep.refine_tol:
         tree = _midpoint_tree(lo, hi, sweep.refine_tol, depth)
-        rows = dict(zip(tree, evaluate.scores(list(tree.values()))))
+        rows = dict(zip(tree, evaluate.block(list(tree.values()))))
         node = 0
         while node in tree:
-            mid = tree[node]
-            if evaluate.publish(mid, rows[node]).z_gamma >= market.x_p_min:
-                lo, node = mid, 2 * node + 2
+            pt = evaluate.publish(rows[node])
+            if pt.z_gamma >= market.x_p_min:
+                lo, node = pt.c, 2 * node + 2
             else:
-                hi, node = mid, 2 * node + 1
+                hi, node = pt.c, 2 * node + 1
             iterations += 1
     c_bar = lo
 

@@ -179,18 +179,22 @@ def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: s
 
 
 def _curve_points(solution: BidSolution) -> list[dict]:
-    """Every bid-curve point as one dict; each artifact picks its columns."""
+    """Every bid-curve point as one dict; each artifact picks its columns.
+
+    std_xp is one row reduction over the stacked curve scores, the same bits
+    as np.std of each point's scores."""
+    stds = np.stack([pt.scores for pt in solution.curve]).std(axis=1).tolist()
     return [
         {
             "c": pt.c,
             "mean_xp": pt.mean_xp,
-            "std_xp": float(np.std(pt.scores)),
+            "std_xp": std,
             "z_gamma": pt.z_gamma,
             "prob_compliant": pt.prob_compliant,
             "objective": pt.objective,
             "n_scores": int(pt.scores.size),
         }
-        for pt in solution.curve
+        for pt, std in zip(solution.curve, stds)
     ]
 
 

@@ -499,6 +499,9 @@ def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
                 raise ValueError(f"{path}: bad metadata comment {body!r}") from None
     if "c" not in meta or "soc_init" not in meta:
         raise ValueError(f"{path}: missing c/soc_init metadata comments")
+    for key in ("c", "soc_init"):
+        if not math.isfinite(meta[key]):
+            raise ValueError(f"{path}: metadata {key} must be finite, got {meta[key]}")
     values = []
     for i, row in enumerate(rows, 1):
         try:
@@ -508,6 +511,12 @@ def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
         except ValueError as exc:
             raise ValueError(f"{path}: data row {i}: {exc}") from None
     cols = np.array(values)
+    bad = np.argwhere(~np.isfinite(cols))
+    if bad.size:
+        i, j = bad[0].tolist()  # the first in file order
+        raise ValueError(
+            f"{path}: data row {i + 1}: {_TRACE_HEADER[j + 1]} must be finite, got {cols[i, j]}"
+        )
     r = cols[:, 0]
     soc = np.concatenate([[meta["soc_init"]], cols[:, 7]])
     trace = DispatchTrace(

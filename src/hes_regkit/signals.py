@@ -22,7 +22,7 @@ reader, which skips comments and blank lines and names the file and line of
 the first bad one. A file that is not UTF-8 is refused with its path and
 byte offset. load_archive lists a directory with one os.scandir, and checks
 the concatenated samples once as a (windows, window_len) matrix whose rows
-are the windows.
+are the windows; SignalArchive.matrix() returns that matrix, no copy.
 """
 
 from __future__ import annotations
@@ -153,9 +153,25 @@ class SignalArchive:
     def dt(self) -> float:
         return self.windows[0].dt
 
+    @classmethod
+    def _of_rows(cls, data: np.ndarray, dt: float, source: str) -> SignalArchive:
+        """An archive whose windows are the rows of a checked, read-only
+        (windows, window_len) matrix and a checked dt; the matrix is kept."""
+        archive = cls(windows=tuple(RegSignal._row(row, dt) for row in data), source=source)
+        object.__setattr__(archive, "_matrix", data)
+        return archive
+
     def matrix(self) -> np.ndarray:
-        """All windows stacked as an (n_windows, window_len) array."""
-        return np.stack([w.samples for w in self.windows])
+        """All windows as one read-only (n_windows, window_len) array.
+
+        An archive of loaded rows returns the matrix they are rows of; one
+        built from separate windows stacks them on the first call only."""
+        matrix = self.__dict__.get("_matrix")
+        if matrix is None:
+            matrix = np.stack([w.samples for w in self.windows])
+            matrix.setflags(write=False)
+            object.__setattr__(self, "_matrix", matrix)
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -331,8 +347,7 @@ def load_archive(
     _check_samples(data, 2)
     _check_dt(dt)
     data.setflags(write=False)
-    windows = tuple(RegSignal._row(row, dt) for row in data)
-    return SignalArchive(windows=windows, source=str(p))
+    return SignalArchive._of_rows(data, dt, str(p))
 
 
 def save_signal(path: str | Path, samples: np.ndarray | RegSignal) -> Path:

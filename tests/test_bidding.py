@@ -1,12 +1,16 @@
 """Bid selection: quantiles, sweep mechanics, crossing refinement."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hes_regkit.bidding as bidding
 from hes_regkit import (
+    BidCurvePoint,
     BracketError,
     RegSignal,
     SignalArchive,
@@ -19,7 +23,8 @@ from hes_regkit import (
     solve_bid,
     synth_signal,
 )
-from helpers import DT_2S, reference_market, reference_system
+from hes_regkit.cli import _curve_points
+from helpers import DT_2S, reference_market, reference_system, same_bits
 
 
 def square_archive(n_windows=4, amplitude=0.8, n=360):
@@ -69,6 +74,16 @@ class TestScoreSamples:
         scores = score_samples(reference_system(), 8.0, arch)
         assert scores.shape == (4,)
         assert np.all(scores == 1.0)
+
+    def test_scores_the_archive_matrix_itself_when_every_window_moves(self):
+        arch = square_archive()
+        assert bidding._CurveEvaluator(reference_system(), arch)._matrix is arch.matrix()
+        quiet = RegSignal(samples=np.zeros(360), dt=DT_2S)
+        evaluate = bidding._CurveEvaluator(
+            reference_system(), SignalArchive(windows=arch.windows + (quiet,))
+        )
+        assert evaluate._matrix.tobytes() == arch.matrix().tobytes()
+        assert (evaluate.n_windows, evaluate.zero_windows) == (5, 1)
 
     def test_all_zero_archive_rejected(self):
         quiet = RegSignal(samples=np.zeros(16), dt=DT_2S)
@@ -260,6 +275,14 @@ class TestSweepMatchesSequential:
         assert got.refine_iterations > 0
         assert sol.curve[-1].c < sweep.c_hi  # the sweep stopped before its end
 
+    def test_curve_std_is_each_points_own(self):
+        sweep = SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=0.01)
+        sol = solve_bid(self.cfg, self.archive, self.market, sweep)
+        records = _curve_points(sol)
+        assert len(records) > 10
+        for pt, record in zip(sol.curve, records, strict=True):
+            assert same_bits(record["std_xp"], float(np.std(pt.scores)))
+
     @pytest.mark.parametrize("budget", [None, 1, 6 * 3])
     @pytest.mark.parametrize("c_lo, c_hi", [(17.0, 20.0), (1.0, 4.0)])
     def test_same_bracket_errors(self, monkeypatch, budget, c_lo, c_hi):
@@ -336,6 +359,44 @@ class TestSweepMatchesSequential:
         assert (sol.c_bar, sol.c_hat, sol.c_star) == (c_bar, c_hat, c_star)
         assert sol.diagnostics.refine_iterations == diags["refine_iterations"] > 40
         assert 0.0 < sol.diagnostics.upper_bracket_c - sol.c_bar <= sweep.refine_tol
+
+
+@st.composite
+def score_blocks(draw):
+    """(capacities, windows) score blocks: values inside and outside [0, 1],
+    and rows where many values tie, at the clamp's ends and the thresholds."""
+    rows = draw(st.integers(1, 200))
+    n = draw(st.one_of(st.integers(1, 2000), st.integers(1, 20).map(lambda q: 100 * q)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.uniform(-0.5, 1.5, (rows, n))
+    tied = rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    scores[tied] = rng.choice([-0.25, 0.0, 0.5, 0.75, 1.0, 1.25], int(tied.sum()))
+    return scores
+
+
+# gamma = j / 100, so that (1 - gamma) * n is an exact decimal product
+# whenever n is a multiple of 100
+gammas = st.one_of(st.integers(1, 99).map(lambda j: j / 100), st.floats(0.001, 0.999))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scores=score_blocks(), gamma=gammas, x_p_min=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+def test_block_statistics_match_one_point_at_a_time(scores, gamma, x_p_min):
+    """Each row's statistics from the block's row reductions, and std_xp from
+    the curve's, have the bits of reducing that row alone."""
+    market = reference_market(gamma=gamma, x_p_min=x_p_min)
+    cs = (1.0 + np.arange(scores.shape[0]) / 8.0).tolist()
+    stats = bidding._block_stats(cs, scores, market)
+    curve = tuple(BidCurvePoint(*s, objective=s[0] * s[2]) for s in stats)
+    records = _curve_points(SimpleNamespace(curve=curve))
+    for i, (c, row_, mean, z, prob) in enumerate(stats):
+        row = scores[i]
+        assert c == cs[i] and same_bits(row_, row)
+        assert same_bits(mean, float(row.mean()))
+        assert same_bits(z, quantile_lower(row, gamma))
+        assert same_bits(prob, float(np.mean(np.clip(row, 0.0, 1.0) >= x_p_min)))
+        assert same_bits(records[i]["std_xp"], float(np.std(row)))
+    assert len(stats) == len(records) == scores.shape[0]
 
 
 class TestSweepGrid:

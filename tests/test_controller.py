@@ -283,3 +283,32 @@ class TestTraceCsv:
         p.write_text("\n".join(body) + "\n")
         with pytest.raises(ValueError, match="metadata"):
             load_trace_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_cell(self, tmp_path, cell):
+        cfg = reference_system()
+        sig = synth_signal("square-wave", 8, DT_2S, 0)
+        p = save_trace_csv(tmp_path / "t.csv", rt_dispatch(cfg, 8.0, sig), sig.samples, 8.0)
+        lines = p.read_text().splitlines()
+        data = next(i for i, ln in enumerate(lines) if ln.startswith("k,")) + 3
+        cells = lines[data].split(",")
+        cells[7] = cell  # data row 3's p_hes
+        lines[data] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        problem = f"data row 3: p_hes must be finite, got {cell}"
+        with pytest.raises(ValueError, match=f"t.csv: {problem}"):
+            load_trace_csv(p)
+
+    @pytest.mark.parametrize("key", ["c", "soc_init"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_metadata(self, tmp_path, key, value):
+        cfg = reference_system()
+        sig = synth_signal("square-wave", 8, DT_2S, 0)
+        p = save_trace_csv(tmp_path / "t.csv", rt_dispatch(cfg, 8.0, sig), sig.samples, 8.0)
+        lines = [
+            f"# {key}={value}" if ln.startswith(f"# {key}=") else ln
+            for ln in p.read_text().splitlines()
+        ]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"t.csv: metadata {key} must be finite, got {value}"):
+            load_trace_csv(p)

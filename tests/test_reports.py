@@ -66,6 +66,8 @@ def test_non_finite_values_are_refused(tmp_path, bad):
         (4, "1,-0.5,-1.5,0,1.5,0,0,-1.5", "data row 2: expected 9 columns, got 8"),
         (4, "1,-0.5,x,0,1.5,0,0,-1.5,0.3", "data row 2: could not convert string to float: 'x'"),
         (0, "# c=abc", "bad metadata comment 'c=abc'"),
+        (3, "0,0.5,nan,0,0,0,0,inf,nan", "data row 1: target must be finite, got nan"),
+        (1, "# soc_init=nan", "metadata soc_init must be finite, got nan"),
     ],
 )
 def test_trace_reader_names_file_and_line(tmp_path, index, line, problem):

@@ -204,6 +204,23 @@ class TestArchiveContainer:
         )
         assert arch.matrix().shape == (3, 16)
 
+    def test_matrix_of_windows_is_stacked_once_read_only(self):
+        windows = tuple(synth_signal("drifting", 16, 1.0, s) for s in range(3))
+        arch = SignalArchive(windows=windows)
+        matrix = arch.matrix()
+        assert not matrix.flags.writeable
+        assert matrix.tobytes() == np.stack([w.samples for w in windows]).tobytes()
+        assert arch.matrix() is matrix
+
+    def test_loaded_matrix_is_the_windows_own_memory(self, tmp_path):
+        save_signal(tmp_path / "s.csv", np.linspace(-1.0, 1.0, 21))
+        arch = load_archive(tmp_path / "s.csv", window_len=4, dt=1.0, offset=1)
+        matrix = arch.matrix()
+        assert not matrix.flags.writeable
+        assert matrix.tobytes() == np.stack([w.samples for w in arch.windows]).tobytes()
+        assert np.shares_memory(matrix, arch.windows[0].samples)
+        assert arch.matrix() is matrix
+
 
 class TestSynth:
     def test_energy_neutral_properties(self):
