@@ -11,6 +11,8 @@ With an out_dir it also writes one window of each kind as CSV.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hes_regkit import SignalArchive, archive_stats, save_signal, synth_signal
 
 DT = 2.0 / 3600.0  # 2-second sampling, expressed in hours
@@ -18,8 +20,9 @@ N = 1800           # one hour per window
 
 
 def build(kind, seeds, **kw):
-    windows = tuple(synth_signal(kind, n=N, dt=DT, seed=s, **kw) for s in seeds)
-    return SignalArchive(windows=windows, source=f"demo:{kind}")
+    # one (windows, N) matrix; each window of the archive is a row of it
+    windows = [synth_signal(kind, n=N, dt=DT, seed=s, **kw).samples for s in seeds]
+    return SignalArchive(np.stack(windows), DT, f"demo:{kind}")
 
 
 def describe(label, arch):

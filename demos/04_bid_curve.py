@@ -19,6 +19,8 @@ Run:  python3 demos/04_bid_curve.py [out_dir]
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hes_regkit import (
     BatteryParams,
     GeneratorParams,
@@ -43,9 +45,10 @@ market = MarketParams(lambda_c=40.0, lambda_m=10.0, x_p_min=0.75, gamma=0.9, c_m
 
 print("hand-checkable case: square wave, amplitude 0.8")
 square = SignalArchive(
-    windows=tuple(synth_signal("square-wave", n=1800, dt=cfg.dt, seed=0, amplitude=0.8)
-                  for _ in range(4)),
-    source="demo:square",
+    np.stack([synth_signal("square-wave", n=1800, dt=cfg.dt, seed=0, amplitude=0.8).samples
+              for _ in range(4)]),
+    cfg.dt,
+    "demo:square",
 )
 sol = solve_bid(cfg, square, market, SweepGrid(c_lo=1.0, c_hi=18.0))
 print(f"  compliance crossing C_bar : {sol.c_bar:.4f} MW (analytic 40/3 = {40 / 3:.4f})")
@@ -54,9 +57,10 @@ print(f"  submitted bid C_star      : {sol.c_star:.4f} MW (cap {market.c_max})")
 
 print("\nrealistic case: 8 energy-neutral synthetic hours")
 neutral = SignalArchive(
-    windows=tuple(synth_signal("energy-neutral-random", n=1800, dt=cfg.dt, seed=100 + i)
-                  for i in range(8)),
-    source="demo:neutral",
+    np.stack([synth_signal("energy-neutral-random", n=1800, dt=cfg.dt, seed=100 + i).samples
+              for i in range(8)]),
+    cfg.dt,
+    "demo:neutral",
 )
 sol2 = solve_bid(cfg, neutral, market, SweepGrid(c_lo=1.0, c_hi=20.0))
 print("      C     mean x_p   z_0.9   compliant share")

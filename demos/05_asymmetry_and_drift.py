@@ -39,9 +39,10 @@ def system(gen, load):
 
 
 arch = SignalArchive(
-    windows=tuple(synth_signal("energy-neutral-random", n=900, dt=DT, seed=500 + i)
-                  for i in range(4)),
-    source="demo:neutral",
+    np.stack([synth_signal("energy-neutral-random", n=900, dt=DT, seed=500 + i).samples
+              for i in range(4)]),
+    DT,
+    "demo:neutral",
 )
 
 print("mean score by bid for three fleet shapes")

@@ -212,7 +212,7 @@ class _CurveEvaluator:
     def __init__(
         self, cfg: HesConfig, archive: SignalArchive, market: MarketParams | None = None
     ):
-        matrix = archive.matrix()
+        matrix = archive.samples
         l1 = np.sum(np.abs(matrix), axis=1)
         valid = l1 > 0.0
         if not np.any(valid):
@@ -379,9 +379,9 @@ def expected_revenue(
 ) -> RevenueSummary:
     """Average per-window payment at c_star over the archive."""
     pt = solution.point_at(solution.c_star)
-    matrix = archive.matrix()
-    l1 = np.sum(np.abs(matrix), axis=1)
-    miles = np.sum(np.abs(np.diff(matrix, axis=1)), axis=1)[l1 > 0.0]
+    l1 = np.sum(np.abs(archive.samples), axis=1)
+    steps = np.diff(archive.samples, axis=1)
+    miles = np.sum(np.abs(steps, out=steps), axis=1)[l1 > 0.0]
     per_window = solution.c_star * pt.scores * (market.lambda_c + market.lambda_m * miles)
     return RevenueSummary(
         c_star=solution.c_star,

@@ -65,14 +65,13 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _report_header(experiment: str, cfg: RunConfig, archive: SignalArchive | None) -> dict:
+def _report_header(experiment: str, cfg: RunConfig, archive: SignalArchive) -> dict:
     payload = config_digest_payload(cfg)
-    blobs = (w.samples for w in archive.windows) if archive is not None else ()
     return {
         "experiment": experiment,
         "tool_version": __version__,
         "config": payload,
-        "inputs_digest": digest_of(payload, *blobs),
+        "inputs_digest": digest_of(payload, archive.samples),
     }
 
 
@@ -127,17 +126,26 @@ def cmd_characterize(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_capacity(capacity: float) -> None:
+def _check_capacity(capacity: float, cfg: RunConfig) -> None:
+    """Refuse a capacity whose outputs could overflow on n-step windows: per MW,
+    C * sum|r| and the L1 error sum are at most n (|r| <= 1), the revenue at
+    most lambda_c + lambda_m * 2(n - 1) (x_p <= 1); half the largest float
+    leaves room for the sums' rounding."""
     if not math.isfinite(capacity):
         raise ConfigError(f"--capacity must be finite, got {capacity}")
     if capacity <= 0.0:
         raise ConfigError(f"--capacity must be > 0 MW, got {capacity}")
+    n, m = cfg.window_len, cfg.market
+    limit = sys.float_info.max / 2.0 / max(n, m.lambda_c + m.lambda_m * 2.0 * (n - 1))
+    if capacity > limit:
+        raise ConfigError(f"--capacity must be <= {limit!r} MW on {n}-step windows "
+                          f"at these prices, got {capacity}")
 
 
 def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: str) -> int:
     if capacity is None:
         raise ConfigError("dispatch needs --capacity (MW)")
-    _check_capacity(capacity)
+    _check_capacity(capacity, cfg)
     archive = resolve_archive(cfg)
     sig = _pick_window(archive, window)
     out = _out_dir(cfg)
@@ -317,7 +325,7 @@ def cmd_soc_drift(
     if vary is not None and not values:
         raise ConfigError("soc-drift --vary needs --values")
     if capacity is not None:
-        _check_capacity(capacity)
+        _check_capacity(capacity, cfg)
     archive = resolve_archive(cfg)
     out = _out_dir(cfg)
     batt = cfg.hes.batt
@@ -328,21 +336,23 @@ def cmd_soc_drift(
             c_used = capacity
         else:
             c_used = solve_bid(hes, archive, cfg.market, cfg.sweep).c_star
-        batch = rt_dispatch_batch(hes, c_used, archive.matrix(), archive.dt)
+        batch = rt_dispatch_batch(hes, c_used, archive.samples, archive.dt)
         soc = batch.soc
         at_bound = (soc <= batt.soc_min + 1e-9) | (soc >= batt.soc_max - 1e-9)
         hit = at_bound.any(axis=1)
         first_hit = np.where(hit, at_bound.argmax(axis=1), -1)
         finals = soc[:, -1].copy()  # contiguous, so np.mean sums as over a list
+        lows, highs = soc.min(axis=1), soc.max(axis=1)
+        medians = np.median(soc, axis=1, overwrite_input=True)  # last: partitions soc
         label = "base" if vary_name is None else "%s_%g" % (vary_name, value)
         write_csv(
             out / f"soc_windows_{label}.csv",
             ["window", "soc_median", "soc_min", "soc_max", "soc_final", "hit_bound", "first_hit"],
             zip(
                 range(archive.n_windows),
-                np.median(soc, axis=1).tolist(),
-                soc.min(axis=1).tolist(),
-                soc.max(axis=1).tolist(),
+                medians.tolist(),
+                lows.tolist(),
+                highs.tolist(),
                 finals.tolist(),
                 hit.tolist(),
                 first_hit.tolist(),
@@ -375,8 +385,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         raise ConfigError("synth needs a [signal] synth_kind source in the config")
     archive = resolve_archive(cfg)
     out = _out_dir(cfg)
-    data = np.concatenate([w.samples for w in archive.windows])
-    save_signal(out / "signal.csv", data)
+    save_signal(out / "signal.csv", archive.samples.ravel())
     report = _report_header("synth", cfg, archive)
     report.update(
         {

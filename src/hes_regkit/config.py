@@ -22,10 +22,12 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .bidding import SweepGrid
 from .model import BatteryParams, GeneratorParams, HesConfig, LoadParams
 from .scoring import MarketParams
-from .signals import SYNTH_KINDS, RegSignal, SignalArchive, load_archive, synth_signal
+from .signals import SYNTH_KINDS, SignalArchive, load_archive, synth_signal
 
 __all__ = [
     "ConfigError",
@@ -270,8 +272,9 @@ def resolve_archive(cfg: RunConfig) -> SignalArchive:
             cfg.archive_path, cfg.window_len, cfg.hes.dt, offset=cfg.window_offset
         )
     spec = cfg.synth
-    windows = tuple(
-        synth_signal(
+    samples = np.empty((spec.windows, spec.n))
+    for i, row in enumerate(samples):  # window i from seed + i, in place
+        row[:] = synth_signal(
             spec.kind,
             spec.n,
             cfg.hes.dt,
@@ -280,10 +283,9 @@ def resolve_archive(cfg: RunConfig) -> SignalArchive:
             period=spec.period,
             bias=spec.bias,
             noise=spec.noise,
-        )
-        for i in range(spec.windows)
-    )
-    return SignalArchive(windows=windows, source=f"synth:{spec.kind}")
+        ).samples
+    samples.setflags(write=False)
+    return SignalArchive(samples, cfg.hes.dt, f"synth:{spec.kind}")
 
 
 def config_digest_payload(cfg: RunConfig) -> dict:

@@ -409,7 +409,8 @@ def _rule_stream(
     form (_saturated_error). Memory grows with the block, not with the
     number of steps: step-block arrays of at most about _STEP_BLOCK_ELEMENTS
     elements each, but never less than one step of capacities x windows.
-    There are three for the saturation form, else six and the SoC block.
+    There are three for the saturation form, else six and the SoC block;
+    one more takes each block's commands, transposed from the samples.
     """
     e0 = cfg.batt.soc_init
     c = cs[:, None]
@@ -425,10 +426,11 @@ def _rule_stream(
     if soc is None and not saturated:
         soc = np.full((block + 1, cs.size, n_windows), e0)
     err_sums = np.zeros((cs.size, n_windows))
-    commands = np.ascontiguousarray(samples.T)  # each block one slab of memory
+    commands = np.empty((min(block, n_steps), 1, n_windows))
     for start in range(0, n_steps, block):
-        r = commands[start : start + block, None, :]
-        n = r.shape[0]
+        n = min(block, n_steps - start)
+        r = commands[:n]  # the block's commands, step-major: one slab of memory
+        np.copyto(r[:, 0, :], samples[:, start : start + n].T)
         cols = [a[:n] for a in buffers]
         if saturated:
             err = _saturated_error(cfg, c, r, cols)

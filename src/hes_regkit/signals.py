@@ -20,16 +20,16 @@ map of float over the lines' second fields and range-checked as one array.
 Any other file, and any fault in that pass, goes to the line-by-line
 reader, which skips comments and blank lines and names the file and line of
 the first bad one. A file that is not UTF-8 is refused with its path and
-byte offset. load_archive lists a directory with one os.scandir, and checks
-the concatenated samples once as a (windows, window_len) matrix whose rows
-are the windows; SignalArchive.matrix() returns that matrix, no copy.
+byte offset. load_archive lists a directory with one os.scandir, and cuts
+the concatenated samples into the (windows, window_len) matrix a
+SignalArchive is; config.resolve_archive fills the rows of one instead.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +78,9 @@ def _check_samples(arr: np.ndarray, ndim: int) -> None:
         raise SignalError(f"signal must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0 or arr.shape[-1] < 2:
         raise SignalError(f"signal needs at least 2 samples, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SignalRangeError("signal contains non-finite samples")
     lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN reaches both, inf one
+        raise SignalRangeError("signal contains non-finite samples")
     if lo < -1.0 or hi > 1.0:
         raise SignalRangeError(
             f"samples outside [-1, 1]: min={lo}, max={hi}"
@@ -126,52 +126,39 @@ class RegSignal:
 
 @dataclass(frozen=True, eq=False)
 class SignalArchive:
-    """Equal-length windows sharing one sample interval."""
+    """Equal-length windows sharing one sample interval: ``samples``, one
+    read-only C-contiguous float64 (n_windows, window_len) matrix, kept as it
+    is if it is one, else copied once; ``windows``, RegSignal views of its rows."""
 
-    windows: tuple[RegSignal, ...]
+    samples: np.ndarray
+    dt: float  # hours per sample
     source: str = ""
+    windows: tuple[RegSignal, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.windows:
+        arr = self.samples
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.float64
+            and arr.flags.c_contiguous
+            and not arr.flags.writeable
+        ):
+            arr = np.array(arr, dtype=float, order="C")
+            arr.setflags(write=False)
+        if arr.ndim == 2 and arr.shape[0] == 0:
             raise EmptyArchiveError("archive has no windows")
-        n0, dt0 = self.windows[0].n, self.windows[0].dt
-        for i, w in enumerate(self.windows):
-            if w.n != n0 or w.dt != dt0:
-                raise SignalError(
-                    f"window {i} has (n={w.n}, dt={w.dt}), expected ({n0}, {dt0})"
-                )
+        _check_samples(arr, 2)
+        _check_dt(self.dt)
+        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "windows", tuple(RegSignal._row(row, self.dt) for row in arr))
 
     @property
     def n_windows(self) -> int:
-        return len(self.windows)
+        return int(self.samples.shape[0])
 
     @property
     def window_len(self) -> int:
-        return self.windows[0].n
-
-    @property
-    def dt(self) -> float:
-        return self.windows[0].dt
-
-    @classmethod
-    def _of_rows(cls, data: np.ndarray, dt: float, source: str) -> SignalArchive:
-        """An archive whose windows are the rows of a checked, read-only
-        (windows, window_len) matrix and a checked dt; the matrix is kept."""
-        archive = cls(windows=tuple(RegSignal._row(row, dt) for row in data), source=source)
-        object.__setattr__(archive, "_matrix", data)
-        return archive
-
-    def matrix(self) -> np.ndarray:
-        """All windows as one read-only (n_windows, window_len) array.
-
-        An archive of loaded rows returns the matrix they are rows of; one
-        built from separate windows stacks them on the first call only."""
-        matrix = self.__dict__.get("_matrix")
-        if matrix is None:
-            matrix = np.stack([w.samples for w in self.windows])
-            matrix.setflags(write=False)
-            object.__setattr__(self, "_matrix", matrix)
-        return matrix
+        return int(self.samples.shape[1])
 
 
 @dataclass(frozen=True)
@@ -344,10 +331,8 @@ def load_archive(
             f"({samples.size} samples, offset {offset})"
         )
     data = samples[offset : offset + n_win * window_len].reshape(n_win, window_len)
-    _check_samples(data, 2)
-    _check_dt(dt)
     data.setflags(write=False)
-    return SignalArchive._of_rows(data, dt, str(p))
+    return SignalArchive(data, dt, str(p))
 
 
 def save_signal(path: str | Path, samples: np.ndarray | RegSignal) -> Path:

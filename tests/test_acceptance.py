@@ -58,11 +58,11 @@ def _grid_resolution_mw(cfg: HesConfig, grid: DpOracleConfig) -> float:
 
 
 def _neutral_archive(n: int, n_windows: int, seed0: int, dt: float = DT_2S) -> SignalArchive:
-    windows = tuple(
-        synth_signal("energy-neutral-random", n=n, dt=dt, seed=seed0 + i)
+    windows = [
+        synth_signal("energy-neutral-random", n=n, dt=dt, seed=seed0 + i).samples
         for i in range(n_windows)
-    )
-    return SignalArchive(windows=windows, source="acceptance-synthetic")
+    ]
+    return SignalArchive(np.stack(windows), dt, "acceptance-synthetic")
 
 
 def test_criterion_1_interior_equivalence(capsys):
@@ -190,11 +190,11 @@ def test_criterion_5_bid_crossing(capsys):
     # and the compliance crossing sits at 8/(0.8 * 0.75) = 40/3 MW. The
     # solver must land within 0.01 MW of it and must cap the bid exactly.
     cfg = reference_system()
-    windows = tuple(
-        synth_signal("square-wave", n=360, dt=DT_2S, seed=0, amplitude=0.8)
+    windows = [
+        synth_signal("square-wave", n=360, dt=DT_2S, seed=0, amplitude=0.8).samples
         for _ in range(4)
-    )
-    arch = SignalArchive(windows=windows, source="acceptance-square")
+    ]
+    arch = SignalArchive(np.stack(windows), DT_2S, "acceptance-square")
     grid = SweepGrid(c_lo=1.0, c_hi=18.0)
     problems = []
 

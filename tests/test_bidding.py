@@ -12,7 +12,6 @@ import hes_regkit.bidding as bidding
 from hes_regkit import (
     BidCurvePoint,
     BracketError,
-    RegSignal,
     SignalArchive,
     SweepGrid,
     expected_revenue,
@@ -29,10 +28,11 @@ from helpers import DT_2S, reference_market, reference_system, same_bits
 
 def square_archive(n_windows=4, amplitude=0.8, n=360):
     return SignalArchive(
-        windows=tuple(
-            synth_signal("square-wave", n, DT_2S, s, amplitude=amplitude, period=2)
+        np.stack([
+            synth_signal("square-wave", n, DT_2S, s, amplitude=amplitude, period=2).samples
             for s in range(n_windows)
-        )
+        ]),
+        DT_2S,
     )
 
 
@@ -69,25 +69,22 @@ class TestQuantile:
 
 class TestScoreSamples:
     def test_zero_windows_dropped(self):
-        quiet = RegSignal(samples=np.zeros(360), dt=DT_2S)
-        arch = SignalArchive(windows=square_archive().windows + (quiet,))
+        arch = SignalArchive(np.vstack([square_archive().samples, np.zeros(360)]), DT_2S)
         scores = score_samples(reference_system(), 8.0, arch)
         assert scores.shape == (4,)
         assert np.all(scores == 1.0)
 
     def test_scores_the_archive_matrix_itself_when_every_window_moves(self):
         arch = square_archive()
-        assert bidding._CurveEvaluator(reference_system(), arch)._matrix is arch.matrix()
-        quiet = RegSignal(samples=np.zeros(360), dt=DT_2S)
+        assert bidding._CurveEvaluator(reference_system(), arch)._matrix is arch.samples
         evaluate = bidding._CurveEvaluator(
-            reference_system(), SignalArchive(windows=arch.windows + (quiet,))
+            reference_system(), SignalArchive(np.vstack([arch.samples, np.zeros(360)]), DT_2S)
         )
-        assert evaluate._matrix.tobytes() == arch.matrix().tobytes()
+        assert evaluate._matrix.tobytes() == arch.samples.tobytes()
         assert (evaluate.n_windows, evaluate.zero_windows) == (5, 1)
 
     def test_all_zero_archive_rejected(self):
-        quiet = RegSignal(samples=np.zeros(16), dt=DT_2S)
-        arch = SignalArchive(windows=(quiet, quiet))
+        arch = SignalArchive(np.zeros((2, 16)), DT_2S)
         with pytest.raises(ValueError, match="nonzero"):
             score_samples(reference_system(), 8.0, arch)
 
@@ -161,10 +158,8 @@ class TestSolveBid:
 
     @pytest.mark.parametrize("n", [7, 8, 129, 1000, 3601])
     def test_expected_revenue_matches_window_by_window(self, n):
-        windows = tuple(
-            synth_signal("energy-neutral-random", n, DT_2S, s) for s in range(5)
-        )
-        arch = SignalArchive(windows=windows + (RegSignal(np.zeros(n), DT_2S),))
+        windows = [synth_signal("energy-neutral-random", n, DT_2S, s).samples for s in range(5)]
+        arch = SignalArchive(np.stack(windows + [np.zeros(n)]), DT_2S)
         sweep = SweepGrid(c_lo=1.0, c_hi=30.0, coarse_step=1.0, refine_tol=0.05)
         sol = solve_bid(self.cfg, arch, self.market, sweep)
         rev = expected_revenue(sol, arch, self.market)
@@ -180,7 +175,7 @@ def sequential_solve(cfg, archive, market, sweep):
     """Bid selection as plain Python, one rt_dispatch_batch per capacity:
     coarse points in order up to the first non-compliant one, then bisection.
     Returns ({c: scores}, c_bar, c_hat, c_star, diagnostics as a dict)."""
-    matrix = archive.matrix()
+    matrix = archive.samples
     l1 = np.sum(np.abs(matrix), axis=1)
     valid = l1 > 0.0
     matrix, l1 = matrix[valid], l1[valid]
@@ -240,12 +235,11 @@ def sequential_solve(cfg, archive, market, sweep):
 
 def mixed_archive():
     """Distinct windows, so scores differ per window, and one quiet window."""
-    quiet = RegSignal(samples=np.zeros(120), dt=DT_2S)
-    windows = tuple(
-        synth_signal(kind, 120, DT_2S, s)
+    windows = [
+        synth_signal(kind, 120, DT_2S, s).samples
         for s, kind in enumerate(["energy-neutral-random", "drifting"] * 3)
-    )
-    return SignalArchive(windows=windows + (quiet,))
+    ]
+    return SignalArchive(np.stack(windows + [np.zeros(120)]), DT_2S)
 
 
 class TestSweepMatchesSequential:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -458,7 +459,7 @@ class TestSocDrift:
         cfg = load_config(p)
         archive = resolve_archive(cfg)
         batt = cfg.hes.batt
-        batch = rt_dispatch_batch(cfg.hes, 8.0, archive.matrix(), archive.dt)
+        batch = rt_dispatch_batch(cfg.hes, 8.0, archive.samples, archive.dt)
         assert batch.soc.shape[1] % 2 == 0  # the median averages two points
         # the summaries one window at a time, as they were first written
         rows, finals = [], []
@@ -524,26 +525,73 @@ class TestSocDrift:
         assert "failed" not in ok
         assert ok["cases"] == report["cases"]
 
-    def test_traced_peak_within_a_multiple_of_the_matrix(self, tmp_path):
-        # 250 hour-long windows: the SoC paths the summaries need, the
-        # archive's matrix, its stack and the transposed commands, and one
-        # step block of the rule. 4.10x measured; 9.06x while the batch
-        # built every kernel column over the whole matrix
-        n_windows, n_steps = 250, 1800
-        p = tmp_path / "exp.ini"
-        p.write_text(
-            BASE.replace("synth_n = 240", f"synth_n = {n_steps}")
-            .replace("window_len = 240", f"window_len = {n_steps}")
-            .replace("synth_windows = 5", f"synth_windows = {n_windows}")
+
+# per MW, no output of BASE's 240-step windows exceeds max(240, lambda_c +
+# lambda_m * 2 * 239) in magnitude; --capacity keeps that within half the
+# largest float
+CAPACITY_LIMIT = sys.float_info.max / 2.0 / (40.0 + 10.0 * 2.0 * 239)
+
+
+@pytest.mark.parametrize(
+    "command", [["dispatch", "--mode", "rt"], ["soc-drift"]], ids=["dispatch", "soc-drift"]
+)
+def test_capacity_limit_refuses_overflow_and_nothing_below(command, config_path, tmp_path,
+                                                          capsys):
+    above = float(np.nextafter(CAPACITY_LIMIT, np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tmp_path / "refused"
+        assert run([*command, "--config", config_path, "--capacity", above,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --capacity must be <= {CAPACITY_LIMIT!r} MW on 240-step windows "
+            f"at these prices, got {above!r}\n"
         )
-        tracemalloc.start()
-        try:
-            assert run(["soc-drift", "--config", p, "--capacity", 12,
-                        "--out", tmp_path / "o"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * n_windows * n_steps * 8
+        assert not out.exists()
+        out = tmp_path / "accepted"
+        assert run([*command, "--config", config_path, "--capacity", CAPACITY_LIMIT,
+                    "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))
+    if command[0] == "dispatch":
+        perf = json.loads((out / "performance_rt.json").read_text())["performance"]
+        # the error sum is near C * sum|r|, and finite
+        assert perf["c"] == CAPACITY_LIMIT and perf["abs_error"] > CAPACITY_LIMIT
+
+
+# tracemalloc peak over the archive's matrix bytes, on synthetic hour-long
+# windows. soc-drift: the matrix, the SoC paths the summaries need and one
+# step block of the rule; 2.29x measured, 4.17x while a synthetic archive
+# kept a stack beside its windows and the stream transposed the whole
+# matrix, 9.06x while the batch built every kernel column over it. bid: the
+# matrix and expected_revenue's |diff|; 2.22x on 80 windows, 4.12x with the
+# kept stack, the transpose and a second |diff| temporary. characterize: the
+# matrix; 1.05x
+@pytest.mark.parametrize(
+    "command, n_windows, bound",
+    [
+        (["soc-drift", "--capacity", 12], 250, 2.5),
+        (["bid"], 80, 2.45),
+        (["characterize"], 250, 1.3),
+    ],
+    ids=["soc-drift", "bid", "characterize"],
+)
+def test_traced_peak_within_a_multiple_of_the_matrix(command, n_windows, bound, tmp_path):
+    n_steps = 1800
+    p = tmp_path / "exp.ini"
+    p.write_text(
+        BASE.replace("synth_n = 240", f"synth_n = {n_steps}")
+        .replace("window_len = 240", f"window_len = {n_steps}")
+        .replace("synth_windows = 5", f"synth_windows = {n_windows}")
+    )
+    tracemalloc.start()
+    try:
+        assert run([*command, "--config", p, "--out", tmp_path / "o"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n_windows * n_steps * 8
 
 
 class TestSynth:

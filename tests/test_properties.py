@@ -636,7 +636,7 @@ def test_load_archive_matches_line_reader(texts, window_len, offset):
             assert str(got.value) == str(exc)
             return
         archive = load_archive(source, window_len, 1.0, offset=offset)
-    assert same_bits(np.stack([w.samples for w in archive.windows]), expected)
+    assert same_bits(archive.samples, expected)
 
 
 @PROPERTY

@@ -35,6 +35,11 @@ class TestRegSignal:
             RegSignal(samples=np.array([0.0, 1.2]), dt=1.0)
         with pytest.raises(SignalRangeError):
             RegSignal(samples=np.array([-1.01, 0.0]), dt=1.0)
+        # the check reads only the min and the max: NaN reaches both, an
+        # infinity one, and NaN is named even next to an out-of-range sample
+        for bad in ([0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [np.nan, 2.0]):
+            with pytest.raises(SignalRangeError, match="non-finite samples"):
+                RegSignal(samples=np.array(bad), dt=1.0)
 
     def test_rejects_nan(self):
         with pytest.raises(SignalRangeError):
@@ -85,7 +90,7 @@ class TestStats:
         windows = tuple(
             synth_signal("energy-neutral-random", 32, 1.0, seed) for seed in range(9)
         )
-        stats = archive_stats(SignalArchive(windows=windows), bins=10)
+        stats = archive_stats(SignalArchive(np.stack([w.samples for w in windows]), 1.0), bins=10)
         assert sum(stats.w.counts) == 9
         assert sum(stats.w_inf.counts) == 9
         assert len(stats.per_window) == 9
@@ -184,42 +189,76 @@ class TestArchiveIO:
         (tmp_path / "x.csv").rmdir()
         arch = load_archive(tmp_path, window_len=2, dt=1.0)
         order = [names.index(p.name) for p in sorted(tmp_path.glob("*.csv"))]
-        assert arch.matrix().tolist() == [[0.1 * i, -0.1 * i] for i in order]
+        assert arch.samples.tolist() == [[0.1 * i, -0.1 * i] for i in order]
 
 
 class TestArchiveContainer:
-    def test_rejects_mixed_window_lengths(self):
-        a = RegSignal(samples=np.zeros(4), dt=1.0)
-        b = RegSignal(samples=np.zeros(5), dt=1.0)
-        with pytest.raises(SignalError, match="window 1"):
-            SignalArchive(windows=(a, b))
+    @pytest.mark.parametrize(
+        "samples, dt, error, match",
+        [
+            (np.zeros(4), 1.0, SignalError, "must be 2-D"),
+            (np.zeros((3, 1)), 1.0, SignalError, "at least 2 samples"),
+            ([[0.0, np.nan], [0.0, 0.0]], 1.0, SignalRangeError, "non-finite"),
+            ([[0.0, 0.0], [np.inf, 0.0]], 1.0, SignalRangeError, "non-finite"),
+            ([[0.0, -np.inf], [0.0, 0.0]], 1.0, SignalRangeError, "non-finite"),
+            ([[0.0, 0.5], [1.5, 0.0]], 1.0, SignalRangeError, r"outside \[-1, 1\]"),
+            (np.zeros((2, 4)), 0.0, SignalError, "dt must be > 0"),
+            (np.zeros((2, 4)), np.nan, SignalError, "dt must be finite"),
+        ],
+    )
+    def test_constructor_refuses_by_name(self, samples, dt, error, match):
+        with pytest.raises(error, match=match):
+            SignalArchive(samples, dt)
 
     def test_rejects_empty(self):
-        with pytest.raises(EmptyArchiveError):
-            SignalArchive(windows=())
+        with pytest.raises(EmptyArchiveError, match="archive has no windows"):
+            SignalArchive(np.empty((0, 16)), 1.0)
 
     def test_matrix_shape(self):
         arch = SignalArchive(
-            windows=tuple(synth_signal("drifting", 16, 1.0, s) for s in range(3))
+            np.stack([synth_signal("drifting", 16, 1.0, s).samples for s in range(3)]), 1.0
         )
-        assert arch.matrix().shape == (3, 16)
+        assert arch.samples.shape == (3, 16)
+        assert (arch.n_windows, arch.window_len, arch.dt) == (3, 16, 1.0)
+        assert [w.n for w in arch.windows] == [16] * 3
 
     def test_matrix_of_windows_is_stacked_once_read_only(self):
         windows = tuple(synth_signal("drifting", 16, 1.0, s) for s in range(3))
-        arch = SignalArchive(windows=windows)
-        matrix = arch.matrix()
-        assert not matrix.flags.writeable
-        assert matrix.tobytes() == np.stack([w.samples for w in windows]).tobytes()
-        assert arch.matrix() is matrix
+        stacked = np.stack([w.samples for w in windows])
+        arch = SignalArchive(stacked, 1.0, "stacked")
+        assert not arch.samples.flags.writeable
+        assert arch.samples.tobytes() == stacked.tobytes()
+        assert all(np.shares_memory(w.samples, arch.samples) for w in arch.windows)
+
+    def test_writable_input_is_copied(self):
+        raw = np.zeros((2, 4))
+        arch = SignalArchive(raw, 1.0)
+        assert not np.shares_memory(arch.samples, raw)
+        raw[0, 0] = 9.0  # must not leak into the archive
+        assert arch.samples[0, 0] == 0.0 and arch.windows[0].samples[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arch.samples[0, 0] = 0.5
+
+    def test_read_only_float64_input_is_kept(self):
+        raw = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
+        raw.setflags(write=False)
+        arch = SignalArchive(raw, 1.0)
+        assert arch.samples is raw
+        assert np.shares_memory(arch.windows[1].samples, raw)
+        # any other layout or dtype is copied once into a C-ordered float64
+        for other in (np.asfortranarray(raw), raw.astype(np.float32), raw.tolist()):
+            got = SignalArchive(other, 1.0).samples
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, raw)
 
     def test_loaded_matrix_is_the_windows_own_memory(self, tmp_path):
         save_signal(tmp_path / "s.csv", np.linspace(-1.0, 1.0, 21))
         arch = load_archive(tmp_path / "s.csv", window_len=4, dt=1.0, offset=1)
-        matrix = arch.matrix()
+        matrix = arch.samples
         assert not matrix.flags.writeable
         assert matrix.tobytes() == np.stack([w.samples for w in arch.windows]).tobytes()
         assert np.shares_memory(matrix, arch.windows[0].samples)
-        assert arch.matrix() is matrix
 
 
 class TestSynth:
