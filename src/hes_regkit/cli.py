@@ -30,6 +30,7 @@ from .bidding import BidSolution, BracketError, expected_revenue, solve_bid
 from .config import (
     ConfigError,
     RunConfig,
+    _capacity_limit,
     config_digest_payload,
     load_config,
     print_schema,
@@ -55,8 +56,6 @@ from .signals import (
 )
 
 __all__ = ["main"]
-
-_OFFLINE_STEP_LIMIT = 20000
 
 _BID_CURVE_COLUMNS = ["c", "mean_xp", "z_gamma", "prob_compliant", "objective"]
 _SWEEP_CURVE_COLUMNS = ["c", "mean_xp", "std_xp", "z_gamma", "prob_compliant", "objective"]
@@ -127,19 +126,15 @@ def cmd_characterize(cfg: RunConfig) -> int:
 
 
 def _check_capacity(capacity: float, cfg: RunConfig) -> None:
-    """Refuse a capacity whose outputs could overflow on n-step windows: per MW,
-    C * sum|r| and the L1 error sum are at most n (|r| <= 1), the revenue at
-    most lambda_c + lambda_m * 2(n - 1) (x_p <= 1); half the largest float
-    leaves room for the sums' rounding."""
+    """Refuse a capacity whose outputs could overflow on the config's windows."""
     if not math.isfinite(capacity):
         raise ConfigError(f"--capacity must be finite, got {capacity}")
     if capacity <= 0.0:
         raise ConfigError(f"--capacity must be > 0 MW, got {capacity}")
-    n, m = cfg.window_len, cfg.market
-    limit = sys.float_info.max / 2.0 / max(n, m.lambda_c + m.lambda_m * 2.0 * (n - 1))
+    limit = _capacity_limit(cfg.window_len, cfg.market)
     if capacity > limit:
-        raise ConfigError(f"--capacity must be <= {limit!r} MW on {n}-step windows "
-                          f"at these prices, got {capacity}")
+        raise ConfigError(f"--capacity must be <= {limit!r} MW on {cfg.window_len}-step "
+                          f"windows at these prices, got {capacity}")
 
 
 def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: str) -> int:
@@ -148,41 +143,36 @@ def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: s
     _check_capacity(capacity, cfg)
     archive = resolve_archive(cfg)
     sig = _pick_window(archive, window)
-    out = _out_dir(cfg)
     header = _report_header("dispatch", cfg, archive)
     header.update({"window": window, "capacity": capacity, "mode": mode})
 
-    if mode in ("offline", "both") and sig.n > _OFFLINE_STEP_LIMIT:
-        raise BudgetError(
-            f"offline benchmark limited to {_OFFLINE_STEP_LIMIT} steps per window, "
-            f"got {sig.n}; downsample the window first"
-        )
-
+    # every result first, so that a failing solve leaves no file behind
+    traces, reports = {}, {}
     if mode in ("rt", "both"):
         trace = rt_dispatch(cfg.hes, capacity, sig)
-        j_on = trace.abs_error()
-        save_trace_csv(out / "trace_rt.csv", trace, sig.samples, capacity)
         perf = make_report(capacity, sig, trace, cfg.market)
-        rt_report = dict(header)
-        rt_report["performance"] = perf.to_dict()
-        write_json(out / "performance_rt.json", rt_report)
+        traces["trace_rt.csv"] = trace
+        reports["performance_rt.json"] = {**header, "performance": perf.to_dict()}
     if mode in ("offline", "both"):
         sol = offline_dispatch(cfg.hes, capacity, sig)
-        save_trace_csv(out / "trace_offline.csv", sol.trace, sig.samples, capacity)
         perf = make_report(capacity, sig, sol.trace, cfg.market)
-        off_report = dict(header)
-        off_report["performance"] = perf.to_dict()
+        traces["trace_offline.csv"] = sol.trace
+        off_report = {**header, "performance": perf.to_dict()}
         for field in dataclasses.fields(sol):
             value = getattr(sol, field.name)
             if field.name != "trace" and value is not None:
                 off_report[field.name] = value
-        write_json(out / "performance_offline.json", off_report)
+        reports["performance_offline.json"] = off_report
     if mode == "both":
         # what benchmark_controller would compute, from the runs above
-        bench = _benchmark_report(cfg.hes, capacity, sig, j_on, sol)
-        bench_report = dict(header)
-        bench_report.update(bench.to_dict())
-        write_json(out / "benchmark.json", bench_report)
+        bench = _benchmark_report(cfg.hes, capacity, sig, trace.abs_error(), sol)
+        reports["benchmark.json"] = {**header, **bench.to_dict()}
+
+    out = _out_dir(cfg)
+    for name, result in traces.items():
+        save_trace_csv(out / name, result, sig.samples, capacity)
+    for name, report in reports.items():
+        write_json(out / name, report)
     return 0
 
 

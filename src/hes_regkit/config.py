@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,16 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Bad or missing configuration value; message names section and key."""
+
+
+def _capacity_limit(n: int, market: MarketParams) -> float:
+    """Largest capacity, MW, whose outputs cannot overflow on n-step windows:
+    per MW, C * sum|r| and the L1 error sum are at most n (|r| <= 1), the
+    revenue at most lambda_c + lambda_m * 2(n - 1) (x_p <= 1); half the
+    largest float leaves room for the sums' rounding."""
+    return sys.float_info.max / 2.0 / max(
+        n, market.lambda_c + market.lambda_m * 2.0 * (n - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -248,6 +259,10 @@ def load_config(path: str | Path) -> RunConfig:
                 f"[signal] window_len = {window_len} disagrees with synth_n = {synth.n}"
             )
         window_len = synth.n
+    c_limit = _capacity_limit(window_len, market)
+    if sweep.c_hi > c_limit:
+        raise ConfigError(f"[sweep] c_hi must be <= {c_limit!r} MW on {window_len}-step "
+                          f"windows at these prices, got {sweep.c_hi!r}")
     cfg = RunConfig(
         hes=hes,
         market=market,

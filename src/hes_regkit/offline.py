@@ -8,15 +8,22 @@ and the grid oracle are deliberately independent of the real-time rule:
   slack, soc) with the charge/discharge complementarity dropped. If the LP
   optimum never overlaps charge and discharge the relaxation is exact;
   otherwise overlap is netted out (which preserves p_hes and the objective
-  and can only raise SoC), and if even that fails a small instance falls
-  back to the grid oracle.
+  and can only raise SoC), and if even that fails the window falls back to
+  the grid oracle. Where the SoC pins its ceiling on long windows the
+  relaxation burns energy through overlap that netting cannot repair, so
+  the oracle is the route there.
 - ``dp_oracle``: value iteration on a discretized SoC grid with a signed
-  battery power grid. Complementarity is structural. Used to sanity-check
-  the LP on small instances.
+  battery power grid. Complementarity is structural. The LP's fallback, and
+  an independent check of the LP on small instances.
 - ``closed_form_dispatch``: the saturation form p_hes = clip(C r, -(load+batt),
   gen+batt), the rule's own kernel with the battery headroom fixed at its
   power rating, valid only while SoC never touches its envelope; doubles as
   the hypothesis test for rule-vs-offline equivalence.
+
+``offline_dispatch`` and ``dp_oracle`` refuse a window longer than
+``STEP_LIMIT`` steps with ``BudgetError`` before any solve. The oracle's
+cost is linear in the window length, so within the limit every window that
+reaches it gets an answer.
 """
 
 from __future__ import annotations
@@ -52,10 +59,12 @@ __all__ = [
     "benchmark_controller",
     "COMPLEMENTARITY_TOL",
     "EQUIVALENCE_RTOL",
+    "STEP_LIMIT",
 ]
 
 COMPLEMENTARITY_TOL = 1e-9  # MW^2, max tolerated p_discharge * (-p_charge)
 EQUIVALENCE_RTOL = 1e-6  # relative gap allowed when the closed form applies
+STEP_LIMIT = 20000  # steps per window that the offline benchmark accepts
 _LP_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-8,
@@ -70,7 +79,7 @@ class SolverError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """Instance too large for the requested exact method."""
+    """Window longer than the offline benchmark accepts (STEP_LIMIT)."""
 
 
 class EquivalenceError(RuntimeError):
@@ -86,6 +95,12 @@ class OfflineSolution:
     charge/discharge (False for repaired or post-LP fallback solutions).
     lp_bound carries the LP relaxation optimum whenever an LP was solved;
     dp_value carries the grid oracle's root value when the grid oracle ran.
+
+    On the 'dp' route the numbers bracket the true optimum: objective is the
+    cost of a feasible grid trace, an upper bound, and lp_bound (the
+    relaxation, which may overlap charge and discharge) a lower bound. A
+    rule-vs-offline gap taken from objective therefore understates the
+    rule's shortfall, and one taken from lp_bound overstates it.
     """
 
     trace: DispatchTrace
@@ -210,15 +225,18 @@ def _assemble_trace(
     )
 
 
-def offline_dispatch(
-    cfg: HesConfig,
-    c: float,
-    sig: RegSignal,
-    *,
-    dp_step_budget: int = 200,
-) -> OfflineSolution:
+def _check_steps(sig: RegSignal) -> None:
+    if sig.n > STEP_LIMIT:
+        raise BudgetError(
+            f"offline benchmark limited to {STEP_LIMIT} steps per window, "
+            f"got {sig.n}; downsample the window first"
+        )
+
+
+def offline_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
     """Minimum-L1-error dispatch for one window, LP route with fallbacks."""
     _check_inputs(cfg, c, sig.dt)
+    _check_steps(sig)
     batt = cfg.batt
     target = c * sig.samples
     g, l, d, pc, e_lp, lp_obj = _solve_lp(cfg, c, sig)
@@ -257,12 +275,7 @@ def offline_dispatch(
             lp_bound=lp_obj,
         )
 
-    if sig.n > dp_step_budget:
-        raise BudgetError(
-            f"complementarity repair failed and the exact oracle is limited to "
-            f"{dp_step_budget} steps (window has {sig.n}); downsample the window"
-        )
-    dp = dp_oracle(cfg, c, sig, step_budget=dp_step_budget)
+    dp = dp_oracle(cfg, c, sig)
     return OfflineSolution(
         trace=dp.trace,
         objective=dp.objective,
@@ -307,7 +320,6 @@ def dp_oracle(
     grid: DpOracleConfig | None = None,
     *,
     allow_simultaneous: bool = False,
-    step_budget: int = 200,
 ) -> OfflineSolution:
     """Exact-on-grid dispatch via backward value iteration.
 
@@ -323,11 +335,7 @@ def dp_oracle(
     battery power magnitude.
     """
     _check_inputs(cfg, c, sig.dt)
-    if sig.n > step_budget:
-        raise BudgetError(
-            f"dp oracle limited to {step_budget} steps, got {sig.n}; "
-            "downsample the window or raise step_budget"
-        )
+    _check_steps(sig)
     grid = grid or DpOracleConfig()
     batt = cfg.batt
     n = sig.n
@@ -412,7 +420,11 @@ def dp_oracle(
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """Rule-vs-offline comparison for one (config, capacity, window)."""
+    """Rule-vs-offline comparison for one (config, capacity, window).
+
+    gap = j_on - j_off. On the 'dp' route j_off is an upper bound on the
+    offline optimum, so gap understates the rule's shortfall there.
+    """
 
     c: float
     j_on: float
@@ -425,13 +437,7 @@ class BenchmarkReport:
         return asdict(self)
 
 
-def benchmark_controller(
-    cfg: HesConfig,
-    c: float,
-    sig: RegSignal,
-    *,
-    dp_step_budget: int = 200,
-) -> BenchmarkReport:
+def benchmark_controller(cfg: HesConfig, c: float, sig: RegSignal) -> BenchmarkReport:
     """Compare the real-time rule against the offline optimum on one window.
 
     When the closed form applies (SoC strictly interior throughout), the two
@@ -439,7 +445,7 @@ def benchmark_controller(
     EquivalenceError because it means one of the routes is wrong.
     """
     j_on = rt_dispatch(cfg, c, sig).abs_error()
-    off = offline_dispatch(cfg, c, sig, dp_step_budget=dp_step_budget)
+    off = offline_dispatch(cfg, c, sig)
     return _benchmark_report(cfg, c, sig, j_on, off)
 
 

@@ -26,7 +26,6 @@ from hes_regkit.cli import main
 from hes_regkit.controller import rt_dispatch, rt_dispatch_batch, validate_trace
 from hes_regkit.model import GeneratorParams, HesConfig, LoadParams
 from hes_regkit.offline import (
-    BudgetError,
     DpOracleConfig,
     EquivalenceError,
     benchmark_controller,
@@ -81,9 +80,7 @@ def test_criterion_1_interior_equivalence(capsys):
         sig = random_signal(rng, n, DT_2S)
         c = random_capacity(rng, cfg)
         try:
-            rep = benchmark_controller(cfg, c, sig, dp_step_budget=700)
-        except BudgetError:
-            continue
+            rep = benchmark_controller(cfg, c, sig)
         except EquivalenceError as exc:
             failures.append(str(exc))
             held += 1

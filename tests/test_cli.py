@@ -1,10 +1,12 @@
 """CLI behavior: artifacts, error paths, exit codes, rerun determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import hes_regkit.offline as offline
 from hes_regkit.cli import main
 from hes_regkit.config import load_config, resolve_archive
-from hes_regkit.controller import load_trace_csv, rt_dispatch_batch
+from hes_regkit.controller import load_trace_csv, rt_dispatch_batch, validate_trace
 from hes_regkit.reports import read_csv, write_csv
 from hes_regkit.signals import save_signal
 from helpers import subprocess_env
@@ -79,6 +81,17 @@ DP_ROUTE = (
     .replace("synth_windows = 5", "synth_windows = 1")
     .replace("seed = 11", "seed = 20260814")
 )
+
+
+# one two-hour window of charging drift (seed 0) that pins the SoC ceiling
+ABSORBING_SIGNAL = """\
+synth_kind = drifting
+synth_bias = -0.5
+synth_noise = 0.8
+synth_n = 3600
+synth_windows = 1
+
+"""
 
 
 @pytest.fixture
@@ -181,6 +194,46 @@ class TestDispatch:
             == 1
         )
         assert "out of range" in capsys.readouterr().err
+
+    def test_long_absorbing_window_benchmarked(self, tmp_path):
+        # symmetric.ini's fleet on two hours of charging drift at c = 12: the
+        # offline route ends in the grid oracle, which answers
+        text = (Path(__file__).resolve().parents[1] / "profiles" / "symmetric.ini").read_text()
+        text = re.sub(r"(?ms)^\[signal\].*?(?=^\[)", "[signal]\n" + ABSORBING_SIGNAL, text)
+        p = tmp_path / "absorbing.ini"
+        p.write_text(text.replace("seed = 2026", "seed = 0"))
+        out = tmp_path / "o"
+        assert run(["dispatch", "--config", p, "--capacity", 12, "--mode", "both",
+                    "--out", out]) == 0
+        bench = json.loads((out / "benchmark.json").read_text())
+        offp = json.loads((out / "performance_offline.json").read_text())
+        assert bench["solver_path"] == offp["solver_path"] == "dp"
+        assert offp["lp_bound"] <= bench["j_off"] <= bench["j_on"]
+        trace, _, _ = load_trace_csv(out / "trace_offline.csv")
+        assert trace.n_steps == 3600
+        assert validate_trace(load_config(p).hes, trace) == []
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [("capacity", "tracking LP failed"), ("steps", "downsample")],
+    )
+    def test_offline_failure_writes_nothing(self, change, message, tmp_path, capsys):
+        # the rule runs clean in both cases; the offline solve fails after it
+        text, capacity = BASE, 5
+        if change == "capacity":
+            capacity = 1e20  # accepted, but HiGHS refuses the model
+        else:
+            n = offline.STEP_LIMIT + 1
+            text = BASE.replace("synth_n = 240", f"synth_n = {n}").replace(
+                "window_len = 240", f"window_len = {n}")
+        p = tmp_path / "exp.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert run(["dispatch", "--config", p, "--capacity", capacity, "--mode", "both",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_offline_budget_guard(self, tmp_path, capsys):
         big = BASE.replace("synth_n = 240", "synth_n = 20002").replace(
@@ -558,6 +611,29 @@ def test_capacity_limit_refuses_overflow_and_nothing_below(command, config_path,
         perf = json.loads((out / "performance_rt.json").read_text())["performance"]
         # the error sum is near C * sum|r|, and finite
         assert perf["c"] == CAPACITY_LIMIT and perf["abs_error"] > CAPACITY_LIMIT
+
+
+def test_sweep_c_hi_limit_refuses_overflow_and_nothing_below(tmp_path, capsys):
+    # the sweep scores capacities up to c_hi, so c_hi meets --capacity's limit
+    huge = (
+        BASE.replace("coarse_step = 0.25", "coarse_step = 1e304")
+        .replace("refine_tol = 0.01", "refine_tol = 1e300")
+    )
+    p = tmp_path / "huge.ini"
+    p.write_text(huge.replace("c_hi = 20.0", "c_hi = 1e308"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tmp_path / "refused"
+        assert run(["bid", "--config", p, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [sweep] c_hi must be <= {CAPACITY_LIMIT!r} MW on 240-step windows "
+            "at these prices, got 1e+308\n"
+        )
+        assert not out.exists()
+        p.write_text(huge.replace("c_hi = 20.0", f"c_hi = {CAPACITY_LIMIT!r}"))
+        assert load_config(p).sweep.c_hi == CAPACITY_LIMIT
+        assert run(["bid", "--config", p, "--out", tmp_path / "accepted"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # tracemalloc peak over the archive's matrix bytes, on synthetic hour-long

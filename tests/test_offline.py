@@ -1,10 +1,12 @@
 """Offline solvers: LP pipeline, grid oracle, closed form, benchmark report."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hes_regkit.offline as offline
 from hes_regkit import (
     BudgetError,
     DpOracleConfig,
@@ -17,6 +19,7 @@ from hes_regkit import (
     synth_signal,
     validate_trace,
 )
+from hes_regkit.config import load_config
 from helpers import DT_2S, random_capacity, random_signal, random_system, reference_system
 
 # one saturating instance reused across tests: sustained charging commands on
@@ -117,18 +120,40 @@ class TestLpPath:
         assert sol.lp_bound < sol.objective  # true relaxation gap on this one
         assert validate_trace(cfg, sol.trace) == []
 
-    def test_dp_budget_guard_via_pipeline(self):
-        cfg, sig = saturating_instance()
+    def test_dp_budget_guard_via_pipeline(self, monkeypatch):
+        # refused up front: no LP is built for a window past the limit
+        def no_linprog(*args, **kwargs):
+            pytest.fail("linprog called for a window past STEP_LIMIT")
+
+        monkeypatch.setattr(offline, "linprog", no_linprog)
+        cfg = reference_system(dt=SAT_DT)
+        n = offline.STEP_LIMIT + 1
+        sig = synth_signal("drifting", n, SAT_DT, SAT_SEED, bias=-0.7, noise=0.3)
         with pytest.raises(BudgetError, match="downsample"):
-            offline_dispatch(cfg, SAT_C, sig, dp_step_budget=30)
+            offline_dispatch(cfg, SAT_C, sig)
 
     def test_raised_dp_budget_reaches_the_oracle(self):
-        # 250 steps: past dp_oracle's own default budget of 200
+        # 250 steps, where the repair fails as on the 60-step instance
         cfg = reference_system(dt=SAT_DT)
         sig = synth_signal("drifting", 250, SAT_DT, SAT_SEED, bias=-0.7, noise=0.3)
-        sol = offline_dispatch(cfg, SAT_C, sig, dp_step_budget=400)
+        sol = offline_dispatch(cfg, SAT_C, sig)
         assert sol.solver_path == "dp"
         assert validate_trace(cfg, sol.trace) == []
+
+
+SYMMETRIC = Path(__file__).resolve().parents[1] / "profiles" / "symmetric.ini"
+
+
+def test_long_absorbing_window_answered_by_the_oracle():
+    # two hours against the SoC ceiling: the relaxation overlaps charge and
+    # discharge on most steps, netting breaks the ceiling, so only the grid
+    # oracle answers; it brackets the optimum with the LP bound
+    cfg = load_config(SYMMETRIC).hes
+    sig = synth_signal("drifting", 3600, cfg.dt, 0, bias=-0.5, noise=0.8)
+    sol = offline_dispatch(cfg, 12.0, sig)
+    assert sol.solver_path == "dp"
+    assert validate_trace(cfg, sol.trace) == []
+    assert sol.lp_bound <= sol.objective <= rt_dispatch(cfg, 12.0, sig).abs_error()
 
 
 class TestClosedForm:
@@ -219,8 +244,8 @@ class TestDpOracle:
 
     def test_budget_guard(self):
         cfg = reference_system()
-        sig = RegSignal(samples=np.zeros(250), dt=DT_2S)
-        with pytest.raises(BudgetError, match="250"):
+        sig = RegSignal(samples=np.zeros(offline.STEP_LIMIT + 1), dt=DT_2S)
+        with pytest.raises(BudgetError, match=str(offline.STEP_LIMIT + 1)):
             dp_oracle(cfg, 8.0, sig)
 
     def test_grid_validation(self):
