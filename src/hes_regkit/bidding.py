@@ -13,13 +13,15 @@ window, giving an empirical score sample per window. The bid machinery then
 2. picks C_hat maximizing C * mean(x_p) over evaluated compliant capacities,
 3. returns C_star = min(C_hat, market c_max).
 
-Each point's statistics are row reductions over its block's (capacities,
-windows) score array, one numpy call per statistic per block; numpy reduces
-each row as it reduces that row alone, so a point's bits do not depend on
-the block it was scored in.
+Each point's statistics (mean, standard deviation, lower quantile, share
+compliant) are row reductions over its block's (capacities, windows) score
+array, one numpy call per statistic per block; numpy reduces each row as it
+reduces that row alone, so a point's bits do not depend on the block it was
+scored in.
 
 Scores are evaluated in-sample over the same archive; windows whose command
-never moves (sum|r| = 0) are excluded and counted in the diagnostics.
+never moves (sum|r| = 0) are excluded (_moving_windows decides which, for
+every function here) and counted in the diagnostics.
 """
 
 from __future__ import annotations
@@ -99,13 +101,16 @@ class SweepGrid:
 class BidCurvePoint:
     """Archive-wide score statistics at one candidate capacity.
 
-    ``scores`` are raw (unclamped) per-window samples; ``prob_compliant``
-    uses scores clamped into [0, 1]. ``objective`` is c * mean_xp.
+    ``scores`` are raw (unclamped) per-window samples; ``mean_xp`` and
+    ``std_xp`` are their mean and (population) standard deviation;
+    ``prob_compliant`` uses scores clamped into [0, 1]. ``objective`` is
+    c * mean_xp.
     """
 
     c: float
     scores: np.ndarray
     mean_xp: float
+    std_xp: float
     z_gamma: float
     prob_compliant: float
     objective: float
@@ -135,7 +140,6 @@ class BidSolution:
     c_bar: float
     c_hat: float
     c_star: float
-    market: MarketParams
     diagnostics: BidDiagnostics
 
     def point_at(self, c: float) -> BidCurvePoint:
@@ -147,7 +151,8 @@ class BidSolution:
 
 def score_samples(cfg: HesConfig, c: float, archive: SignalArchive) -> np.ndarray:
     """Per-window controller scores at capacity c (zero-signal windows dropped)."""
-    return _CurveEvaluator(cfg, archive).scores([c])[0]
+    matrix, l1 = _moving_windows(archive)
+    return _scores(cfg, [c], matrix, l1, archive.dt)[0]
 
 
 def quantile_lower(scores: np.ndarray, gamma: float) -> float:
@@ -201,74 +206,45 @@ def _midpoint_tree(
     return tree
 
 
-class _CurveEvaluator:
-    """Scores windows, and caches per-capacity curve points, over one archive.
-
-    ``block`` scores capacities in one rt_error_sums call and takes each
-    statistic of all their rows in one row reduction (_block_stats); only the
-    points the search publishes are cached.
-    """
-
-    def __init__(
-        self, cfg: HesConfig, archive: SignalArchive, market: MarketParams | None = None
-    ):
-        matrix = archive.samples
-        l1 = np.sum(np.abs(matrix), axis=1)
-        valid = l1 > 0.0
-        if not np.any(valid):
-            raise ValueError("archive has no window with nonzero command movement")
-        self._cfg = cfg
-        self._dt = archive.dt
-        if not np.all(valid):
-            matrix, l1 = matrix[valid], l1[valid]
-        self._matrix = matrix
-        self._l1 = l1
-        self._market = market
-        self.zero_windows = int(np.sum(~valid))
-        self.n_windows = int(valid.size)
-        self._cache: dict[float, BidCurvePoint] = {}
-
-    @property
-    def n_scored(self) -> int:
-        """Windows scored per capacity (zero-signal windows dropped)."""
-        return int(self._l1.size)
-
-    def scores(self, cs: np.ndarray | list[float]) -> np.ndarray:
-        """Per-window scores at each capacity in cs, shape (capacities, windows)."""
-        cs = np.asarray(cs, dtype=float)
-        err_sums = rt_error_sums(self._cfg, cs, self._matrix, self._dt)
-        return 1.0 - err_sums / (cs[:, None] * self._l1)
-
-    def block(self, cs: np.ndarray | list[float]) -> list[tuple]:
-        """The statistics at each capacity in cs, scored as one block (see
-        _block_stats); a point enters the curve only once published."""
-        cs = np.asarray(cs, dtype=float)
-        return _block_stats(cs.tolist(), self.scores(cs), self._market)
-
-    def publish(self, stats: tuple) -> BidCurvePoint:
-        """Cache and return the curve point of one row of a block."""
-        c, _, mean_xp, _, _ = stats
-        pt = self._cache[c] = BidCurvePoint(*stats, objective=c * mean_xp)
-        return pt
-
-    def __call__(self, c: float) -> BidCurvePoint:
-        c = float(c)
-        pt = self._cache.get(c)
-        if pt is None:
-            pt = self.publish(self.block([c])[0])
-        return pt
+def _moving_windows(archive: SignalArchive) -> tuple[np.ndarray, np.ndarray]:
+    """The windows whose command moves (sum|r| > 0) as one matrix, and their
+    sum|r|. The matrix is the archive's own when every window moves."""
+    matrix = archive.samples
+    l1 = np.sum(np.abs(matrix), axis=1)
+    moving = l1 > 0.0
+    if not np.any(moving):
+        raise ValueError("archive has no window with nonzero command movement")
+    if not np.all(moving):
+        matrix, l1 = matrix[moving], l1[moving]
+    return matrix, l1
 
 
-def _block_stats(cs: list[float], scores: np.ndarray, market: MarketParams) -> list[tuple]:
-    """(c, scores, mean_xp, z_gamma, prob_compliant), BidCurvePoint's leading
-    fields, for each row of a C-contiguous (capacities, windows) score block
-    taken at cs. Each statistic is one reduction along the windows axis, with
-    the bits of the same reduction over one row (quantile_lower for z_gamma)."""
+def _scores(
+    cfg: HesConfig, cs: np.ndarray | list[float], matrix: np.ndarray, l1: np.ndarray, dt: float
+) -> np.ndarray:
+    """Per-window scores at each capacity in cs, shape (capacities, windows),
+    over _moving_windows' matrix and sum|r|, in one rt_error_sums call."""
+    cs = np.asarray(cs, dtype=float)
+    err_sums = rt_error_sums(cfg, cs, matrix, dt)
+    return 1.0 - err_sums / (cs[:, None] * l1)
+
+
+def _block_stats(
+    cs: list[float], scores: np.ndarray, market: MarketParams
+) -> list[BidCurvePoint]:
+    """The curve point of each row of a C-contiguous (capacities, windows)
+    score block taken at cs. Each statistic is one reduction along the
+    windows axis, with the bits of the same reduction over one row
+    (quantile_lower for z_gamma)."""
     means = scores.mean(axis=1).tolist()
+    stds = scores.std(axis=1).tolist()
     m = _order_index(market.gamma, scores.shape[1])
     z_gammas = np.sort(scores, axis=1)[:, m].tolist()
     compliant = np.mean(np.clip(scores, 0.0, 1.0) >= market.x_p_min, axis=1).tolist()
-    return list(zip(cs, scores, means, z_gammas, compliant))
+    return [
+        BidCurvePoint(c, row, mean, std, z, prob, objective=c * mean)
+        for c, row, mean, std, z, prob in zip(cs, scores, means, stds, z_gammas, compliant)
+    ]
 
 
 def solve_bid(
@@ -282,15 +258,23 @@ def solve_bid(
     Raises BracketError unless z_gamma(c_lo) >= x_p_min > z_gamma(c_hi):
     the compliance boundary must lie strictly inside the sweep range.
     """
-    evaluate = _CurveEvaluator(cfg, archive, market)
+    matrix, l1 = _moving_windows(archive)
+    curve: dict[float, BidCurvePoint] = {}
+
+    def block(cs: np.ndarray | list[float]) -> list[BidCurvePoint]:
+        """The points at cs, scored as one block; one enters the curve only
+        once the search visits it."""
+        cs = np.asarray(cs, dtype=float)
+        return _block_stats(cs.tolist(), _scores(cfg, cs, matrix, l1, archive.dt), market)
+
     pts = sweep.coarse_points()
     # coarse sweep upward, scored a block of capacities at a time; only the
     # points up to the first non-compliant one enter the curve
-    block = max(1, _SWEEP_BLOCK_ELEMENTS // evaluate.n_scored)
+    size = max(1, _SWEEP_BLOCK_ELEMENTS // l1.size)
     last_compliant = upper = None
-    for start in range(0, len(pts), block):
-        for stats in evaluate.block(pts[start : start + block]):
-            pt = evaluate.publish(stats)
+    for start in range(0, len(pts), size):
+        for pt in block(pts[start : start + size]):
+            curve[pt.c] = pt
             if pt.z_gamma < market.x_p_min:
                 upper = pt.c
                 break
@@ -298,15 +282,13 @@ def solve_bid(
         if upper is not None:
             break
     if last_compliant is None:
-        first = evaluate(float(pts[0]))
         raise BracketError(
-            f"z_gamma({pts[0]:g}) = {first.z_gamma:.6g} is already below "
+            f"z_gamma({pts[0]:g}) = {curve[pts[0]].z_gamma:.6g} is already below "
             f"x_p_min = {market.x_p_min:g}; lower c_lo"
         )
     if upper is None:
-        tail = evaluate(float(pts[-1]))
         raise BracketError(
-            f"z_gamma({pts[-1]:g}) = {tail.z_gamma:.6g} still clears "
+            f"z_gamma({pts[-1]:g}) = {curve[pts[-1]].z_gamma:.6g} still clears "
             f"x_p_min = {market.x_p_min:g}; raise c_hi"
         )
 
@@ -316,13 +298,14 @@ def solve_bid(
     lo, hi = last_compliant, upper
     iterations = 0
     # the deepest tree whose 2**depth - 1 midpoints fit the budget, or one
-    depth = max(1, (_LOOKAHEAD_ELEMENTS // evaluate.n_scored + 1).bit_length() - 1)
+    depth = max(1, (_LOOKAHEAD_ELEMENTS // l1.size + 1).bit_length() - 1)
     while hi - lo > sweep.refine_tol:
         tree = _midpoint_tree(lo, hi, sweep.refine_tol, depth)
-        rows = dict(zip(tree, evaluate.block(list(tree.values()))))
+        rows = dict(zip(tree, block(list(tree.values()))))
         node = 0
         while node in tree:
-            pt = evaluate.publish(rows[node])
+            pt = rows[node]
+            curve[pt.c] = pt
             if pt.z_gamma >= market.x_p_min:
                 lo, node = pt.c, 2 * node + 2
             else:
@@ -330,35 +313,27 @@ def solve_bid(
             iterations += 1
     c_bar = lo
 
-    evaluated = sorted(evaluate._cache)
-    compliant = [c for c in evaluated if c <= c_bar]
-    best = max(compliant, key=lambda c: (evaluate(c).objective, -c))
-    c_hat = float(best)
+    compliant = [c for c in sorted(curve) if c <= c_bar]
+    c_hat = float(max(compliant, key=lambda c: (curve[c].objective, -c)))
     c_star = min(c_hat, market.c_max)
-    evaluate(c_star)  # ensure the selected bid has a curve point
+    if c_star not in curve:  # the selected bid gets a curve point
+        pt = block([c_star])[0]
+        curve[pt.c] = pt
 
-    curve_cs = sorted(evaluate._cache)
-    curve = tuple(evaluate(c) for c in curve_cs)
+    points = tuple(curve[c] for c in sorted(curve))
     violations = tuple(
-        b.c for a, b in zip(curve, curve[1:]) if b.z_gamma > a.z_gamma + 1e-9
+        b.c for a, b in zip(points, points[1:]) if b.z_gamma > a.z_gamma + 1e-9
     )
     diags = BidDiagnostics(
-        n_windows=evaluate.n_windows,
-        zero_signal_windows=evaluate.zero_windows,
+        n_windows=archive.n_windows,
+        zero_signal_windows=archive.n_windows - l1.size,
         coarse_points=len(pts),
         refine_iterations=iterations,
         upper_bracket_c=hi,
-        upper_bracket_z=evaluate(hi).z_gamma,
+        upper_bracket_z=curve[hi].z_gamma,
         z_monotonicity_violations=violations,
     )
-    return BidSolution(
-        curve=curve,
-        c_bar=c_bar,
-        c_hat=c_hat,
-        c_star=c_star,
-        market=market,
-        diagnostics=diags,
-    )
+    return BidSolution(curve=points, c_bar=c_bar, c_hat=c_hat, c_star=c_star, diagnostics=diags)
 
 
 @dataclass(frozen=True)
@@ -377,11 +352,10 @@ class RevenueSummary:
 def expected_revenue(
     solution: BidSolution, archive: SignalArchive, market: MarketParams
 ) -> RevenueSummary:
-    """Average per-window payment at c_star over the archive."""
+    """Average per-window payment at c_star over the archive's scored windows."""
     pt = solution.point_at(solution.c_star)
-    l1 = np.sum(np.abs(archive.samples), axis=1)
-    steps = np.diff(archive.samples, axis=1)
-    miles = np.sum(np.abs(steps, out=steps), axis=1)[l1 > 0.0]
+    steps = np.diff(_moving_windows(archive)[0], axis=1)
+    miles = np.sum(np.abs(steps, out=steps), axis=1)
     per_window = solution.c_star * pt.scores * (market.lambda_c + market.lambda_m * miles)
     return RevenueSummary(
         c_star=solution.c_star,

@@ -83,6 +83,8 @@ def _pick_window(archive: SignalArchive, index: int):
 
 
 def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created here. Each command calls this just
+    before its first write, so a command that fails earlier leaves none."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -177,22 +179,18 @@ def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: s
 
 
 def _curve_points(solution: BidSolution) -> list[dict]:
-    """Every bid-curve point as one dict; each artifact picks its columns.
-
-    std_xp is one row reduction over the stacked curve scores, the same bits
-    as np.std of each point's scores."""
-    stds = np.stack([pt.scores for pt in solution.curve]).std(axis=1).tolist()
+    """Every bid-curve point as one dict; each artifact picks its columns."""
     return [
         {
             "c": pt.c,
             "mean_xp": pt.mean_xp,
-            "std_xp": std,
+            "std_xp": pt.std_xp,
             "z_gamma": pt.z_gamma,
             "prob_compliant": pt.prob_compliant,
             "objective": pt.objective,
             "n_scores": int(pt.scores.size),
         }
-        for pt, std in zip(solution.curve, stds)
+        for pt in solution.curve
     ]
 
 
@@ -277,13 +275,12 @@ def _sweep(cases, run_case) -> tuple[list, list[dict]]:
 
 def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
     archive = resolve_archive(cfg)
-    out = _out_dir(cfg)
 
     def run_case(vary: str, value: float) -> dict:
         hes = _vary_config(cfg.hes, vary, value)
         solution = solve_bid(hes, archive, cfg.market, cfg.sweep)
         write_csv(
-            out / ("curve_%s_%g.csv" % (vary, value)),
+            _out_dir(cfg) / ("curve_%s_%g.csv" % (vary, value)),
             _SWEEP_CURVE_COLUMNS,
             _rows(_curve_points(solution), _SWEEP_CURVE_COLUMNS),
         )
@@ -298,6 +295,7 @@ def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
         }
 
     results, failed = _sweep([(vary, v) for v in values], run_case)
+    out = _out_dir(cfg)
     write_csv(out / "asym_sweep.csv", _SWEEP_COLUMNS, _rows(results, _SWEEP_COLUMNS))
     report = _report_header("asym-sweep", cfg, archive)
     report.update({"vary": vary, "values": values, "results": results})
@@ -317,7 +315,6 @@ def cmd_soc_drift(
     if capacity is not None:
         _check_capacity(capacity, cfg)
     archive = resolve_archive(cfg)
-    out = _out_dir(cfg)
     batt = cfg.hes.batt
 
     def run_case(vary_name: str | None, value: float | None) -> dict:
@@ -336,7 +333,7 @@ def cmd_soc_drift(
         medians = np.median(soc, axis=1, overwrite_input=True)  # last: partitions soc
         label = "base" if vary_name is None else "%s_%g" % (vary_name, value)
         write_csv(
-            out / f"soc_windows_{label}.csv",
+            _out_dir(cfg) / f"soc_windows_{label}.csv",
             ["window", "soc_median", "soc_min", "soc_max", "soc_final", "hit_bound", "first_hit"],
             zip(
                 range(archive.n_windows),
@@ -366,7 +363,7 @@ def cmd_soc_drift(
     report["cases"] = summaries
     if failed:
         report["failed"] = failed
-    write_json(out / "soc_drift.json", report)
+    write_json(_out_dir(cfg) / "soc_drift.json", report)
     return 1 if failed else 0
 
 

@@ -1,7 +1,6 @@
 """Bid selection: quantiles, sweep mechanics, crossing refinement."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 import hes_regkit.bidding as bidding
 from hes_regkit import (
-    BidCurvePoint,
     BracketError,
     SignalArchive,
     SweepGrid,
@@ -76,12 +74,11 @@ class TestScoreSamples:
 
     def test_scores_the_archive_matrix_itself_when_every_window_moves(self):
         arch = square_archive()
-        assert bidding._CurveEvaluator(reference_system(), arch)._matrix is arch.samples
-        evaluate = bidding._CurveEvaluator(
-            reference_system(), SignalArchive(np.vstack([arch.samples, np.zeros(360)]), DT_2S)
-        )
-        assert evaluate._matrix.tobytes() == arch.samples.tobytes()
-        assert (evaluate.n_windows, evaluate.zero_windows) == (5, 1)
+        assert bidding._moving_windows(arch)[0] is arch.samples
+        flat = SignalArchive(np.vstack([arch.samples, np.zeros(360)]), DT_2S)
+        matrix, l1 = bidding._moving_windows(flat)
+        assert matrix.tobytes() == arch.samples.tobytes()
+        assert (flat.n_windows, flat.n_windows - l1.size) == (5, 1)
 
     def test_all_zero_archive_rejected(self):
         arch = SignalArchive(np.zeros((2, 16)), DT_2S)
@@ -158,17 +155,23 @@ class TestSolveBid:
 
     @pytest.mark.parametrize("n", [7, 8, 129, 1000, 3601])
     def test_expected_revenue_matches_window_by_window(self, n):
-        windows = [synth_signal("energy-neutral-random", n, DT_2S, s).samples for s in range(5)]
-        arch = SignalArchive(np.stack(windows + [np.zeros(n)]), DT_2S)
+        moving = [synth_signal("energy-neutral-random", n, DT_2S, s).samples for s in range(5)]
         sweep = SweepGrid(c_lo=1.0, c_hi=30.0, coarse_step=1.0, refine_tol=0.05)
-        sol = solve_bid(self.cfg, arch, self.market, sweep)
-        rev = expected_revenue(sol, arch, self.market)
-        # the payment summed one window at a time, zero-signal window dropped
-        l1 = np.array([float(np.sum(np.abs(w.samples))) for w in arch.windows])
-        miles = np.array([mileage(w) for w in arch.windows])[l1 > 0.0]
-        pt = sol.point_at(sol.c_star)
-        rate = self.market.lambda_c + self.market.lambda_m * miles
-        assert rev.with_mileage == float((sol.c_star * pt.scores * rate).mean())
+        for flat_at in (0, 2, 5):  # the flat window first, in the middle, last
+            windows = list(moving)
+            windows.insert(flat_at, np.zeros(n))
+            arch = SignalArchive(np.stack(windows), DT_2S)
+            sol = solve_bid(self.cfg, arch, self.market, sweep)
+            rev = expected_revenue(sol, arch, self.market)
+            # every curve point scores the same five moving windows
+            assert sol.diagnostics.zero_signal_windows == 1
+            assert all(pt.scores.size == 5 for pt in sol.curve)
+            # the payment summed one window at a time, zero-signal window dropped
+            l1 = np.array([float(np.sum(np.abs(w.samples))) for w in arch.windows])
+            miles = np.array([mileage(w) for w in arch.windows])[l1 > 0.0]
+            pt = sol.point_at(sol.c_star)
+            rate = self.market.lambda_c + self.market.lambda_m * miles
+            assert rev.with_mileage == float((sol.c_star * pt.scores * rate).mean())
 
 
 def sequential_solve(cfg, archive, market, sweep):
@@ -275,7 +278,8 @@ class TestSweepMatchesSequential:
         records = _curve_points(sol)
         assert len(records) > 10
         for pt, record in zip(sol.curve, records, strict=True):
-            assert same_bits(record["std_xp"], float(np.std(pt.scores)))
+            assert same_bits(pt.std_xp, float(np.std(pt.scores)))
+            assert same_bits(record["std_xp"], pt.std_xp)
 
     @pytest.mark.parametrize("budget", [None, 1, 6 * 3])
     @pytest.mark.parametrize("c_lo, c_hi", [(17.0, 20.0), (1.0, 4.0)])
@@ -298,10 +302,10 @@ class TestSweepMatchesSequential:
         if budget is not None:
             monkeypatch.setattr(bidding, "_SWEEP_BLOCK_ELEMENTS", budget)
         calls = []
-        scores_of = bidding._CurveEvaluator.scores
+        error_sums = bidding.rt_error_sums
         monkeypatch.setattr(
-            bidding._CurveEvaluator, "scores",
-            lambda ev, cs: calls.append([float(c) for c in cs]) or scores_of(ev, cs),
+            bidding, "rt_error_sums",
+            lambda cfg, cs, *rest: calls.append(cs.tolist()) or error_sums(cfg, cs, *rest),
         )
         sweep = SweepGrid(c_lo=1.0, c_hi=20.0, coarse_step=0.5, refine_tol=0.01)
         sol = solve_bid(self.cfg, self.archive, self.market, sweep)
@@ -376,21 +380,20 @@ gammas = st.one_of(st.integers(1, 99).map(lambda j: j / 100), st.floats(0.001, 0
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(scores=score_blocks(), gamma=gammas, x_p_min=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
 def test_block_statistics_match_one_point_at_a_time(scores, gamma, x_p_min):
-    """Each row's statistics from the block's row reductions, and std_xp from
-    the curve's, have the bits of reducing that row alone."""
+    """Each row's statistics from the block's row reductions have the bits of
+    reducing that row alone."""
     market = reference_market(gamma=gamma, x_p_min=x_p_min)
     cs = (1.0 + np.arange(scores.shape[0]) / 8.0).tolist()
-    stats = bidding._block_stats(cs, scores, market)
-    curve = tuple(BidCurvePoint(*s, objective=s[0] * s[2]) for s in stats)
-    records = _curve_points(SimpleNamespace(curve=curve))
-    for i, (c, row_, mean, z, prob) in enumerate(stats):
+    points = bidding._block_stats(cs, scores, market)
+    for i, pt in enumerate(points):
         row = scores[i]
-        assert c == cs[i] and same_bits(row_, row)
-        assert same_bits(mean, float(row.mean()))
-        assert same_bits(z, quantile_lower(row, gamma))
-        assert same_bits(prob, float(np.mean(np.clip(row, 0.0, 1.0) >= x_p_min)))
-        assert same_bits(records[i]["std_xp"], float(np.std(row)))
-    assert len(stats) == len(records) == scores.shape[0]
+        assert pt.c == cs[i] and same_bits(pt.scores, row)
+        assert same_bits(pt.mean_xp, float(row.mean()))
+        assert same_bits(pt.std_xp, float(np.std(row)))
+        assert same_bits(pt.z_gamma, quantile_lower(row, gamma))
+        assert same_bits(pt.prob_compliant, float(np.mean(np.clip(row, 0.0, 1.0) >= x_p_min)))
+        assert pt.objective == pt.c * pt.mean_xp
+    assert len(points) == scores.shape[0]
 
 
 class TestSweepGrid:

@@ -636,6 +636,28 @@ def test_sweep_c_hi_limit_refuses_overflow_and_nothing_below(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+
+@pytest.mark.parametrize(
+    "command",
+    [["bid"], ["asym-sweep", "--vary", "gen", "--values", "0,3"], ["soc-drift"]],
+    ids=["bid", "asym-sweep", "soc-drift"],
+)
+def test_flat_archive_writes_nothing(command, tmp_path, capsys):
+    # no window moves, so the bid fails before the first write
+    save_signal(tmp_path / "flat.csv", np.zeros(50))
+    p = tmp_path / "flat.ini"
+    p.write_text(BASE.replace(
+        "synth_kind = energy-neutral-random\nsynth_n = 240\nsynth_windows = 5\n"
+        "window_len = 240\n",
+        f"archive = {tmp_path / 'flat.csv'}\nwindow_len = 10\n",
+    ))
+    out = tmp_path / "o"
+    assert run([*command, "--config", p, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: archive has no window with nonzero command movement\n"
+    )
+    assert not out.exists()
+
 # tracemalloc peak over the archive's matrix bytes, on synthetic hour-long
 # windows. soc-drift: the matrix, the SoC paths the summaries need and one
 # step block of the rule; 2.29x measured, 4.17x while a synthetic archive
