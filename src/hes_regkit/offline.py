@@ -313,6 +313,28 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
     )
 
 
+def _interp_at(x: np.ndarray, xp: np.ndarray):
+    """np.interp(x, xp, fp) as a function of finite fp, for a fixed
+    increasing xp and x within [xp[0], xp[-1]]. The search runs once. Each
+    call gathers np.interp's own formula, slope*(x - xp[j]) + fp[j], and
+    then its case for an x on a node, the last node too: fp[j] itself. So
+    the bits are np.interp's."""
+    j = np.searchsorted(xp, x, side="right") - 1
+    left = np.minimum(j, xp.size - 2)
+    offset = x - xp[left]
+    on_node = np.flatnonzero(x == xp[j])
+    node = j[on_node]
+    dxp = np.diff(xp)
+
+    def interp(fp: np.ndarray) -> np.ndarray:
+        out = (np.diff(fp) / dxp)[left] * offset
+        out += fp[left]
+        out[on_node] = fp[node]
+        return out
+
+    return interp
+
+
 def dp_oracle(
     cfg: HesConfig,
     c: float,
@@ -369,8 +391,9 @@ def dp_oracle(
     e_next_flat = np.clip(e_next, batt.soc_min, batt.soc_max).ravel()
 
     values = np.zeros((n + 1, grid.soc_grid_points))
+    continuation = _interp_at(e_next_flat, nodes)
     for k in range(n - 1, -1, -1):
-        cont = np.interp(e_next_flat, nodes, values[k + 1]).reshape(e_next.shape)
+        cont = continuation(values[k + 1]).reshape(e_next.shape)
         total = stage_cost(float(target[k]))[None, :] + cont
         values[k] = np.where(feasible, total, np.inf).min(axis=1)
 

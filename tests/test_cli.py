@@ -665,15 +665,18 @@ def test_flat_archive_writes_nothing(command, tmp_path, capsys):
 # matrix, 9.06x while the batch built every kernel column over it. bid: the
 # matrix and expected_revenue's |diff|; 2.22x on 80 windows, 4.12x with the
 # kept stack, the transpose and a second |diff| temporary. characterize: the
-# matrix; 1.05x
+# matrix; 1.05x. dispatch: the matrix, one window's trace and the LP's
+# arrays; 2.22x. asym-sweep: bid's, once per value; 2.08x
 @pytest.mark.parametrize(
     "command, n_windows, bound",
     [
         (["soc-drift", "--capacity", 12], 250, 2.5),
         (["bid"], 80, 2.45),
         (["characterize"], 250, 1.3),
+        (["dispatch", "--capacity", 12], 250, 2.45),
+        (["asym-sweep", "--vary", "load", "--values", "0,3"], 80, 2.3),
     ],
-    ids=["soc-drift", "bid", "characterize"],
+    ids=["soc-drift", "bid", "characterize", "dispatch", "asym-sweep"],
 )
 def test_traced_peak_within_a_multiple_of_the_matrix(command, n_windows, bound, tmp_path):
     n_steps = 1800

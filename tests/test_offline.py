@@ -20,7 +20,14 @@ from hes_regkit import (
     validate_trace,
 )
 from hes_regkit.config import load_config
-from helpers import DT_2S, random_capacity, random_signal, random_system, reference_system
+from helpers import (
+    DT_2S,
+    random_capacity,
+    random_signal,
+    random_system,
+    reference_system,
+    same_bits,
+)
 
 # one saturating instance reused across tests: sustained charging commands on
 # 3-minute steps push SoC to the ceiling, where the LP relaxation wants to
@@ -241,6 +248,53 @@ class TestDpOracle:
         cfg, sig = saturating_instance()
         dp = dp_oracle(cfg, SAT_C, sig)
         assert validate_trace(cfg, dp.trace) == []
+
+    @staticmethod
+    def assert_np_interp_route_bitwise(monkeypatch, cfg, c, sig, *args, **kwargs):
+        """dp_oracle's backward pass gives, at every step, the continuation
+        np.interp gives, so the value table is np.interp's; and the rollout,
+        objective and root value are those of the np.interp route."""
+        gather = offline._interp_at
+        steps = []
+
+        def checked(x, xp):
+            fast = gather(x, xp)
+
+            def interp(fp):
+                want = np.interp(x, xp, fp)
+                steps.append(same_bits(fast(fp), want))
+                return want
+
+            return interp
+
+        with monkeypatch.context() as m:
+            m.setattr(offline, "_interp_at", checked)
+            ref = dp_oracle(cfg, c, sig, *args, **kwargs)
+        assert len(steps) == sig.n and all(steps)
+        got = dp_oracle(cfg, c, sig, *args, **kwargs)
+        for name in ("p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc"):
+            assert same_bits(getattr(got.trace, name), getattr(ref.trace, name)), name
+        assert same_bits(got.objective, ref.objective)
+        assert same_bits(got.dp_value, ref.dp_value)
+
+    def test_backward_pass_is_np_interp_bitwise_on_the_absorbing_window(self, monkeypatch):
+        cfg = load_config(SYMMETRIC).hes
+        sig = synth_signal("drifting", 3600, cfg.dt, 0, bias=-0.5, noise=0.8)
+        self.assert_np_interp_route_bitwise(monkeypatch, cfg, 12.0, sig)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backward_pass_is_np_interp_bitwise_on_random_grids(self, monkeypatch, seed):
+        # coarse to fine grids, and steps long enough that a move spans
+        # several SoC nodes, so the search lands on every kind of interval
+        rng = np.random.default_rng([seed, 19])
+        dt = float(rng.uniform(DT_2S, 0.25))
+        cfg = random_system(rng, dt)
+        sig = random_signal(rng, int(rng.integers(2, 120)), dt)
+        grid = DpOracleConfig(int(rng.integers(3, 160)), 2 * int(rng.integers(1, 60)) + 1)
+        self.assert_np_interp_route_bitwise(
+            monkeypatch, cfg, random_capacity(rng, cfg), sig, grid,
+            allow_simultaneous=bool(seed % 2),
+        )
 
     def test_budget_guard(self):
         cfg = reference_system()

@@ -543,7 +543,12 @@ def reference_parse(path: Path) -> list[float]:
 def reference_windows(files: list[Path], source: Path, window_len: int, offset: int):
     samples: list[float] = []
     for f in files:
-        samples.extend(reference_parse(f))
+        try:
+            samples.extend(reference_parse(f))
+        except UnicodeDecodeError as exc:  # named as load_archive names it, in
+            # files under text mode's 8 KiB decode chunk, where exc.start is
+            # the offset in the file
+            raise SignalParseError(f"{f}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     usable = len(samples) - offset
     n_win = usable // window_len if usable > 0 else 0
     if n_win <= 0:
@@ -620,17 +625,43 @@ def signal_texts(draw) -> str:
 @example(
     texts=["timestamp,r\n", "timestamp,r", "timestamp,r\n0,1\n1,-1\n"], window_len=2, offset=0
 )
+# the byte path's edges. Two faults in one line pair that keep the comma
+# count right; \x1c and \x1f, which str float() strips and bytes float()
+# does not; a timestamp that is not ASCII, or not UTF-8; CRLF; a bad value,
+# or a blank line the line reader skips, in the last piece of a file cut
+# into several; a bad plain file before a sub-directory named like a CSV
+# file (None), which fails to read
+@example(texts=["timestamp,r\n0,0.5,0.25\n0.75\n"], window_len=2, offset=0)
+@example(texts=["timestamp,r\n0,\x1c0.5\x1f\n1,0.25\n"], window_len=2, offset=0)
+@example(texts=["timestamp,r\n\u0663,0.5\n1,0.25\n"], window_len=2, offset=0)
+@example(texts=[b"timestamp,r\n0,0.5\n\xff,0.25\n"], window_len=2, offset=0)
+@example(texts=["timestamp,r\r\n0,0.5\r\n1,-0.25\r\n"], window_len=2, offset=0)
+@example(
+    texts=["timestamp,r\n" + "".join(f"{k},0.5\n" for k in range(9000)) + "9000,1.5\n"],
+    window_len=5,
+    offset=0,
+)
+@example(
+    texts=["timestamp,r\n" + "".join(f"{k},0.5\n" for k in range(9000)) + "\n9000,-0.25\n"],
+    window_len=5,
+    offset=0,
+)
+@example(texts=["timestamp,r\n0,0.5\n1,1.5\n", None], window_len=2, offset=0)
 def test_load_archive_matches_line_reader(texts, window_len, offset):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for i, text in enumerate(texts):
-            (d / f"day{i}.csv").write_bytes(text.encode("utf-8"))
+            path = d / f"day{i}.csv"
+            if text is None:
+                path.mkdir()
+            else:
+                path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         files = sorted(d.glob("*.csv"))
         source = d if len(files) > 1 else files[0]
         try:
             expected = reference_windows(files, source, window_len, offset)
-        except SignalError as exc:
-            with pytest.raises(SignalError) as got:
+        except (SignalError, OSError) as exc:
+            with pytest.raises((SignalError, OSError)) as got:
                 load_archive(source, window_len, 1.0, offset=offset)
             assert type(got.value) is type(exc)
             assert str(got.value) == str(exc)
