@@ -14,19 +14,43 @@ Lines starting with '#' and blank lines are ignored. The timestamp column is
 a sample counter (or any monotone tag); only the r column is used.
 
 save_signal writes through reports.write_csv, like every CSV artifact. The
-loader reads each file once, as bytes. A file in the plain layout above
-(ASCII, that exact header on line 1, no '#'; CRLF and CR become LF, as in
-text mode) has its body parsed in pieces of about _PIECE_BYTES: small files
-joined into one piece, a large one cut at line ends into several. Each piece
-gets one check that every line has exactly one comma, one split, one map of
-float over the second fields and one range check, and its values go into one
-growing buffer. Any other file, and every file of a piece that fails, goes
-whole to the line-by-line reader, which skips comments and blank lines and
+loader opens each file once and reads it in _PIECE_BYTES reads. A file in
+the plain layout above (ASCII, that exact header on line 1, no '#'; CRLF
+and CR become LF, as in text mode) is parsed in pieces of whole lines:
+files that end within their first read are joined into one piece of about
+_PIECE_BYTES, and a longer file is parsed one read at a time, the partial
+line at the end of each read carried into the next, so it is never held
+whole. Each piece gets one check that its commas and LFs alternate, one
+parse of the second fields, one range check, and its values go into one
+growing buffer. Any other file (a longer one as soon as a read is not
+ASCII or holds a '#'), and every file of a piece that fails, goes whole
+to the line-by-line reader, which skips comments and blank lines and
 names the file and line of the first bad one; a file that is not UTF-8 is
-refused with its path and byte offset. The first faulty file in name order
-decides the error. load_archive lists a directory with one os.scandir, and
-cuts the samples into the (windows, window_len) matrix a SignalArchive is;
+refused with its path and byte offset. The first faulty file in name order decides
+the error. load_archive lists a directory with one os.scandir, and cuts
+the samples into the (windows, window_len) matrix a SignalArchive is;
 config.resolve_archive fills the rows of one instead.
+
+The parse gives float(field) bit for bit. A field of the form [-]D.F, with
+1 to 22 fraction digits F, is read in numpy (Lemire, "Number parsing at a
+gigabyte per second", 2021): each field right-aligned in a 24-byte row, D
+moved onto the '.', every byte left of it set to '0', and the row read as
+three 8-byte lanes of 8 digits each by SWAR multiply-and-shift steps, which
+also flag any byte that is not a digit. That gives the integer M = D.F *
+10^k with k = len(F), taken only if no digit weighs more than 10^18, so
+M < 10^19 < 2^64. Then q = M / 10^k in long double, and y = float64(q).
+This is exact (Clinger, "How to read floating point numbers accurately",
+1990): M and 10^k (k <= 27) are exact in a 64-bit significand, so q is M /
+10^k rounded once; every midpoint between two doubles fits in 64 bits and
+rounding is monotone, so rounding q again to a double gives the correctly
+rounded M / 10^k unless q is itself such a midpoint. Those rows, and every
+field of another form (exponents, '+', spaces, '_', integers, longer
+fractions, inf, nan), go through float(); a piece in which fewer than half
+the fields have the kernel's form goes through float() whole, which is
+faster for it (np.savetxt's '%.18e', say). The kernel runs only where long
+double is x87 extended or IEEE binary128 and a probe at import shows its
+division keeps 64 bits; elsewhere (binary64 on macOS arm64 and Windows)
+every field goes through float().
 """
 
 from __future__ import annotations
@@ -35,9 +59,13 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .reports import write_csv
 
@@ -272,19 +300,33 @@ def _read_lines(path: Path, text: str) -> list[float]:
     return samples
 
 
-# The plain layout as bytes: its first line, and every byte but the two a
-# plain body is cut by, for bytes.translate to delete
+# The plain layout's first line, as bytes
 _HEADER = b"timestamp,r\n"
-_NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
-# Bytes of plain body per piece. On a bid-year-like directory (365 files of
-# 180 samples, 4.9 KiB each; shared 2-CPU Xeon, Python 3.11, best of 15),
-# one load took 42 ms through the line reader alone, and 36.2, 34.6, 33.7
-# and 30.1 ms with 8, 16, 32 and 64 KiB pieces; float() is ~17 ms of that at
-# any size. A piece's field strings are alive at once, 4.3 bytes per byte of
-# piece, and the pages they touch stay resident: 64 KiB pieces raised
-# bid-year's peak RSS by 0.15-0.25 MiB, 16 KiB pieces kept it within the
-# line reader's run-to-run spread.
-_PIECE_BYTES = 1 << 14
+_COMMA_NEWLINE = int.from_bytes(b",\n", "little")
+# Bytes per read, and of plain body per piece. One load of a bid-year-like
+# directory (365 files of 180 samples, 4.9 KiB each; shared 2-CPU Xeon,
+# Python 3.11, numpy 2.4, best of 5 x 25) took 24.8, 19.2 and 16.4 ms with
+# 16, 32 and 64 KiB pieces, against 31.8 ms for float() on 16 KiB pieces:
+# the kernel makes about 35 numpy calls a piece, whatever its size.
+_PIECE_BYTES = 1 << 16
+
+# The exact decimal kernel (see the module docstring). A field's row is 24
+# bytes, three 8-byte lanes. _KEEP[k] masks a row's lanes to its last k + 1
+# bytes, and _POW10[k] is 10^k, exact in long double up to 10^27.
+_ROW = 24
+_ZERO_ROW = np.full(_ROW, ord("0"), np.uint8)
+_KEEP = np.array(
+    [[0] * (_ROW - 1 - k) + [0xFF] * (k + 1) for k in range(_ROW - 1)], np.uint8
+).view("<u8")
+_POW10 = np.multiply.accumulate(np.array([1] + [10] * (_ROW - 2), np.longdouble))
+# Only where long double is x87 extended (63-bit fraction) or IEEE binary128
+# (112), and its division keeps all 64 bits of (2^64 - 1) / 3, does the
+# kernel run; elsewhere (binary64 on macOS arm64 and Windows, IBM
+# double-double) every field goes through float().
+_EXACT_DIVISION = bool(
+    np.finfo(np.longdouble).nmant in (63, 112)
+    and int(np.array([2**64 - 1], np.uint64).astype(np.longdouble)[0] / 3) == (2**64 - 1) // 3
+)
 
 
 def _read_text(path: Path, data: bytes) -> list[float]:
@@ -311,69 +353,153 @@ def _plain(data: bytes) -> bytes | None:
     return data if data.startswith(_HEADER) and b"#" not in data else None
 
 
+def _decimals(
+    piece: bytes, buf: np.ndarray, commas: np.ndarray, ends: np.ndarray
+) -> np.ndarray | None:
+    """float(field) for each field of piece, bit for bit; buf is piece after
+    _ROW bytes of '0', and a field runs from buf[comma + 1] to buf[end]. A
+    field of the form [-]D.F, with 1 to 22 fraction digits F, is parsed in
+    numpy; float() takes the rest and every row the kernel cannot prove
+    exact, and raises what it raises. None if fewer than half the fields
+    have that form. buf is changed."""
+    neg = buf[commas + 1] == ord("-")
+    dot = np.minimum(commas + 2 + neg, ends)
+    k = ends - dot - 1  # fraction digits
+    fast = (buf[dot] == ord(".")) & (k >= 1) & (k <= _ROW - 2)
+    k = np.where(fast, k, 0)
+    buf[dot] = buf[dot - 1]  # D onto the '.': the row reads as the integer M
+    rows = sliding_window_view(buf, _ROW)[ends - _ROW]  # each field right-aligned
+    v = rows.view("<u8")
+    v ^= 0x3030303030303030  # '0'-'9' to 0-9
+    v &= np.take(_KEEP, k, axis=0)
+    w = v + 0x0606060606060606
+    w |= v
+    fast &= ((w[:, 0] | w[:, 1] | w[:, 2]) & 0xF0F0F0F0F0F0F0F0) == 0  # else a byte is not 0-9
+    if 2 * np.count_nonzero(fast) < fast.size:
+        return None  # most fields are in another form, which float() reads faster whole
+    for n, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF)):
+        np.right_shift(v, 8 * n, out=w)
+        v *= 10**n
+        v += w
+        v &= mask  # each 2, then 4, then 8 digits as one integer
+    hi, mid, lo = v.T
+    fast &= hi < 1000  # no digit weighs over 10^18, so M < 10^19 < 2^64
+    q = (hi * 10**16 + mid * 10**8 + lo).astype(np.longdouble) / np.take(_POW10, k)
+    y = q.astype(np.float64)
+    # q - y is exact; twice it is a whole gap between doubles only where q is
+    # their midpoint, the one case in which y may be the wrong neighbour
+    gap = (q - y).astype(np.float64)
+    gap += gap
+    fast &= ((y + gap) - y != gap) | (gap == 0)
+    np.negative(y, out=y, where=neg)
+    slow = np.flatnonzero(~fast)
+    starts, stops = (commas[slow] + 1 - _ROW).tolist(), (ends[slow] - _ROW).tolist()
+    y[slow] = [float(piece[a:b]) for a, b in zip(starts, stops)]
+    return y
+
+
 def _piece_values(piece: bytes) -> np.ndarray | None:
     """The second fields of LF-terminated lines as floats in [-1, 1], or None
     unless every line has exactly one comma and every value is one."""
-    if piece.translate(None, _NOT_COMMA_OR_NEWLINE) != b",\n" * piece.count(b"\n"):
-        return None
+    buf = np.concatenate((_ZERO_ROW, np.frombuffer(piece, np.uint8)))
+    cuts = buf == ord(",")
+    cuts |= buf == ord("\n")
+    cuts = np.flatnonzero(cuts)
+    if cuts.size % 2 or not np.all(buf[cuts].view("<u2") == _COMMA_NEWLINE):
+        return None  # not one comma, then one LF, a line
+    commas, ends = cuts[0::2], cuts[1::2]
     try:
-        fields = piece.replace(b"\n", b",").split(b",")[1::2]
-        values = np.fromiter(map(float, fields), float, len(fields))
+        values = _decimals(piece, buf, commas, ends) if _EXACT_DIVISION else None
+        if values is None:
+            fields = piece.replace(b"\n", b",").split(b",")[1::2]
+            values = np.fromiter(map(float, fields), float, len(fields))
     except ValueError:
         return None
     return values if np.all(np.abs(values) <= 1.0) else None  # NaN fails too
 
 
-def _pieces(group: list[tuple[Path, bytes]]):
-    """The bodies of a group of plain files as pieces of whole lines: one
-    file cut at the last LF of about every _PIECE_BYTES, or several small
-    files joined into one piece."""
-    if len(group) == 1:
-        data = group[0][1]
-        start = len(_HEADER)
-        while start < len(data):
-            stop = start + _PIECE_BYTES  # a line longer than a piece runs to its own LF
-            stop = data.rfind(b"\n", start, stop) + 1 or data.find(b"\n", stop) + 1
-            yield data[start:stop]
-            start = stop
-    elif group:
-        yield b"".join(memoryview(data)[len(_HEADER):] for _, data in group)
+def _parse_pieces(pieces, samples: array) -> bool:
+    """Append every piece's values, or none of them and return False if a
+    piece is None or fails."""
+    start = len(samples)
+    for piece in pieces:
+        values = None if piece is None else _piece_values(piece)
+        if values is None:
+            del samples[start:]
+            return False
+        samples.frombytes(values.view(np.uint8))
+    return True
 
 
 def _parse_group(group: list[tuple[Path, bytes]], samples: array) -> None:
-    """Append the samples of a group of plain files, piece by piece. If a
-    piece fails, every file of the group goes whole through the line reader."""
-    start = len(samples)
-    for piece in _pieces(group):
-        values = _piece_values(piece)
-        if values is None:
-            del samples[start:]
-            for path, data in group:
-                samples.fromlist(_read_text(path, data))
+    """Append the samples of a group of plain files, their bodies joined into
+    one piece. If it fails, every file of the group goes through the line
+    reader."""
+    if group and not _parse_pieces(
+        [b"".join(memoryview(data)[len(_HEADER) :] for _, data in group)], samples
+    ):
+        for path, data in group:
+            samples.fromlist(_read_text(path, data))
+
+
+def _read_pieces(f: BinaryIO, head: bytes, tail: bytes):
+    """The body of a file longer than one read, as one piece per read: the
+    read's whole lines after the partial line carried from the one before,
+    CRLF and a lone CR turned into LF as in text mode (a last line without
+    one gets an LF). None, and no more, if the file does not start with the
+    plain header or at the first read that is not ASCII or holds a '#'."""
+    carry = b""
+    skip = len(_HEADER)
+    for chunk in chain((head, tail), iter(partial(f.read, _PIECE_BYTES), b"")):
+        if not chunk.isascii() or b"#" in chunk:
+            yield None
             return
-        samples.frombytes(values.view(np.uint8))
+        data = carry + chunk
+        if b"\r" in data:  # a last CR may be half of a CRLF cut by the read
+            end = len(data) - data.endswith(b"\r")
+            data = data[:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + data[end:]
+        if skip and not data.startswith(_HEADER):
+            yield None
+            return
+        cut = data.rfind(b"\n") + 1
+        yield data[skip:cut]
+        carry, skip = data[cut:], 0
+    if carry:
+        yield carry[:-1] + b"\n" if carry.endswith(b"\r") else carry + b"\n"
 
 
 def _read_samples(files: list[Path]) -> np.ndarray:
     """Every file's r column, in order, in one growing buffer: no array per
-    piece outlives it. Plain files wait in a group of at most _PIECE_BYTES of
-    body, or alone if larger. The group is parsed before a later file is
-    parsed or fails to read, so the first faulty file decides the error."""
+    piece outlives it. Each file is read in _PIECE_BYTES reads. A plain file
+    that ends within its first read waits in a group of at most _PIECE_BYTES
+    of body; a longer one is parsed read by read, and goes whole through the
+    line reader if it is not plain or a piece fails. The group is parsed
+    before a later file is parsed or fails to read, so the first faulty file
+    decides the error."""
     samples = array("d")
     group: list[tuple[Path, bytes]] = []
     size = 0
     for path in files:
         try:
-            data = path.read_bytes()
+            with path.open("rb") as f:
+                head = f.read(_PIECE_BYTES)
+                tail = f.read(_PIECE_BYTES) if len(head) == _PIECE_BYTES else b""
+                if tail:
+                    _parse_group(group, samples)
+                    group, size = [], 0
+                    if not _parse_pieces(_read_pieces(f, head, tail), samples):
+                        f.seek(0)
+                        samples.fromlist(_read_text(path, f.read()))
+                    continue
         except OSError:
             _parse_group(group, samples)
             raise
-        plain = _plain(data)
+        plain = _plain(head)
         if plain is None or size + len(plain) > _PIECE_BYTES:
             _parse_group(group, samples)
             group, size = [], 0
         if plain is None:
-            samples.fromlist(_read_text(path, data))
+            samples.fromlist(_read_text(path, head))
         else:
             group.append((path, plain))
             size += len(plain)

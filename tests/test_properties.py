@@ -1,20 +1,24 @@
 """Bitwise properties of the priority rule's entry points, on random fleets,
-of signal CSV ingest, on random file text, and of the trace CSV round trip;
-and the SoC envelope at every dispatch entry point.
+of signal CSV ingest, on random file text, of ingest's decimal kernel, on
+random fields, and of the trace CSV round trip; and the SoC envelope at
+every dispatch entry point.
 
 Equality is checked on the bytes of each float, so 0.0 and -0.0 differ
 (``np.array_equal`` would call them equal). The rule's reference is the rule
 as plain Python floats, one step at a time, which is how the rule was first
 written and what the trace files were recorded from. The ingest reference is
-the line-by-line reader every file once went through, and the envelope
-check's is the per-step loop validate_trace once ran.
+the line-by-line reader every file once went through, the kernel's is
+float() on each field, and the envelope check's is the per-step loop
+validate_trace once ran.
 """
 
 import dataclasses
 import math
 import tempfile
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,7 +56,7 @@ from hes_regkit import (
     soc_step,
     validate_trace,
 )
-from hes_regkit import controller
+from hes_regkit import controller, signals
 from hes_regkit.controller import rt_error_sums
 from hes_regkit.model import soc_change
 from helpers import random_capacity, random_signal, random_system, reference_system, same_bits
@@ -612,6 +616,12 @@ def signal_texts(draw) -> str:
     return text + newline if draw(st.booleans()) else text
 
 
+# 40 000 plain lines, about 0.9 MB: 15 reads of signals._PIECE_BYTES
+LONG_BODY = "timestamp,r\n" + "".join(f"{k},{k % 7 / 7 - 0.5!r}\n" for k in range(40000))
+# a CRLF file whose first read ends between the CR and the LF of a line
+CUT_CRLF = "timestamp,r\r\n" + "7" * (signals._PIECE_BYTES - 18) + ",0.5\r\n" + "1,-0.25\r\n" * 9000
+
+
 @settings(PROPERTY, max_examples=400)
 @given(
     texts=st.lists(signal_texts(), min_size=1, max_size=3),
@@ -627,25 +637,28 @@ def signal_texts(draw) -> str:
 )
 # the byte path's edges. Two faults in one line pair that keep the comma
 # count right; \x1c and \x1f, which str float() strips and bytes float()
-# does not; a timestamp that is not ASCII, or not UTF-8; CRLF; a bad value,
-# or a blank line the line reader skips, in the last piece of a file cut
-# into several; a bad plain file before a sub-directory named like a CSV
-# file (None), which fails to read
+# does not; a timestamp that is not ASCII, or not UTF-8; CRLF
 @example(texts=["timestamp,r\n0,0.5,0.25\n0.75\n"], window_len=2, offset=0)
 @example(texts=["timestamp,r\n0,\x1c0.5\x1f\n1,0.25\n"], window_len=2, offset=0)
 @example(texts=["timestamp,r\n\u0663,0.5\n1,0.25\n"], window_len=2, offset=0)
 @example(texts=[b"timestamp,r\n0,0.5\n\xff,0.25\n"], window_len=2, offset=0)
 @example(texts=["timestamp,r\r\n0,0.5\r\n1,-0.25\r\n"], window_len=2, offset=0)
-@example(
-    texts=["timestamp,r\n" + "".join(f"{k},0.5\n" for k in range(9000)) + "9000,1.5\n"],
-    window_len=5,
-    offset=0,
-)
-@example(
-    texts=["timestamp,r\n" + "".join(f"{k},0.5\n" for k in range(9000)) + "\n9000,-0.25\n"],
-    window_len=5,
-    offset=0,
-)
+# most values in another form than [-]D.F, so the piece goes to float() whole
+@example(texts=["timestamp,r\n0,5.0e-01\n1,-2.5E-01\n2,0.125\n3,1\n"], window_len=2, offset=0)
+# files longer than one read (signals._PIECE_BYTES): a bad value, a blank
+# line, a value float() refuses and a comment in the last of several reads;
+# a last line without LF; a line longer than a read; CRLF, CRLF cut by a
+# read, and lone CRs to the end. Then a bad plain file before a
+# sub-directory named like a CSV file (None), which fails to read
+@example(texts=[LONG_BODY + "40000,1.5\n"], window_len=5, offset=0)
+@example(texts=[LONG_BODY + "\n40000,-0.25\n"], window_len=5, offset=0)
+@example(texts=[LONG_BODY + "40000,0.2x5\n40001,0.5\n"], window_len=5, offset=0)
+@example(texts=[LONG_BODY + "# end\n40000,-0.25"], window_len=5, offset=0)
+@example(texts=[LONG_BODY + "40000,-0.25", "timestamp,r\n0,0.5\n"], window_len=7, offset=3)
+@example(texts=["timestamp,r\n0," + " " * 70000 + "0.5\n1,-0.25\n"], window_len=2, offset=0)
+@example(texts=[LONG_BODY.replace("\n", "\r\n")], window_len=5, offset=0)
+@example(texts=[CUT_CRLF], window_len=3, offset=0)
+@example(texts=[LONG_BODY.replace("\n", "\r")], window_len=5, offset=0)
 @example(texts=["timestamp,r\n0,0.5\n1,1.5\n", None], window_len=2, offset=0)
 def test_load_archive_matches_line_reader(texts, window_len, offset):
     with tempfile.TemporaryDirectory() as tmp:
@@ -668,6 +681,70 @@ def test_load_archive_matches_line_reader(texts, window_len, offset):
             return
         archive = load_archive(source, window_len, 1.0, offset=offset)
     assert same_bits(archive.samples, expected)
+
+
+def test_float_route_matches_line_reader():
+    # the same examples with the decimal kernel gated off: the only route
+    # where long double is binary64 (macOS arm64, Windows)
+    with mock.patch.object(signals, "_EXACT_DIVISION", False):
+        test_load_archive_matches_line_reader()
+
+
+DIGITS = "0123456789"
+
+
+@st.composite
+def decimal_fields(draw) -> str:
+    """A value field: a sign, 0-3 integer digits and 0-25 fraction digits,
+    leading zeros, an exponent, '_', spaces or a junk byte; or the decimal
+    expansion of a midpoint between two doubles, cut short, where rounding
+    twice can go wrong."""
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    if draw(st.booleans()):
+        x = draw(st.floats(1e-6, 1.0, exclude_max=True))
+        with localcontext() as ctx:
+            ctx.prec = 200
+            mid = (Decimal(x) + Decimal(math.nextafter(x, 2.0))) / 2
+        return sign + f"{mid:f}"[: draw(st.integers(3, 28))]
+    whole = draw(st.text(DIGITS, max_size=3))
+    frac = "0" * draw(st.integers(0, 20)) + draw(st.text(DIGITS, max_size=25))
+    text = sign + whole + "." + frac[:25] if frac or draw(st.booleans()) else sign + whole
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["e", "E", "e-", "e+"])) + draw(st.text(DIGITS, max_size=3))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["_", " ", "\t", "x", ":", "/", "\x00"])) + text[at:]
+    return text
+
+
+def kernel_values(fields: list[str]) -> np.ndarray:
+    """signals._decimals over one piece of '<i>,<field>' lines, followed by
+    more '0.5' lines than fields so that the kernel never leaves the piece
+    to float() as one mostly in another form."""
+    lines = fields + ["0.5"] * (len(fields) + 1)
+    piece = "".join(f"{i},{f}\n" for i, f in enumerate(lines)).encode("ascii")
+    buf = np.concatenate((signals._ZERO_ROW, np.frombuffer(piece, np.uint8)))
+    cuts = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    return signals._decimals(piece, buf, cuts[0::2], cuts[1::2])[: len(fields)]
+
+
+@pytest.mark.skipif(not signals._EXACT_DIVISION, reason="long double cannot carry the kernel")
+@settings(PROPERTY, max_examples=300)
+@given(fields=st.lists(decimal_fields(), min_size=1, max_size=60))
+# double-rounding ties: q is a midpoint, float64(q) the wrong neighbour
+@example(fields=["0.718599913353987374", "-0.0535481715063898904"])
+# 20 fraction digits; digits that weigh over 10^18, M past 2^64
+@example(fields=["0.00012345678901234567", "0.99999999999999999999", "9.9999999999999999999999"])
+@example(fields=["-0.0", "-0", "1", "5.", ".5", "+0.5", "0.1_5", "1e-05", "nan"])
+@example(fields=["0." + "1234567890" * 2 + "123"])  # 23 fraction digits
+def test_decimal_kernel_matches_float_bitwise(fields):
+    try:
+        expected = np.array([float(f) for f in fields])
+    except ValueError:
+        with pytest.raises(ValueError):
+            kernel_values(fields)
+        return
+    assert same_bits(kernel_values(fields), expected)
 
 
 @PROPERTY
