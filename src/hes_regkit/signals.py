@@ -14,21 +14,22 @@ Lines starting with '#' and blank lines are ignored. The timestamp column is
 a sample counter (or any monotone tag); only the r column is used.
 
 save_signal writes through reports.write_csv, like every CSV artifact. The
-loader opens each file once and reads it in _PIECE_BYTES reads. A file in
-the plain layout above (ASCII, that exact header on line 1, no '#'; CRLF
-and CR become LF, as in text mode) is parsed in pieces of whole lines:
-files that end within their first read are joined into one piece of about
-_PIECE_BYTES, and a longer file is parsed one read at a time, the partial
-line at the end of each read carried into the next, so it is never held
-whole. Each piece gets one check that its commas and LFs alternate, one
-parse of the second fields, one range check, and its values go into one
-growing buffer. Any other file (a longer one as soon as a read is not
-ASCII or holds a '#'), and every file of a piece that fails, goes whole
-to the line-by-line reader, which skips comments and blank lines and
-names the file and line of the first bad one; a file that is not UTF-8 is
-refused with its path and byte offset. The first faulty file in name order decides
-the error. load_archive lists a directory with one os.scandir, and cuts
-the samples into the (windows, window_len) matrix a SignalArchive is;
+loader reads every file, small or long, in _PIECE_BYTES reads, and each
+read's whole lines are one piece: the partial line at its end is carried
+into the next read, so no file is held whole. A plain piece (ASCII, no
+'#', after the header; CRLF and a lone CR become LF, as in text mode) joins
+a group of plain pieces, across files, of at most _PIECE_BYTES. A group gets
+one check that its commas and LFs alternate, one parse of the second
+fields, one range check, and its values go into one growing buffer. Any
+other piece (a comment, non-ASCII text, the lines up to a header in another
+case or spacing), and each piece of a group that fails, goes alone through
+the line-by-line reader. It carries the line number and whether the header
+was seen from one piece to the next, skips comments and blank lines, and
+names the file and line of the first bad one; a piece that is not UTF-8 is
+refused with the path and the byte's offset in the file. The group is
+parsed before any later piece, so the first faulty line in stream order
+decides the error. load_archive lists a directory with one os.scandir, and
+cuts the samples into the (windows, window_len) matrix a SignalArchive is;
 config.resolve_archive fills the rows of one instead.
 
 The parse gives float(field) bit for bit. A field of the form [-]D.F, with
@@ -59,8 +60,6 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import BinaryIO
 
@@ -263,11 +262,13 @@ def archive_stats(archive: SignalArchive, *, bins: int = 50) -> ArchiveStats:
     )
 
 
-def _read_lines(path: Path, text: str) -> list[float]:
-    """Line-by-line reader: skips comments and blank lines, names a bad line."""
-    samples: list[float] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.split("\n"), 1):
+def _read_lines(path: Path, text: str, samples: array, lineno: int, saw_header: bool) -> bool:
+    """Line-by-line reader over text, whose first line is line lineno + 1 of
+    path: skips comments and blank lines, appends each value to samples and
+    names a bad line. Returns whether the header has been seen. It splits
+    on LF alone: str.splitlines also breaks on form feed, U+2028 and others,
+    which a line keeps."""
+    for lineno, raw in enumerate(text.split("\n"), lineno + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -295,9 +296,7 @@ def _read_lines(path: Path, text: str) -> list[float]:
                 f"{path}:{lineno}: sample {value!r} outside [-1, 1]"
             )
         samples.append(value)
-    if not saw_header:
-        raise SignalParseError(f"{path}: no header line found")
-    return samples
+    return saw_header
 
 
 # The plain layout's first line, as bytes
@@ -327,30 +326,6 @@ _EXACT_DIVISION = bool(
     np.finfo(np.longdouble).nmant in (63, 112)
     and int(np.array([2**64 - 1], np.uint64).astype(np.longdouble)[0] / 3) == (2**64 - 1) // 3
 )
-
-
-def _read_text(path: Path, data: bytes) -> list[float]:
-    """The line reader over data as text mode reads it: UTF-8, CRLF and a
-    lone CR turned into LF. It splits on LF alone: str.splitlines also breaks
-    on form feed, U+2028 and others, which a line keeps."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SignalParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
-    return _read_lines(path, text.replace("\r\n", "\n").replace("\r", "\n"))
-
-
-def _plain(data: bytes) -> bytes | None:
-    """data as LF-terminated lines (CRLF and a lone CR turned into LF, as in
-    text mode, and a last LF added) if it is in the plain layout: ASCII,
-    that exact header first and no '#'. Else None."""
-    if not data.isascii():
-        return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    return data if data.startswith(_HEADER) and b"#" not in data else None
 
 
 def _decimals(
@@ -418,91 +393,90 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
     return values if np.all(np.abs(values) <= 1.0) else None  # NaN fails too
 
 
-def _parse_pieces(pieces, samples: array) -> bool:
-    """Append every piece's values, or none of them and return False if a
-    piece is None or fails."""
-    start = len(samples)
-    for piece in pieces:
-        values = None if piece is None else _piece_values(piece)
+def _parse_group(group: list[tuple[Path, int, bytes]], samples: array) -> None:
+    """Append the values of a group of plain pieces, each (path, lines of
+    the file before it, piece), joined into one piece for the kernel. If it
+    fails, each piece goes through the line reader, and the group empties."""
+    if group:
+        values = _piece_values(b"".join(piece for _, _, piece in group))
         if values is None:
-            del samples[start:]
-            return False
-        samples.frombytes(values.view(np.uint8))
-    return True
+            for path, lineno, piece in group:
+                _read_lines(path, piece.decode("ascii"), samples, lineno, True)
+        else:
+            samples.frombytes(values.view(np.uint8))
+        group.clear()
 
 
-def _parse_group(group: list[tuple[Path, bytes]], samples: array) -> None:
-    """Append the samples of a group of plain files, their bodies joined into
-    one piece. If it fails, every file of the group goes through the line
-    reader."""
-    if group and not _parse_pieces(
-        [b"".join(memoryview(data)[len(_HEADER) :] for _, data in group)], samples
-    ):
-        for path, data in group:
-            samples.fromlist(_read_text(path, data))
-
-
-def _read_pieces(f: BinaryIO, head: bytes, tail: bytes):
-    """The body of a file longer than one read, as one piece per read: the
-    read's whole lines after the partial line carried from the one before,
-    CRLF and a lone CR turned into LF as in text mode (a last line without
-    one gets an LF). None, and no more, if the file does not start with the
-    plain header or at the first read that is not ASCII or holds a '#'."""
-    carry = b""
-    skip = len(_HEADER)
-    for chunk in chain((head, tail), iter(partial(f.read, _PIECE_BYTES), b"")):
-        if not chunk.isascii() or b"#" in chunk:
-            yield None
-            return
+def _pieces(f: BinaryIO):
+    """f's bytes in pieces of whole lines, one per _PIECE_BYTES read: the
+    partial line at the end of a read, and a CR there that may be half of a
+    CRLF, are carried into the next. Yields (offset of the piece in the
+    file, piece, whether it is the last); line ends are left as they are."""
+    carry, offset = b"", 0
+    while True:
+        chunk = f.read(_PIECE_BYTES)
         data = carry + chunk
-        if b"\r" in data:  # a last CR may be half of a CRLF cut by the read
-            end = len(data) - data.endswith(b"\r")
-            data = data[:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + data[end:]
-        if skip and not data.startswith(_HEADER):
-            yield None
+        if len(chunk) < _PIECE_BYTES:  # a buffered read is short only at the end
+            if data:
+                yield offset, data, True
             return
-        cut = data.rfind(b"\n") + 1
-        yield data[skip:cut]
-        carry, skip = data[cut:], 0
-    if carry:
-        yield carry[:-1] + b"\n" if carry.endswith(b"\r") else carry + b"\n"
+        end = len(data) - data.endswith(b"\r")
+        cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+        if cut:
+            yield offset, data[:cut], False
+        carry, offset = data[cut:], offset + cut
 
 
 def _read_samples(files: list[Path]) -> np.ndarray:
     """Every file's r column, in order, in one growing buffer: no array per
-    piece outlives it. Each file is read in _PIECE_BYTES reads. A plain file
-    that ends within its first read waits in a group of at most _PIECE_BYTES
-    of body; a longer one is parsed read by read, and goes whole through the
-    line reader if it is not plain or a piece fails. The group is parsed
-    before a later file is parsed or fails to read, so the first faulty file
+    piece outlives it. A plain piece (ASCII, no '#', after the header; CRLF
+    and a lone CR turned into LF as in text mode) waits in a group of at
+    most _PIECE_BYTES for the kernel; any other piece goes through the line
+    reader alone, after the group, so the first faulty line in stream order
     decides the error."""
     samples = array("d")
-    group: list[tuple[Path, bytes]] = []
+    group: list[tuple[Path, int, bytes]] = []
     size = 0
     for path in files:
+        lineno, saw_header = 0, False
         try:
             with path.open("rb") as f:
-                head = f.read(_PIECE_BYTES)
-                tail = f.read(_PIECE_BYTES) if len(head) == _PIECE_BYTES else b""
-                if tail:
+                for offset, piece, last in _pieces(f):
+                    if piece.isascii():
+                        if b"\r" in piece:
+                            piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                        if not piece.endswith(b"\n"):
+                            piece += b"\n"
+                        if not saw_header and piece.startswith(_HEADER):
+                            piece, lineno, saw_header = piece[len(_HEADER) :], 1, True
+                        if saw_header and b"#" not in piece:
+                            if size + len(piece) > _PIECE_BYTES:
+                                _parse_group(group, samples)
+                                size = 0
+                            group.append((path, lineno, piece))
+                            size += len(piece)
+                            if not last:  # the next piece's line numbers; numpy
+                                # counts LFs six times faster than bytes.count
+                                lfs = np.frombuffer(piece, np.uint8) == ord("\n")
+                                lineno += np.count_nonzero(lfs)
+                            continue
                     _parse_group(group, samples)
-                    group, size = [], 0
-                    if not _parse_pieces(_read_pieces(f, head, tail), samples):
-                        f.seek(0)
-                        samples.fromlist(_read_text(path, f.read()))
-                    continue
+                    size = 0
+                    try:
+                        text = piece.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise SignalParseError(
+                            f"{path}: not UTF-8 at byte {offset + exc.start}: {exc.reason}"
+                        ) from exc
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                    saw_header = _read_lines(path, text, samples, lineno, saw_header)
+                    lineno += text.count("\n")
         except OSError:
             _parse_group(group, samples)
             raise
-        plain = _plain(head)
-        if plain is None or size + len(plain) > _PIECE_BYTES:
+        if not saw_header:
             _parse_group(group, samples)
-            group, size = [], 0
-        if plain is None:
-            samples.fromlist(_read_text(path, head))
-        else:
-            group.append((path, plain))
-            size += len(plain)
+            raise SignalParseError(f"{path}: no header line found")
     _parse_group(group, samples)
     return np.frombuffer(samples)
 

@@ -660,6 +660,28 @@ CUT_CRLF = "timestamp,r\r\n" + "7" * (signals._PIECE_BYTES - 18) + ",0.5\r\n" + 
 @example(texts=[CUT_CRLF], window_len=3, offset=0)
 @example(texts=[LONG_BODY.replace("\n", "\r")], window_len=5, offset=0)
 @example(texts=["timestamp,r\n0,0.5\n1,1.5\n", None], window_len=2, offset=0)
+# more long files, each piece that is not plain read alone by the line
+# reader: a comment in a middle read; a comment before the header; blank
+# lines in four reads; a non-ASCII comment in the third read; \x1c and \x1f
+# lines, and a value the kernel refuses, in a middle read. Then a bad value
+# on line 2 and a byte that is not UTF-8 in the eighth read: the first
+# faulty line in stream order decides the error
+@example(texts=[LONG_BODY.replace("\n20000,", "\n# a note\n20000,")], window_len=5, offset=0)
+@example(texts=["# a note\n" + LONG_BODY], window_len=5, offset=0)
+@example(
+    texts=[LONG_BODY.replace("\n1000", "\n\n1000").replace("\n3000", "\n \n3000")],
+    window_len=5,
+    offset=0,
+)
+@example(texts=[LONG_BODY.replace("\n7000,", "\n# caf\u00e9 \u2603\n7000,")], window_len=5, offset=0)
+@example(
+    texts=[LONG_BODY.replace("\n20000,", "\n\x1c\n\x1f\n20000,\x1c")], window_len=5, offset=0
+)
+@example(
+    texts=[LONG_BODY.encode().replace(b"\n0,-0.5\n", b"\n0,1.5\n").replace(b"\n20000,", b"\n\xff,")],
+    window_len=5,
+    offset=0,
+)
 def test_load_archive_matches_line_reader(texts, window_len, offset):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)

@@ -176,16 +176,31 @@ class TestArchiveIO:
         assert arch.windows[0].samples.tolist() == [0.1, 0.2]
         assert arch.windows[1].samples.tolist() == [0.3, 0.4]
 
-    def test_one_file_peak_within_a_multiple_of_the_matrix(self, tmp_path):
+    @pytest.mark.parametrize(
+        "variant", ["plain", "comment in the middle", "leading comment", "blank line"]
+    )
+    def test_one_file_peak_within_a_multiple_of_the_matrix(self, tmp_path, variant):
         # tracemalloc peak of a one-file load over its matrix bytes: the
-        # growing sample buffer, one 64 KiB read and the kernel's arrays for
-        # one piece (the file itself is 3.3x here, never held whole). 2.11x
-        # measured; 4.45x while the whole file's bytes were held, 30.8x while
-        # the whole text, its lines and their value strings were alive at once
+        # growing sample buffer, one 64 KiB read and the kernel's arrays, or
+        # the line reader's strings, for one piece (the file itself is 3.3x
+        # here, never held whole). 1.88-1.97x measured; 21.3x for the three
+        # variants while a comment or blank line sent the whole file to the
+        # line reader, 30.8x for every file while the whole text, its lines
+        # and their value strings were alive at once
         samples = np.concatenate(
             [synth_signal("energy-neutral-random", 1800, 1.0, s).samples for s in range(50)]
         )
-        path = save_signal(tmp_path / "year.csv", samples)
+        data = save_signal(tmp_path / "year.csv", samples).read_bytes()
+        mid = data.index(b"\n", len(data) // 2) + 1
+        data = {
+            "plain": data,
+            "comment in the middle": data[:mid] + b"# a note\n" + data[mid:],
+            "leading comment": b"# a note\n" + data,
+            "blank line": data[:mid] + b"\n" + data[mid:],
+        }[variant]
+        path = tmp_path / "variant.csv"
+        path.write_bytes(data)
+        del data
         tracemalloc.start()
         try:
             arch = load_archive(path, window_len=1800, dt=1.0)
@@ -194,6 +209,21 @@ class TestArchiveIO:
             tracemalloc.stop()
         assert arch.samples.tobytes() == samples.tobytes()
         assert peak <= 2.35 * arch.samples.nbytes
+
+    def test_undecodable_byte_in_a_late_read_named_by_file_offset(self, tmp_path):
+        # CRLF files: turning CRLF into LF shortens every line before the
+        # byte, and text mode would name its offset within an 8 KiB decode
+        # chunk; the message names its offset in the file
+        data = "timestamp,r\r\n" + "".join(f"{k},{k % 7 / 7 - 0.5!r}\r\n" for k in range(40000))
+        data = data.encode().replace(b"\r\n30000,", b"\r\n30000\xff,")
+        at = data.index(b"\xff")
+        assert at > 10 * signals._PIECE_BYTES
+        (tmp_path / "sig.csv").write_bytes(data)
+        with pytest.raises(
+            SignalParseError, match=rf"sig\.csv: not UTF-8 at byte {at}: invalid start byte"
+        ) as got:
+            load_archive(tmp_path / "sig.csv", window_len=2, dt=1.0)
+        assert isinstance(got.value.__cause__, UnicodeDecodeError)
 
     def test_directory_lists_what_glob_lists(self, tmp_path):
         # one os.scandir, sorted by name: dotfiles and a sub-directory whose
