@@ -13,8 +13,9 @@ and the grid oracle are deliberately independent of the real-time rule:
   relaxation burns energy through overlap that netting cannot repair, so
   the oracle is the route there.
 - ``dp_oracle``: value iteration on a discretized SoC grid with a signed
-  battery power grid. Complementarity is structural. The LP's fallback, and
-  an independent check of the LP on small instances.
+  battery power grid. Complementarity is structural. The LP's fallback,
+  and an upper bound on the true optimum. The LP's own value is checked,
+  exactly, by a test-only O(n) solve of the relaxation (tests/relaxation.py).
 - ``closed_form_dispatch``: the saturation form p_hes = clip(C r, -(load+batt),
   gen+batt), the rule's own kernel with the battery headroom fixed at its
   power rating, valid only while SoC never touches its envelope; doubles as
@@ -28,6 +29,7 @@ reaches it gets an answer.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -119,6 +121,10 @@ class DpOracleConfig:
     power_grid_points: int = 101
 
     def __post_init__(self) -> None:
+        for name in ("soc_grid_points", "power_grid_points"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.soc_grid_points < 3:
             raise ValueError(f"soc_grid_points must be >= 3, got {self.soc_grid_points}")
         if self.power_grid_points < 3 or self.power_grid_points % 2 == 0:
@@ -340,16 +346,13 @@ def dp_oracle(
     c: float,
     sig: RegSignal,
     grid: DpOracleConfig | None = None,
-    *,
-    allow_simultaneous: bool = False,
 ) -> OfflineSolution:
     """Exact-on-grid dispatch via backward value iteration.
 
     State is SoC on a uniform grid; the action is battery power on a signed
-    grid (one-sided by construction, so complementarity cannot be violated
-    unless ``allow_simultaneous`` explicitly enumerates charge/discharge
-    pairs). Generator and load are memoryless and dealt with in closed form
-    inside the stage cost. Continuation values are linearly interpolated.
+    grid, one-sided by construction, so charge and discharge never overlap.
+    Generator and load are memoryless and dealt with in closed form inside
+    the stage cost. Continuation values are linearly interpolated.
 
     The reported objective is the cost of the rolled-out (grid-feasible)
     trajectory, so it upper-bounds the continuous optimum; ``dp_value`` is
@@ -364,16 +367,9 @@ def dp_oracle(
     gmax, lmax, pb = cfg.gen.p_max, cfg.load.p_max, batt.p_max
     nodes = np.linspace(batt.soc_min, batt.soc_max, grid.soc_grid_points)
 
-    if allow_simultaneous:
-        half = grid.power_grid_points // 2 + 1
-        dg = np.linspace(0.0, pb, half)
-        cg = np.linspace(-pb, 0.0, half)
-        pd_act = np.repeat(dg, half)
-        pc_act = np.tile(cg, half)
-    else:
-        b = np.linspace(-pb, pb, grid.power_grid_points)
-        pd_act = np.maximum(b, 0.0)
-        pc_act = np.minimum(b, 0.0)
+    b = np.linspace(-pb, pb, grid.power_grid_points)
+    pd_act = np.maximum(b, 0.0)
+    pc_act = np.minimum(b, 0.0)
     de_act = soc_change(batt, pc_act, pd_act, cfg.dt)
     net_act = pd_act + pc_act
 
@@ -436,7 +432,7 @@ def dp_oracle(
         trace=trace,
         objective=trace.abs_error(),
         solver_path="dp",
-        complementarity_clean=not allow_simultaneous,
+        complementarity_clean=True,
         dp_value=float(np.interp(batt.soc_init, nodes, values[0])),
     )
 

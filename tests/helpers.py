@@ -52,6 +52,20 @@ def reference_system(dt: float = DT_2S) -> HesConfig:
     )
 
 
+# one saturating instance reused across tests: sustained charging commands on
+# 3-minute steps push SoC to the ceiling, where the LP relaxation wants to
+# burn energy through simultaneous charge/discharge
+SAT_DT = 0.05
+SAT_SEED = 20260814
+SAT_C = 12.21
+
+
+def saturating_instance() -> tuple[HesConfig, RegSignal]:
+    cfg = reference_system(dt=SAT_DT)
+    sig = synth_signal("drifting", 60, SAT_DT, SAT_SEED, bias=-0.7, noise=0.3)
+    return cfg, sig
+
+
 def reference_market(**overrides) -> MarketParams:
     kwargs = dict(lambda_c=40.0, lambda_m=10.0, x_p_min=0.75, gamma=0.9, c_max=20.0)
     kwargs.update(overrides)
@@ -104,6 +118,14 @@ def random_signal(rng: np.random.Generator, n: int, dt: float) -> RegSignal:
 def random_capacity(rng: np.random.Generator, cfg: HesConfig, *, lo=0.2, hi=1.2) -> float:
     reach = max(cfg.gen.p_max, cfg.load.p_max) + cfg.batt.p_max
     return float(rng.uniform(lo, hi) * reach)
+
+
+def grid_resolution_mw(cfg: HesConfig, grid) -> float:
+    """The power step of offline.dp_oracle's grids (a DpOracleConfig): the
+    larger of its battery power step and the power of one SoC step."""
+    de = (cfg.batt.soc_max - cfg.batt.soc_min) / (grid.soc_grid_points - 1)
+    dp = 2 * cfg.batt.p_max / (grid.power_grid_points - 1)
+    return max(dp, de * cfg.batt.energy_capacity / (cfg.dt * cfg.batt.eta_d))
 
 
 def same_bits(a, b) -> bool:

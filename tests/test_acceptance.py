@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     DT_2S,
     batch_envelope,
+    grid_resolution_mw,
     random_capacity,
     random_signal,
     random_system,
@@ -48,12 +49,6 @@ def _skip(capsys, num: int, name: str, why: str) -> None:
     with capsys.disabled():
         print(f"[acceptance] criterion {num} ({name}): SKIP ({why})", flush=True)
     pytest.skip(why)
-
-
-def _grid_resolution_mw(cfg: HesConfig, grid: DpOracleConfig) -> float:
-    de = (cfg.batt.soc_max - cfg.batt.soc_min) / (grid.soc_grid_points - 1)
-    dp = 2 * cfg.batt.p_max / (grid.power_grid_points - 1)
-    return max(dp, de * cfg.batt.energy_capacity / (cfg.dt * cfg.batt.eta_d))
 
 
 def _neutral_archive(n: int, n_windows: int, seed0: int, dt: float = DT_2S) -> SignalArchive:
@@ -119,7 +114,7 @@ def test_criterion_2_oracle_agreement(capsys):
             bad_bound.append((off.lp_bound, dp.objective))
         if off.solver_path in ("lp", "lp-with-repair"):
             clean += 1
-            tol = 2.0 * _grid_resolution_mw(cfg, grid)
+            tol = 2.0 * grid_resolution_mw(cfg, grid)
             if abs(dp.objective - off.objective) > tol:
                 bad_gap.append((off.objective, dp.objective, tol))
     ok = clean >= 100 and not bad_gap and not bad_bound

@@ -22,32 +22,17 @@ from hes_regkit import (
 from hes_regkit.config import load_config
 from helpers import (
     DT_2S,
+    SAT_C,
+    SAT_DT,
+    SAT_SEED,
+    grid_resolution_mw,
     random_capacity,
     random_signal,
     random_system,
     reference_system,
     same_bits,
+    saturating_instance,
 )
-
-# one saturating instance reused across tests: sustained charging commands on
-# 3-minute steps push SoC to the ceiling, where the LP relaxation wants to
-# burn energy through simultaneous charge/discharge
-SAT_DT = 0.05
-SAT_SEED = 20260814
-SAT_C = 12.21
-
-
-def saturating_instance():
-    cfg = reference_system(dt=SAT_DT)
-    sig = synth_signal("drifting", 60, SAT_DT, SAT_SEED, bias=-0.7, noise=0.3)
-    return cfg, sig
-
-
-def grid_resolution_mw(cfg, grid: DpOracleConfig) -> float:
-    de = (cfg.batt.soc_max - cfg.batt.soc_min) / (grid.soc_grid_points - 1)
-    dp = 2 * cfg.batt.p_max / (grid.power_grid_points - 1)
-    return max(dp, de * cfg.batt.energy_capacity / (cfg.dt * cfg.batt.eta_d))
-
 
 class TestLpPath:
     def test_saturated_constant_command(self):
@@ -231,26 +216,13 @@ class TestDpOracle:
         assert abs(dp.objective - sol.objective) <= tol
         assert sol.lp_bound <= dp.objective + 1e-6
 
-    def test_pair_enumeration_validates_relaxation_on_burn_instance(self):
-        cfg, sig = saturating_instance()
-        sol = offline_dispatch(cfg, SAT_C, sig)
-        grid = DpOracleConfig(101, 101)
-        one_sided = dp_oracle(cfg, SAT_C, sig, grid)
-        paired = dp_oracle(cfg, SAT_C, sig, grid, allow_simultaneous=True)
-        assert not paired.complementarity_clean
-        # allowing simultaneous charge/discharge reaches the LP bound...
-        assert paired.objective >= sol.lp_bound - 1e-6
-        assert paired.objective - sol.lp_bound <= 2 * grid_resolution_mw(cfg, grid)
-        # ...and beats the complementarity-clean optimum by a real margin here
-        assert one_sided.objective > paired.objective + 5.0
-
     def test_trace_feasible_and_clean(self):
         cfg, sig = saturating_instance()
         dp = dp_oracle(cfg, SAT_C, sig)
         assert validate_trace(cfg, dp.trace) == []
 
     @staticmethod
-    def assert_np_interp_route_bitwise(monkeypatch, cfg, c, sig, *args, **kwargs):
+    def assert_np_interp_route_bitwise(monkeypatch, cfg, c, sig, grid=None):
         """dp_oracle's backward pass gives, at every step, the continuation
         np.interp gives, so the value table is np.interp's; and the rollout,
         objective and root value are those of the np.interp route."""
@@ -269,9 +241,9 @@ class TestDpOracle:
 
         with monkeypatch.context() as m:
             m.setattr(offline, "_interp_at", checked)
-            ref = dp_oracle(cfg, c, sig, *args, **kwargs)
+            ref = dp_oracle(cfg, c, sig, grid)
         assert len(steps) == sig.n and all(steps)
-        got = dp_oracle(cfg, c, sig, *args, **kwargs)
+        got = dp_oracle(cfg, c, sig, grid)
         for name in ("p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc"):
             assert same_bits(getattr(got.trace, name), getattr(ref.trace, name)), name
         assert same_bits(got.objective, ref.objective)
@@ -291,10 +263,7 @@ class TestDpOracle:
         cfg = random_system(rng, dt)
         sig = random_signal(rng, int(rng.integers(2, 120)), dt)
         grid = DpOracleConfig(int(rng.integers(3, 160)), 2 * int(rng.integers(1, 60)) + 1)
-        self.assert_np_interp_route_bitwise(
-            monkeypatch, cfg, random_capacity(rng, cfg), sig, grid,
-            allow_simultaneous=bool(seed % 2),
-        )
+        self.assert_np_interp_route_bitwise(monkeypatch, cfg, random_capacity(rng, cfg), sig, grid)
 
     def test_budget_guard(self):
         cfg = reference_system()
@@ -307,6 +276,12 @@ class TestDpOracle:
             DpOracleConfig(11, 10)
         with pytest.raises(ValueError):
             DpOracleConfig(2, 11)
+        # np.linspace would raise a bare TypeError for these
+        with pytest.raises(ValueError, match="soc_grid_points must be an integer, got 11.0"):
+            DpOracleConfig(11.0, 11)
+        with pytest.raises(ValueError, match="power_grid_points must be an integer, got '11'"):
+            DpOracleConfig(11, "11")
+        assert DpOracleConfig(np.int64(11), 11).soc_grid_points == 11
 
 
 class TestBenchmark:

@@ -682,6 +682,19 @@ CUT_CRLF = "timestamp,r\r\n" + "7" * (signals._PIECE_BYTES - 18) + ",0.5\r\n" + 
     window_len=5,
     offset=0,
 )
+# empty lines in plain files of one group, which the kernel reads with them
+# dropped; then a value out of range in such a group, which the line reader
+# names by its line number in the file as read
+@example(
+    texts=["timestamp,r\n0,0.5\n1,-0.25\n\n", "timestamp,r\n\n0,0.125\n\n\n1,0.75\n\n"],
+    window_len=2,
+    offset=0,
+)
+@example(
+    texts=["timestamp,r\n0,0.5\n1,-0.25\n\n", "timestamp,r\n\n0,0.125\n\n\n1,1.5\n\n"],
+    window_len=2,
+    offset=0,
+)
 def test_load_archive_matches_line_reader(texts, window_len, offset):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)

@@ -116,6 +116,21 @@ class TestArchiveIO:
         assert arch.n_windows == 2
         assert arch.windows[0].samples.tolist() == [0.5, -0.5]
 
+    def test_empty_lines_keep_a_directory_on_the_kernel(self, tmp_path, monkeypatch):
+        # 365 day files, each ending in an empty line: their groups are parsed
+        # with the empty lines dropped, so no line goes through the line reader
+        days = [synth_signal("energy-neutral-random", 180, 1.0, s).samples for s in range(365)]
+        for i, day in enumerate(days):
+            path = save_signal(tmp_path / f"{i:03d}.csv", day)
+            path.write_bytes(path.read_bytes() + b"\n")
+
+        def no_line_reader(*args):
+            pytest.fail("a plain piece went through the line reader")
+
+        monkeypatch.setattr(signals, "_read_lines", no_line_reader)
+        arch = load_archive(tmp_path, window_len=180, dt=1.0)
+        assert arch.samples.tobytes() == np.stack(days).tobytes()
+
     def test_bad_header_names_line(self, tmp_path):
         p = tmp_path / "sig.csv"
         p.write_text("time,value\n0,0.5\n")
