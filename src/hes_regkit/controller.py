@@ -20,29 +20,34 @@ One block body (_rule_block) runs the rule over a block of steps of many
 windows at once: the SoC-free split of the command (_split_command), then
 the battery's half, then the net output. The split is one product, target
 = c * r, and then in-place ufunc passes over contiguous arrays, as is the
-battery's share (_battery_share). While no SoC the battery can reach from
-e0 derates it, its headroom is (p_max, -p_max) whatever the commands, and
-so is its share: _free_steps finds that prefix of k* steps from e0, the
-window length and the battery alone, and the block runs its steps in one
-pass, the SoC as one running sum of model.soc_change (_soc_path). Only the
-steps after it go through the loop that steps the battery (headroom,
-battery share, SoC update). The prefix makes the same additions as the
-loop, so the route changes no bit.
+battery's share (_battery_share). While the SoC lies in [e_lo, e_hi], the
+interval on which _headroom is full (_full_headroom), the battery's
+headroom is (p_max, -p_max) whatever the commands, and so is its share. So
+the block runs every step at full headroom in one pass, the SoC one running
+sum of model.soc_change (_soc_path), and steps the battery (headroom,
+battery share, SoC update) only from the first state outside the interval.
+Up to that state the pass makes the same additions as the loop, so the
+route changes no bit. A window of at most k* steps (_free_steps, the steps
+no command can take out of full headroom from e0) is not checked, and its
+call computes no thresholds.
 
-rt_step, rt_dispatch and offline.closed_form_dispatch (the whole window in
-the prefix) run the block once over the whole window (_rule_columns).
-Every many-window call runs one stream (_rule_stream): all capacities step
-together through the windows a block of steps at a time, and each step's
-|target - p_hes| joins the running L1 sums in step order. rt_error_sums
-keeps only a rotating SoC block, which is all bid scoring needs; where the
-prefix covers the window it needs neither the split nor the SoC: at full
-headroom the net output is the command clipped to the assets' reach, first
-to [-load.p_max, gen.p_max], then its rest to [-batt.p_max, batt.p_max]
-(_saturated_error), which gives the same |target - p_hes| bit for bit.
-rt_dispatch_batch is the stream for one capacity, writing each window's
-whole SoC path. Every window starts at cfg.batt.soc_init (rt_step at the
-state it is given), every entry point gives the same bits, whatever the
-block size, and so do the bid curve and every artifact built from them.
+rt_step, rt_dispatch and offline.closed_form_dispatch (every step at full
+headroom, unchecked) run the block once over the whole window
+(_rule_columns). Every many-window call runs one stream (_rule_stream):
+all capacities step together through the windows a block of steps at a
+time, and each step's |target - p_hes| joins the running L1 sums in step
+order. rt_error_sums keeps only a rotating SoC block, which is all bid
+scoring needs, and needs no split: at full headroom the net output is the
+command clipped to the assets' reach, first to [-load.p_max, gen.p_max],
+then its rest to [-batt.p_max, batt.p_max] (_saturated_error), which gives
+the same |target - p_hes| bit for bit. Where the windows are longer than
+k*, it tracks each column's SoC range on the way, and re-runs through the
+block body only the (capacity, window) columns whose range leaves [e_lo,
+e_hi]. rt_dispatch_batch is the stream for one capacity, writing each
+window's whole SoC path. Every window starts at cfg.batt.soc_init (rt_step
+at the state it is given), every entry point gives the same bits, whatever
+the route or the block size, and so do the bid curve and every artifact
+built from them.
 
 validate_trace runs the envelope check of model.check_step_feasible once
 over a trace's columns. Trace files go through reports.write_csv /
@@ -52,6 +57,7 @@ read_csv, with the capacity and the initial SoC as '#' comment lines.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,7 +195,10 @@ def _headroom(cfg: HesConfig, e):
 
 def _free_steps(cfg: HesConfig, e0: float, n_steps: int) -> int:
     """k*: how many leading steps of an n_steps window from SoC e0 run at
-    full headroom, (p_max, -p_max), whatever the commands.
+    full headroom, (p_max, -p_max), whatever the commands. It picks the
+    route (_route): a window of at most k* steps is taken at full headroom
+    throughout, unchecked, so its call needs neither _full_headroom's
+    thresholds nor the SoC range the window reaches.
 
     A step moves the SoC by at most m, the larger |soc_change| at full
     discharge and at full charge; within the envelope the sum rounds by at
@@ -224,15 +233,79 @@ def _free_steps(cfg: HesConfig, e0: float, n_steps: int) -> int:
     return j + 1
 
 
+def _ordinal(x: float) -> int:
+    """x's place among the floats as an integer, increasing in x; -0.0 and
+    0.0 share 0."""
+    (i,) = struct.unpack("<q", struct.pack("<d", x))
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_ordinal(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | 1 << 63))[0]
+
+
+def _first_float(holds, lo: float, hi: float) -> float:
+    """The least float in (lo, hi] at which ``holds``, monotone in its
+    argument, is true, given that it is false at lo and true at hi: a
+    bisection over the floats in their order, at most 64 halvings."""
+    a, b = _ordinal(lo), _ordinal(hi)
+    while b - a > 1:
+        m = (a + b) // 2
+        a, b = (a, m) if holds(_from_ordinal(m)) else (m, b)
+    return _from_ordinal(b)
+
+
+def _full_headroom(cfg: HesConfig) -> tuple[float, float]:
+    """(e_lo, e_hi): the SoC interval on which _headroom is full, (p_max,
+    -p_max), each end tight to the ulp.
+
+    Each operation of _headroom is monotone in e in floating point, so full
+    discharge holds exactly from e_lo up, and full charge exactly up to
+    e_hi. Both are found by bisection on _headroom itself. For the
+    reference battery (5 MW, 5 MWh, 0.95 each way, SoC in [0.1, 0.9], 2 s
+    steps) they are 0.10058479532163744 and 0.8994722222222222. Where no
+    SoC has both, e_lo > e_hi, and every state lies outside.
+    """
+    pb, batt = cfg.batt.p_max, cfg.batt
+    e_lo = _first_float(lambda e: _headroom(cfg, e)[0] == pb, batt.soc_min, math.inf)
+    past = _first_float(lambda e: _headroom(cfg, e)[1] != -pb, -math.inf, batt.soc_max)
+    return e_lo, math.nextafter(past, -math.inf)
+
+
+def _route(cfg: HesConfig, e0: float, n_steps: int):
+    """The bounds (e_lo, e_hi) a block checks its states against, or None
+    where _free_steps puts every step of the window at full headroom."""
+    return None if _free_steps(cfg, e0, n_steps) >= n_steps else _full_headroom(cfg)
+
+
+def _first_outside(states, bounds) -> int:
+    """The first row of ``states`` with a SoC outside bounds = (e_lo,
+    e_hi), or the number of rows."""
+    e_lo, e_hi = bounds
+    outside = (states < e_lo) | (states > e_hi)
+    rows = np.flatnonzero(np.any(outside, axis=tuple(range(1, outside.ndim))))
+    return int(rows[0]) if rows.size else len(states)
+
+
 def _soc_path(batt: BatteryParams, p_discharge, p_charge, dt: float, soc):
     """Fill soc[1:] from soc[0] with the battery's dispatch, along the first
     axis, and return soc: a running sum of soc_change, added in sequence as
-    soc_step and _rule_block's step loop add, so the paths compare bitwise."""
+    soc_step and _rule_block's step loop add, so the paths compare bitwise.
+
+    np.add.accumulate along the first axis runs its inner loop once per
+    column, so a block of few steps and many columns adds row by row
+    instead, with the same additions: a (2, 16 000) block took 230 us
+    accumulated and 7 us by rows (2-CPU Xeon, numpy 2.4).
+    """
     soc[1:] = soc_change(batt, p_charge, p_discharge, dt)
-    return np.add.accumulate(soc, axis=0, out=soc)
+    if 16 * len(soc) > soc[0].size:
+        return np.add.accumulate(soc, axis=0, out=soc)
+    for j in range(1, len(soc)):
+        np.add(soc[j - 1], soc[j], out=soc[j])
+    return soc
 
 
-def _saturated_error(cfg: HesConfig, c, r, out):
+def _saturated_error(cfg: HesConfig, c, r, out, soc=None):
     """target - p_hes of the rule at full headroom, into out[0], with out[1]
     and out[2] as scratch: the net output is the command clipped to the
     assets' reach, gl = clip(target, -load.p_max, gen.p_max) and then
@@ -241,14 +314,19 @@ def _saturated_error(cfg: HesConfig, c, r, out):
     At full headroom at most one of p_gen and p_load is non-zero, and at
     most one of p_discharge and p_charge, so gl is p_gen - p_load, b is
     p_discharge + p_charge, and gl + b is the rule's p_hes but perhaps for
-    the sign of a zero, which |target - p_hes| drops.
+    the sign of a zero, which |target - p_hes| drops. With ``soc``, one
+    more step than r, it also fills soc[1:] from soc[0] as the rule does at
+    full headroom, from b's two halves, the battery's (p_discharge,
+    p_charge), in out[3] and out[4].
     """
-    target, gl, b = out
+    target, gl, b = out[:3]
     pb = cfg.batt.p_max
     np.multiply(c, r, out=target)
     np.clip(target, -cfg.load.p_max, cfg.gen.p_max, out=gl)
     np.subtract(target, gl, out=b)
     np.clip(b, -pb, pb, out=b)
+    if soc is not None:
+        _soc_path(cfg.batt, *_battery_share(b, pb, -pb, out[3:]), cfg.dt, soc)
     gl += b
     return np.subtract(target, gl, out=target)
 
@@ -261,20 +339,21 @@ def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
     return p_hes
 
 
-def _rule_block(cfg: HesConfig, c, r, soc, n_free: int, cols) -> tuple:
+def _rule_block(cfg: HesConfig, c, r, soc, cols, bounds=None) -> tuple:
     """One block of steps of the rule along r's first axis, into ``cols``:
     DispatchTrace's columns but the SoC, in its order, each shaped like
     c * r. The split, its residual held in the p_hes column; the battery at
-    full headroom on the first n_free steps (clipped to the block's), its
-    SoC one running sum, and step by step after them; the net output.
+    full headroom over the whole block, its SoC one running sum; with
+    ``bounds`` (e_lo, e_hi), step by step again from the first state
+    outside them (with None, no state is checked); the net output.
     ``soc`` has one more step than r; from soc[0] it fills soc[1:]."""
     target, p_gen, p_load, p_discharge, p_charge, resid = cols
     _split_command(cfg, c, r, (target, p_gen, p_load, resid))
-    k = min(max(n_free, 0), r.shape[0])
     pb = cfg.batt.p_max
-    _battery_share(resid[:k], pb, -pb, (p_discharge[:k], p_charge[:k]))
-    _soc_path(cfg.batt, p_discharge[:k], p_charge[:k], cfg.dt, soc[: k + 1])
-    for j in range(k, r.shape[0]):
+    _battery_share(resid, pb, -pb, (p_discharge, p_charge))
+    _soc_path(cfg.batt, p_discharge, p_charge, cfg.dt, soc)
+    n = r.shape[0]
+    for j in range(n if bounds is None else _first_outside(soc[:n], bounds), n):
         p_d, p_c = _battery_share(
             resid[j], *_headroom(cfg, soc[j]), out=(p_discharge[j], p_charge[j])
         )
@@ -284,20 +363,26 @@ def _rule_block(cfg: HesConfig, c, r, soc, n_free: int, cols) -> tuple:
     return cols
 
 
+def _rule_error(cfg: HesConfig, c, r, soc, cols, bounds):
+    """target - p_hes of one block of the rule (_rule_block), into cols[0]."""
+    target, *_, p_hes = _rule_block(cfg, c, r, soc, cols, bounds)
+    return np.subtract(target, p_hes, out=target)
+
+
 def _rule_columns(
-    cfg: HesConfig, c: float, r: np.ndarray, e0: float, n_free: int | None = None
+    cfg: HesConfig, c: float, r: np.ndarray, e0: float, full_headroom: bool = False
 ) -> tuple:
-    """The rule over step-major commands r, shape (n_steps, n_windows), with
-    the first n_free steps (k* from _free_steps when None) at full headroom.
+    """The rule over step-major commands r, shape (n_steps, n_windows), from
+    SoC e0 by its route (_route); with full_headroom, every step at
+    (p_max, -p_max), unchecked.
 
     Returns DispatchTrace's columns in its order, each step-major; soc has
     one more row and is the transpose of a (windows, steps + 1) array.
     """
-    if n_free is None:
-        n_free = _free_steps(cfg, e0, r.shape[0])
+    bounds = None if full_headroom else _route(cfg, e0, r.shape[0])
     soc = np.empty((r.shape[1], r.shape[0] + 1)).T
     soc[0] = e0
-    cols = _rule_block(cfg, c, r, soc, n_free, [np.empty_like(r) for _ in range(6)])
+    cols = _rule_block(cfg, c, r, soc, [np.empty_like(r) for _ in range(6)], bounds)
     return (*cols, soc)
 
 
@@ -396,50 +481,90 @@ def _rule_stream(
     cfg: HesConfig, cs: np.ndarray, samples: np.ndarray, soc_path=None
 ) -> np.ndarray:
     """The rule for every capacity in cs over the (n_windows, n_steps)
-    samples, from cfg.batt.soc_init, a block of steps at a time. Returns
-    the (capacities, windows) L1 errors, each step's joining the running
-    sums in step order.
+    samples, from cfg.batt.soc_init. Returns the (capacities, windows) L1
+    errors, each step's joining the running sums in step order.
 
-    Each block runs _rule_block, its first steps at full headroom while the
-    prefix (_free_steps) lasts. With ``soc_path``, a step-major (steps + 1,
-    capacities, windows) array whose row 0 holds cfg.batt.soc_init, the
-    blocks fill the rest of it. Without, one rotating block holds the SoC, its row 0 carrying it from
-    block to block; and where the prefix covers the window, the blocks need
-    neither the split nor the SoC: their errors come from the saturation
-    form (_saturated_error). Memory grows with the block, not with the
-    number of steps: step-block arrays of at most about _STEP_BLOCK_ELEMENTS
-    elements each, but never less than one step of capacities x windows.
-    There are three for the saturation form, else six and the SoC block;
-    one more takes each block's commands, transposed from the samples.
+    With ``soc_path``, a step-major (steps + 1, capacities, windows) array
+    whose row 0 holds cfg.batt.soc_init, each block runs _rule_block and
+    fills the rows of its steps. Without, no block needs the split: where
+    _free_steps puts the windows at full headroom throughout, the errors
+    come from the saturation form (_saturated_error) alone, with no SoC and
+    no thresholds. Where the windows are longer, the saturation form also
+    carries each column's SoC in one rotating block, and keeps its minimum
+    and maximum over the states the steps start from. A column whose range
+    lies within [e_lo, e_hi] (_full_headroom) ran at full headroom at every
+    step, so its sum is the rule's; every other (capacity, window) column
+    runs again through _rule_block, which checks every block's states.
+    Columns are independent, and the block size changes no bit, so the
+    merged sums are the rule's, bit for bit.
     """
     e0 = cfg.batt.soc_init
     c = cs[:, None]
-    n_windows, n_steps = samples.shape
-    block = max(1, _STEP_BLOCK_ELEMENTS // (cs.size * n_windows))
-    n_free = _free_steps(cfg, e0, n_steps)
-    saturated = soc_path is None and n_free >= n_steps
+    bounds = _route(cfg, e0, samples.shape[1])
+    if soc_path is not None:
+        return _stream(
+            c, samples, 6, lambda r, cols, soc: _rule_error(cfg, c, r, soc, cols, bounds),
+            soc_path=soc_path,
+        )
+    if bounds is None:
+        return _stream(c, samples, 3, lambda r, cols, soc: _saturated_error(cfg, c, r, cols))
+    lo = np.full((cs.size, samples.shape[0]), math.inf)
+    hi = np.full_like(lo, -math.inf)
+
+    def speculate(r, cols, soc):
+        err = _saturated_error(cfg, c, r, cols, soc)
+        states = soc[: r.shape[0]]
+        np.minimum(lo, states.min(axis=0), out=lo)
+        np.maximum(hi, states.max(axis=0), out=hi)
+        return err
+
+    err_sums = _stream(c, samples, 5, speculate, carry=e0)
+    caps, windows = np.nonzero((lo < bounds[0]) | (hi > bounds[1]))
+    if caps.size:
+        pairs = cs[caps]
+        err_sums[caps, windows] = _stream(
+            pairs, samples, 6,
+            lambda r, cols, soc: _rule_error(cfg, pairs, r, soc, cols, bounds),
+            windows=windows, carry=e0,
+        )
+    return err_sums
+
+
+def _stream(c, samples, n_cols, body, *, windows=None, soc_path=None, carry=None):
+    """Run ``body(r, cols, soc)`` over the samples a block of steps at a
+    time, and add the |error| each block returns to the running sums, step
+    by step, in step order. Returns the sums, one per column.
+
+    The columns are c against every window (c of shape (capacities, 1)),
+    or c[i] against window ``windows[i]``. r holds the block's commands,
+    step-major, in one reused buffer; cols are n_cols step-block arrays
+    shaped like c * r. soc is the block's rows of ``soc_path`` (a
+    step-major (steps + 1, ...) path, its row 0 set), or, with ``carry``,
+    one rotating block whose row 0 starts at carry and takes each block's
+    last state; or None. Memory grows with the block, not with the number
+    of steps: step-block arrays of at most about _STEP_BLOCK_ELEMENTS
+    elements each, but never less than one step of every column.
+    """
+    n_steps = samples.shape[1]
+    step = (1, samples.shape[0]) if windows is None else windows.shape
+    shape = (c.shape[0], samples.shape[0]) if windows is None else windows.shape
+    block = max(1, _STEP_BLOCK_ELEMENTS // math.prod(shape))
     # buffers made once per call: made per block, they slowed a bid-year-sized
     # call (77 capacities x 365 windows, one step per block) 1.8x, in page
     # faults
-    buffers = [np.empty((block, cs.size, n_windows)) for _ in range(3 if saturated else 6)]
-    soc = soc_path
-    if soc is None and not saturated:
-        soc = np.full((block + 1, cs.size, n_windows), e0)
-    err_sums = np.zeros((cs.size, n_windows))
-    commands = np.empty((min(block, n_steps), 1, n_windows))
+    buffers = [np.empty((block, *shape)) for _ in range(n_cols)]
+    soc = soc_path if carry is None else np.full((block + 1, *shape), carry)
+    err_sums = np.zeros(shape)
+    commands = np.empty((min(block, n_steps), *step))
     for start in range(0, n_steps, block):
         n = min(block, n_steps - start)
         r = commands[:n]  # the block's commands, step-major: one slab of memory
-        np.copyto(r[:, 0, :], samples[:, start : start + n].T)
-        cols = [a[:n] for a in buffers]
-        if saturated:
-            err = _saturated_error(cfg, c, r, cols)
-        else:
-            at = 0 if soc_path is None else start  # the block's first SoC row
-            target, *_, p_hes = _rule_block(cfg, c, r, soc[at : at + n + 1], n_free - start, cols)
-            if soc_path is None:
-                soc[0] = soc[n]
-            err = np.subtract(target, p_hes, out=target)
+        rows = samples[:, start : start + n] if windows is None else samples[windows, start : start + n]
+        np.copyto(r.reshape(n, -1), rows.T)
+        at = 0 if soc_path is None else start  # the block's first SoC row
+        err = body(r, [a[:n] for a in buffers], None if soc is None else soc[at : at + n + 1])
+        if carry is not None:
+            soc[0] = soc[n]
         for err_k in np.abs(err, out=err):
             err_sums += err_k  # step by step, in step order
     return err_sums

@@ -298,13 +298,13 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
     Output clips the command into [-(load.p_max + batt.p_max),
     gen.p_max + batt.p_max] with the rule's priority allocation, the battery
     headroom fixed at batt.p_max: the rule kernel (controller._rule_columns)
-    with the whole window in its full-headroom prefix. Returns None when the
+    with every step at full headroom. Returns None when the
     resulting SoC trajectory touches or crosses either envelope bound, in
     which case the form does not apply.
     """
     _check_inputs(cfg, c, sig.dt)
     batt = cfg.batt
-    cols = _rule_columns(cfg, c, sig.samples[:, None], batt.soc_init, n_free=sig.n)
+    cols = _rule_columns(cfg, c, sig.samples[:, None], batt.soc_init, full_headroom=True)
     trace = DispatchTrace(*(col[:, 0] for col in cols))
     interior = trace.soc[1:]
     if interior.size and (

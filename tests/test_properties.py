@@ -12,6 +12,7 @@ float() on each field, and the envelope check's is the per-step loop
 validate_trace once ran.
 """
 
+import contextlib
 import dataclasses
 import math
 import tempfile
@@ -365,6 +366,7 @@ def test_reference_battery_prefix():
     assert controller._free_steps(cfg, 0.5, 10**6) == 683
     assert controller._free_steps(cfg, 0.5, 180) == 180
     assert controller._free_steps(cfg, 0.1, 180) == 0
+    assert controller._full_headroom(cfg) == (0.10058479532163744, 0.8994722222222222)
 
 
 def assert_scored_without_the_split(cfg: HesConfig, cs, matrix, e0: float) -> None:
@@ -456,36 +458,206 @@ def test_prefix_never_outlasts_full_headroom(cfg, data):
         assert ref["p_charge"][:free] == [-batt.p_max] * free
 
 
-@PROPERTY
-@given(cfg=fleets(), c=capacities, matrix=windows(), data=st.data())
-def test_loop_only_route_gives_the_same_bits(cfg, c, matrix, data):
-    e0 = soc_near_a_threshold(data, cfg)
-    cfg = HesConfig(cfg.gen, cfg.load, dataclasses.replace(cfg.batt, soc_init=e0), cfg.dt)
-    cs = [c, 0.5 * c, 2.0 * c]
-    sig = RegSignal(samples=matrix[0], dt=cfg.dt)
+@contextlib.contextmanager
+def loop_only_route():
+    """Every entry point steps the battery through the loop at every step:
+    no window fits the prefix (_free_steps), and no SoC lies within the
+    full-headroom interval (_full_headroom)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_free_steps", lambda cfg, e0, n_steps: 0)
+        mp.setattr(controller, "_full_headroom", lambda cfg: (math.inf, -math.inf))
+        yield
+
+
+def assert_loop_only_bits(cfg: HesConfig, c: float, cs, matrix):
+    """Every entry point, from cfg.batt.soc_init, against the loop-only
+    route bitwise: rt_step on the first command, rt_dispatch on every
+    window, rt_dispatch_batch and rt_error_sums. Returns the loop-only
+    batch."""
+    e0 = cfg.batt.soc_init
 
     def every_entry_point():
         return (
             rt_step(cfg, c, float(matrix[0, 0]), SocState(e0)),
-            rt_dispatch(cfg, c, sig),
+            [rt_dispatch(cfg, c, RegSignal(samples=row, dt=cfg.dt)) for row in matrix],
             rt_dispatch_batch(cfg, c, matrix, cfg.dt),
             rt_error_sums(cfg, cs, matrix, cfg.dt),
         )
 
     default = every_entry_point()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controller, "_free_steps", lambda cfg, e0, n_steps: 0)
+    with loop_only_route():
         loop_only = every_entry_point()
-    (step, nxt), trace, batch, sums = default
-    (step0, nxt0), trace0, batch0, sums0 = loop_only
+    (step, nxt), traces, batch, sums = default
+    (step0, nxt0), traces0, batch0, sums0 = loop_only
     for name in COLUMNS[1:6]:
         assert same_bits(getattr(step, name), getattr(step0, name)), name
     assert same_bits(nxt.e, nxt0.e)
-    for name in COLUMNS:
-        assert same_bits(getattr(trace, name), getattr(trace0, name)), name
+    for i, (trace, trace0) in enumerate(zip(traces, traces0)):
+        for name in COLUMNS:
+            assert same_bits(getattr(trace, name), getattr(trace0, name)), (i, name)
     for name in ("err_sums", "soc"):
         assert same_bits(getattr(batch, name), getattr(batch0, name)), name
     assert same_bits(sums, sums0)
+    return batch0
+
+
+@PROPERTY
+@given(cfg=fleets(), c=capacities, matrix=windows(), data=st.data())
+def test_loop_only_route_gives_the_same_bits(cfg, c, matrix, data):
+    e0 = soc_near_a_threshold(data, cfg)
+    cfg = HesConfig(cfg.gen, cfg.load, dataclasses.replace(cfg.batt, soc_init=e0), cfg.dt)
+    assert_loop_only_bits(cfg, c, [c, 0.5 * c, 2.0 * c], matrix)
+
+
+@st.composite
+def banded_fleets(draw) -> HesConfig:
+    """Fleets from mid-envelope whose full discharge moves the SoC 1/k of
+    its span a step, k from 3 to 40: a window of k steps at full power
+    reaches the band, the last full-power step before a SoC bound."""
+    cfg = draw(fleets())
+    batt = cfg.batt
+    span = batt.soc_max - batt.soc_min
+    k = draw(st.integers(3, 40))
+    dt = span * batt.energy_capacity * batt.eta_d / (batt.p_max * k)
+    batt = dataclasses.replace(batt, soc_init=batt.soc_min + 0.5 * span)
+    return HesConfig(cfg.gen, cfg.load, batt, dt)
+
+
+def saturating_capacity(cfg: HesConfig, data) -> float:
+    """A capacity at which a full command asks the battery for more than
+    p_max, either way."""
+    reach = cfg.batt.p_max + max(cfg.gen.p_max, cfg.load.p_max)
+    return 2.0 * reach + data.draw(st.floats(0.0, 5.0))
+
+
+def outside_full_headroom(cfg: HesConfig, soc: np.ndarray) -> np.ndarray:
+    """Per window (row of soc), whether a state a step starts from lies
+    outside the full-headroom interval."""
+    e_lo, e_hi = controller._full_headroom(cfg)
+    states = soc[:, :-1]
+    return np.any((states < e_lo) | (states > e_hi), axis=1)
+
+
+@PROPERTY
+@given(cfg=banded_fleets(), data=st.data())
+def test_windows_in_and_out_of_the_band_match_loop_only_route(cfg, data):
+    # one call in which some windows enter the band and others do not
+    c = saturating_capacity(cfg, data)
+    e_lo, e_hi = controller._full_headroom(cfg)
+    assert e_lo <= cfg.batt.soc_init <= e_hi
+    span_steps = math.ceil(
+        (cfg.batt.soc_max - cfg.batt.soc_min) / -soc_change(cfg.batt, 0.0, cfg.batt.p_max, cfg.dt)
+    )
+    n = span_steps + data.draw(st.integers(0, 2 * span_steps))
+    random_rows = data.draw(hnp.arrays(
+        np.float64, (data.draw(st.integers(0, 2)), n), elements=st.floats(-1.0, 1.0)
+    ))
+    rows = [np.ones(n), np.zeros(n), -np.ones(n), *random_rows]
+    matrix = np.stack(data.draw(st.permutations(rows)))
+    cs = [c, 0.5 * c, 2.0 * c, 1e-3 * c]
+    batch = assert_loop_only_bits(cfg, c, cs, matrix)
+    outside = outside_full_headroom(cfg, batch.soc)
+    assert outside.any() and not outside.all()
+
+
+@PROPERTY
+@given(cfg=banded_fleets(), data=st.data())
+def test_square_wave_touching_the_floor_matches_loop_only_route(cfg, data):
+    # full discharge down to the floor, then full charge back into the
+    # interval, a few times; its mirror pulls the other way
+    batt = cfg.batt
+    c = saturating_capacity(cfg, data)
+    m_dis = -soc_change(batt, 0.0, batt.p_max, cfg.dt)
+    m_ch = soc_change(batt, -batt.p_max, 0.0, cfg.dt)
+    down = math.floor((batt.soc_init - batt.soc_min) / m_dis) + data.draw(st.integers(2, 5))
+    up = math.ceil((batt.soc_init - batt.soc_min) / m_ch) + data.draw(st.integers(0, 3))
+    wave = np.tile(np.r_[np.ones(down), -np.ones(up)], data.draw(st.integers(1, 3)))
+    matrix = np.stack([wave, -wave, np.zeros(wave.size)])
+    batch = assert_loop_only_bits(cfg, c, [c, 0.5 * c], matrix)
+    trace = rt_dispatch(cfg, c, RegSignal(samples=wave, dt=cfg.dt))
+    ref = reference_rule(cfg, c, wave, batt.soc_init)
+    for name in COLUMNS:
+        assert same_bits(getattr(trace, name), ref[name]), name
+    # the wave is derated at the floor, and full headroom returns after it
+    derated = np.flatnonzero(trace.p_discharge[:down] < batt.p_max)
+    assert derated.size
+    e_lo, e_hi = controller._full_headroom(cfg)
+    back = trace.soc[down + 1 : down + up + 1]
+    assert np.any((back >= e_lo) & (back <= e_hi))
+    assert outside_full_headroom(cfg, batch.soc)[[0, 2]].tolist() == [True, False]
+
+
+@PROPERTY
+@given(cfg=fleets(), data=st.data())
+def test_full_headroom_thresholds_are_tight(cfg, data):
+    # full headroom holds at each threshold and not one ulp outside it, and
+    # exactly on the interval between them
+    pb = cfg.batt.p_max
+    e_lo, e_hi = controller._full_headroom(cfg)
+    assert controller._headroom(cfg, e_lo)[0] == pb
+    assert controller._headroom(cfg, math.nextafter(e_lo, -math.inf))[0] < pb
+    assert controller._headroom(cfg, e_hi)[1] == -pb
+    assert controller._headroom(cfg, math.nextafter(e_hi, math.inf))[1] > -pb
+    for e in data.draw(st.lists(st.floats(cfg.batt.soc_min, cfg.batt.soc_max), max_size=8)):
+        d_max, c_max = controller._headroom(cfg, e)
+        assert (d_max == pb and c_max == -pb) == (e_lo <= e <= e_hi), e
+
+
+def test_widened_interval_changes_the_bits():
+    # what the route tests above would catch: taken one full-power step
+    # wider, the interval lets a derated step through at full headroom
+    cfg = reference_system()
+    batt = cfg.batt
+    e_lo, e_hi = controller._full_headroom(cfg)
+    m_dis = -soc_change(batt, 0.0, batt.p_max, cfg.dt)
+    m_ch = soc_change(batt, -batt.p_max, 0.0, cfg.dt)
+    wave = np.r_[np.ones(800), -np.ones(800)]
+
+    def dispatched():  # one window a call, down to the floor, or up to the ceiling
+        return [
+            (rt_dispatch(cfg, 20.0, RegSignal(samples=w, dt=cfg.dt)).soc,
+             rt_dispatch_batch(cfg, 20.0, w[None], cfg.dt).soc[0],
+             rt_error_sums(cfg, [20.0], w[None], cfg.dt)[0, 0])
+            for w in (wave, -wave)
+        ]
+
+    with loop_only_route():
+        loop_only = dispatched()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_full_headroom", lambda cfg: (e_lo - m_dis, e_hi + m_ch))
+        widened = dispatched()
+    for i, (got, want) in enumerate(zip(widened, loop_only)):
+        for j in range(3):
+            assert not same_bits(got[j], want[j]), (i, j)
+
+
+@pytest.mark.parametrize("e0, n_steps", [(0.5, 16), (0.5, 5), (0.3, 8)])
+def test_windows_within_the_prefix_compute_no_thresholds(e0, n_steps):
+    # windows of at most k* steps keep the prefix's route: they compute no
+    # thresholds, and give the rule's bits
+    cfg = prefix_system(e0)
+    assert controller._free_steps(cfg, e0, n_steps) >= n_steps
+    matrix = prefix_windows(n_steps)
+    cs = [0.7, 3.0, 9.0]
+
+    def unused(cfg):
+        raise AssertionError("a window within the prefix computed the thresholds")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_full_headroom", unused)
+        stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
+        batches = [rt_dispatch_batch(cfg, c, matrix, cfg.dt) for c in cs]
+        traces = [rt_dispatch(cfg, 9.0, RegSignal(samples=row, dt=cfg.dt)) for row in matrix]
+    for j, (c, batch) in enumerate(zip(cs, batches)):
+        for i, row in enumerate(matrix):
+            ref = reference_rule(cfg, c, row, e0)
+            assert same_bits(stacked[j, i], reference_error_sum(ref)), (c, i)
+            assert same_bits(batch.err_sums[i], reference_error_sum(ref)), (c, i)
+            assert same_bits(batch.soc[i], ref["soc"]), (c, i)
+    for trace, row in zip(traces, matrix):
+        ref = reference_rule(cfg, 9.0, row, e0)
+        for name in COLUMNS:
+            assert same_bits(getattr(trace, name), ref[name]), name
 
 
 bad_capacities = st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])

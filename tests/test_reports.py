@@ -1,9 +1,12 @@
 """CSV artifacts: the exact bytes of trace and signal files, and what they refuse."""
 
+import math
+
 import numpy as np
 import pytest
 
-from hes_regkit import DispatchTrace, load_trace_csv, save_signal, save_trace_csv
+from hes_regkit import DispatchTrace, load_trace_csv, reports, save_signal, save_trace_csv
+from hes_regkit.reports import write_csv
 
 # 0.1 + 0.2 and 1/3 need all 17 significant digits to round-trip; -0.0 is
 # what the rule's p_load reads at r = +0.0
@@ -77,3 +80,69 @@ def test_trace_reader_names_file_and_line(tmp_path, index, line, problem):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"trace.csv: {problem}"):
         load_trace_csv(path)
+
+
+def per_cell(v) -> str:
+    """The writer's format, one cell at a time, as write_csv first had it."""
+    if isinstance(v, float):
+        assert math.isfinite(v)
+        return "%.17g" % v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return v
+    return per_cell(v.item())
+
+
+_FLOATS = [0.1 + 0.2, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 2.0**53, 1e-300]
+_MIXED_ROWS = [
+    # int, float, bool, str, then one column of every kind and numpy scalars
+    [i, x, i % 3 == 0, f"w{i}", [7, 0.5, True, "s", -0.0][i % 5], np.float64(x), np.int64(-i)]
+    for i, x in enumerate(_FLOATS * 3)
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_write_csv_is_the_per_cell_format(tmp_path, monkeypatch, block_rows):
+    # at 7 rows a block, the column of every kind is of one kind in some
+    # blocks and mixed in others
+    monkeypatch.setattr(reports, "_BLOCK_ROWS", block_rows)
+    header = ["i", "x", "flag", "name", "any", "np_x", "np_i"]
+    path = write_csv(tmp_path / "mixed.csv", header, iter(_MIXED_ROWS), comments=("a=1", "b"))
+    expected = "# a=1\n# b\n" + ",".join(header) + "\n" + "".join(
+        ",".join(map(per_cell, row)) + "\n" for row in _MIXED_ROWS
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    # 1e308 twice overflows a column's sum; the values are finite all the same
+    assert ",1e+308," in expected and ",4.9406564584124654e-324," in expected
+    assert ",-0," in expected
+    assert write_csv(tmp_path / "empty.csv", ["a", "b"], []).read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize(
+    "column, bad, error, match",
+    [
+        (1, math.nan, ValueError, "non-finite float nan"),
+        (1, math.inf, ValueError, "non-finite float inf"),
+        (5, np.float64(-math.inf), ValueError, "non-finite float -inf"),
+        (4, math.nan, ValueError, "non-finite float nan"),  # a column of mixed kinds
+        (3, "a,b", ValueError, "may not contain separators: 'a,b'"),
+        (3, "a\nb", ValueError, "may not contain separators"),
+        (4, "a,b", ValueError, "may not contain separators"),
+        (0, None, TypeError, "cannot serialize CSV cell None"),
+        (2, [1], TypeError, "cannot serialize CSV cell"),
+    ],
+)
+def test_write_csv_refusals_leave_no_file(tmp_path, monkeypatch, column, bad, error, match):
+    # the bad cell sits in the last block of rows
+    monkeypatch.setattr(reports, "_BLOCK_ROWS", 7)
+    rows = [list(row) for row in _MIXED_ROWS]
+    rows[-2][column] = bad
+    with pytest.raises(error, match=match):
+        write_csv(tmp_path / "bad.csv", list("abcdefg"), rows)
+    rows[-2] = rows[-2][:6]
+    with pytest.raises(ValueError, match="CSV row 28 has 6 cells, header has 7"):
+        write_csv(tmp_path / "ragged.csv", list("abcdefg"), rows)
+    assert not list(tmp_path.iterdir())
