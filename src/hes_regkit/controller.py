@@ -27,23 +27,24 @@ the block runs every step at full headroom in one pass, the SoC one running
 sum of model.soc_change (_soc_path), and steps the battery (headroom,
 battery share, SoC update) only from the first state outside the interval.
 Up to that state the pass makes the same additions as the loop, so the
-route changes no bit. A window of at most k* steps (_free_steps, the steps
-no command can take out of full headroom from e0) is not checked, and its
-call computes no thresholds.
+route changes no bit. A window that no command can take out of the
+interval (_route: full headroom at the farthest SoC it can reach from e0)
+is not checked, and its call computes no thresholds.
 
-rt_step, rt_dispatch and offline.closed_form_dispatch (every step at full
-headroom, unchecked) run the block once over the whole window
-(_rule_columns). Every many-window call runs one stream (_rule_stream):
-all capacities step together through the windows a block of steps at a
-time, and each step's |target - p_hes| joins the running L1 sums in step
-order. rt_error_sums keeps only a rotating SoC block, which is all bid
-scoring needs, and needs no split: at full headroom the net output is the
-command clipped to the assets' reach, first to [-load.p_max, gen.p_max],
-then its rest to [-batt.p_max, batt.p_max] (_saturated_error), which gives
-the same |target - p_hes| bit for bit. Where the windows are longer than
-k*, it tracks each column's SoC range on the way, and re-runs through the
-block body only the (capacity, window) columns whose range leaves [e_lo,
-e_hi]. rt_dispatch_batch is the stream for one capacity, writing each
+rt_dispatch and offline.closed_form_dispatch (every step at full headroom,
+unchecked) run the block once over the whole window (_rule_columns), and
+rt_step runs it for its one step at its state's headroom. Every
+many-window call runs one stream (_rule_stream): all capacities step
+together through the windows a block of steps at a time, and each step's
+|target - p_hes| joins the running L1 sums in step order. rt_error_sums
+keeps only a rotating SoC block, which is all bid scoring needs, and needs
+no split: at full headroom the net output is the command clipped to the
+assets' reach, first to [-load.p_max, gen.p_max], then its rest to
+[-batt.p_max, batt.p_max] (_saturated_error), which gives the same
+|target - p_hes| bit for bit. Where the windows can leave the interval, it
+tracks each column's SoC range on the way, and re-runs through the block
+body only the (capacity, window) columns whose range leaves [e_lo, e_hi].
+rt_dispatch_batch is the stream for one capacity, writing each
 window's whole SoC path. Every window starts at cfg.batt.soc_init (rt_step
 at the state it is given), every entry point gives the same bits, whatever
 the route or the block size, and so do the bid curve and every artifact
@@ -56,6 +57,7 @@ read_csv, with the capacity and the initial SoC as '#' comment lines.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -193,46 +195,6 @@ def _headroom(cfg: HesConfig, e):
     return delta_d * pb, -delta_c * pb
 
 
-def _free_steps(cfg: HesConfig, e0: float, n_steps: int) -> int:
-    """k*: how many leading steps of an n_steps window from SoC e0 run at
-    full headroom, (p_max, -p_max), whatever the commands. It picks the
-    route (_route): a window of at most k* steps is taken at full headroom
-    throughout, unchecked, so its call needs neither _full_headroom's
-    thresholds nor the SoC range the window reaches.
-
-    A step moves the SoC by at most m, the larger |soc_change| at full
-    discharge and at full charge; within the envelope the sum rounds by at
-    most 2**-53 a step. So step j's SoC lies within j * step of e0, and as
-    _headroom is monotone in e, step j runs at full headroom if it does at
-    both ends. The candidate is where the real-arithmetic thresholds of full
-    headroom cross; _headroom's own check then moves it a step or two at most.
-    Where a single full step from e0 would cross them, k* is 0 unchecked:
-    a k* too small changes the route, never the bits.
-    """
-    batt = cfg.batt
-    m_dis = -soc_change(batt, 0.0, batt.p_max, cfg.dt)  # one full-power step
-    m_ch = soc_change(batt, -batt.p_max, 0.0, cfg.dt)
-    margin = min(e0 - batt.soc_min - m_dis, batt.soc_max - m_ch - e0)
-    if not (n_steps > 0 and margin >= 0.0):  # one full step from e0 may bind
-        return 0
-    # the margins cover the rounding of j * step and of e0 -+ j * step too
-    step = max(m_dis, m_ch) * (1.0 + 2.0**-40) + 2.0**-52
-
-    def full(j: int) -> bool:
-        lo, hi = e0 - j * step, e0 + j * step
-        d_max, c_max = _headroom(cfg, lo)
-        if hi != lo:
-            c_max = _headroom(cfg, hi)[1]
-        return d_max == batt.p_max and c_max == -batt.p_max
-
-    j = min(n_steps - 1, math.floor(margin / step))  # the last free step
-    while j >= 0 and not full(j):
-        j -= 1
-    while j + 1 < n_steps and full(j + 1):
-        j += 1
-    return j + 1
-
-
 def _ordinal(x: float) -> int:
     """x's place among the floats as an integer, increasing in x; -0.0 and
     0.0 share 0."""
@@ -255,6 +217,8 @@ def _first_float(holds, lo: float, hi: float) -> float:
     return _from_ordinal(b)
 
 
+# once per config (frozen, so hashable): a bid solve asks on every scoring call
+@functools.lru_cache
 def _full_headroom(cfg: HesConfig) -> tuple[float, float]:
     """(e_lo, e_hi): the SoC interval on which _headroom is full, (p_max,
     -p_max), each end tight to the ulp.
@@ -274,8 +238,23 @@ def _full_headroom(cfg: HesConfig) -> tuple[float, float]:
 
 def _route(cfg: HesConfig, e0: float, n_steps: int):
     """The bounds (e_lo, e_hi) a block checks its states against, or None
-    where _free_steps puts every step of the window at full headroom."""
-    return None if _free_steps(cfg, e0, n_steps) >= n_steps else _full_headroom(cfg)
+    where no SoC an n_steps window can reach from e0 derates the battery.
+
+    A step moves the SoC by at most m, the larger |soc_change| at full
+    discharge and at full charge; within the envelope the sum rounds by at
+    most 2**-53 a step. So the state each step starts from lies within the
+    reach, (n_steps - 1) steps, of e0. As _headroom is monotone in e, every
+    step runs at full headroom if discharge is full at e0 - reach and
+    charge at e0 + reach: then no state is checked, and the call computes
+    no thresholds. A window checked where it need not be keeps its bits.
+    """
+    pb, dt = cfg.batt.p_max, cfg.dt
+    m = max(-soc_change(cfg.batt, 0.0, pb, dt), soc_change(cfg.batt, -pb, 0.0, dt))
+    # the margins cover the rounding of the reach and of e0 -+ reach too
+    reach = (n_steps - 1) * (m * (1.0 + 2.0**-40) + 2.0**-52)
+    if _headroom(cfg, e0 - reach)[0] == pb and _headroom(cfg, e0 + reach)[1] == -pb:
+        return None
+    return _full_headroom(cfg)
 
 
 def _first_outside(states, bounds) -> int:
@@ -339,18 +318,19 @@ def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
     return p_hes
 
 
-def _rule_block(cfg: HesConfig, c, r, soc, cols, bounds=None) -> tuple:
+def _rule_block(cfg: HesConfig, c, r, soc, cols, bounds=None, headroom=None) -> tuple:
     """One block of steps of the rule along r's first axis, into ``cols``:
     DispatchTrace's columns but the SoC, in its order, each shaped like
     c * r. The split, its residual held in the p_hes column; the battery at
-    full headroom over the whole block, its SoC one running sum; with
-    ``bounds`` (e_lo, e_hi), step by step again from the first state
-    outside them (with None, no state is checked); the net output.
-    ``soc`` has one more step than r; from soc[0] it fills soc[1:]."""
+    ``headroom`` (d_max, c_max), full headroom by default, over the whole
+    block, its SoC one running sum; with ``bounds`` (e_lo, e_hi), step by
+    step again from the first state outside them (with None, no state is
+    checked); the net output. ``soc`` has one more step than r; from
+    soc[0] it fills soc[1:]."""
     target, p_gen, p_load, p_discharge, p_charge, resid = cols
     _split_command(cfg, c, r, (target, p_gen, p_load, resid))
     pb = cfg.batt.p_max
-    _battery_share(resid, pb, -pb, (p_discharge, p_charge))
+    _battery_share(resid, *(headroom or (pb, -pb)), (p_discharge, p_charge))
     _soc_path(cfg.batt, p_discharge, p_charge, cfg.dt, soc)
     n = r.shape[0]
     for j in range(n if bounds is None else _first_outside(soc[:n], bounds), n):
@@ -416,9 +396,12 @@ def rt_step(
         raise ValueError(
             f"state SoC {state.e} lies outside [{batt.soc_min}, {batt.soc_max}]"
         )
-    cols = _rule_columns(cfg, c, np.array([[r_k]], dtype=float), state.e)
+    # one step, at its state's headroom: no state is left to check
+    r, soc = np.array([[r_k]], dtype=float), np.array([[state.e], [0.0]])
+    cols = _rule_block(cfg, c, r, soc, [np.empty_like(r) for _ in range(6)],
+                       headroom=_headroom(cfg, state.e))
     step = DispatchStep(*[col.item() for col in cols[1:6]])
-    return step, SocState(e=cols[6].item(1))
+    return step, SocState(e=soc.item(1))
 
 
 def rt_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> DispatchTrace:
@@ -487,9 +470,9 @@ def _rule_stream(
     With ``soc_path``, a step-major (steps + 1, capacities, windows) array
     whose row 0 holds cfg.batt.soc_init, each block runs _rule_block and
     fills the rows of its steps. Without, no block needs the split: where
-    _free_steps puts the windows at full headroom throughout, the errors
-    come from the saturation form (_saturated_error) alone, with no SoC and
-    no thresholds. Where the windows are longer, the saturation form also
+    _route finds the windows at full headroom throughout, the errors come
+    from the saturation form (_saturated_error) alone, with no SoC and no
+    thresholds. Where they can leave it, the saturation form also
     carries each column's SoC in one rotating block, and keeps its minimum
     and maximum over the states the steps start from. A column whose range
     lies within [e_lo, e_hi] (_full_headroom) ran at full headroom at every

@@ -1,14 +1,19 @@
-"""A year of hour windows through `bid`: exit 0 and a bracketed bid.
+"""A year of hour windows through `bid` or `soc-drift --capacity 12`.
 
-    PYTHONPATH=src python tests/fullsize.py [--windows 8760]
+    PYTHONPATH=src python tests/fullsize.py [--windows 8760] [--command bid|soc-drift]
 
-Runs `bid` in-process on profiles/symmetric.ini with `synth_windows` set to
---windows (8 760 hour windows of 1 800 samples at 2 s: a year at RegD's
-native resolution, 15.8 M samples), into a temporary directory. It checks
-that the command exits 0 and that its bid is bracketed: c_bar compliant,
-the bracket's upper end not, the two within refine_tol, both within
-[c_lo, c_hi]. It prints the wall time and the peak RSS, which are reported,
-not gated. Not part of tier-1: it takes tens of seconds.
+Runs the command in-process on profiles/symmetric.ini with `synth_windows`
+set to --windows (8 760 hour windows of 1 800 samples at 2 s: a year at
+RegD's native resolution, 15.8 M samples), into a temporary directory, and
+checks that it exits 0. For `bid` (the default) it checks that the bid is
+bracketed: c_bar compliant, the bracket's upper end not, the two within
+refine_tol, both within [c_lo, c_hi]. For `soc-drift` it checks that the
+windows take the rule's checked route (they are longer than the route
+admits unchecked), that the table has one row per window, and that every
+window's SoC minimum and maximum lie within the envelope, SOC_TOL wide. It
+prints the wall time and the peak RSS of the process, which are reported,
+not gated: run one command a process. Not part of tier-1: `bid` takes tens
+of seconds.
 """
 
 import argparse
@@ -20,15 +25,58 @@ import tempfile
 import time
 from pathlib import Path
 
-from hes_regkit import cli
-from hes_regkit.config import load_config
+from hes_regkit import SOC_TOL, cli, controller
+from hes_regkit.config import RunConfig, load_config
+from hes_regkit.reports import read_csv
 
 PROFILE = Path(__file__).resolve().parents[1] / "profiles" / "symmetric.ini"
+DRIFT_CAPACITY = 12.0
+
+
+def bid_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]:
+    solution = json.loads((out / "bid_solution.json").read_text())
+    diag = solution["diagnostics"]
+    c_bar, upper = solution["c_bar"], diag["upper_bracket_c"]
+    z_bar = next(pt["z_gamma"] for pt in solution["curve"] if pt["c"] == c_bar)
+    print(f"c_bar {c_bar!r}, bracket upper end {upper!r} (z_gamma {diag['upper_bracket_z']!r})")
+    return {
+        "c_lo <= c_bar < upper <= c_hi": run.sweep.c_lo <= c_bar < upper <= run.sweep.c_hi,
+        "upper - c_bar <= refine_tol": upper - c_bar <= run.sweep.refine_tol,
+        "z_gamma(c_bar) >= x_p_min": z_bar >= run.market.x_p_min,
+        "z_gamma(upper) < x_p_min": diag["upper_bracket_z"] < run.market.x_p_min,
+        "every window scored": diag["n_windows"] == windows,
+    }
+
+
+def soc_drift_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]:
+    header, rows, _ = read_csv(out / "soc_windows_base.csv")
+    column = {name: [row[header.index(name)] for row in rows] for name in header}
+    lows = [float(v) for v in column["soc_min"]]
+    highs = [float(v) for v in column["soc_max"]]
+    batt = run.hes.batt
+    print(
+        f"SoC over the windows from {min(lows)!r} to {max(highs)!r}; "
+        f"{column['hit_bound'].count('true')} windows reach a bound"
+    )
+    return {
+        "windows take the checked route":
+            controller._route(run.hes, batt.soc_init, run.window_len) is not None,
+        "one row per window": column["window"] == [str(i) for i in range(windows)],
+        "soc_min >= envelope - SOC_TOL": min(lows) >= batt.soc_min - SOC_TOL,
+        "soc_max <= envelope + SOC_TOL": max(highs) <= batt.soc_max + SOC_TOL,
+    }
+
+
+COMMANDS = {
+    "bid": ([], bid_checks),
+    "soc-drift": (["--capacity", str(DRIFT_CAPACITY)], soc_drift_checks),
+}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--windows", type=int, default=8760)
+    parser.add_argument("--command", choices=sorted(COMMANDS), default="bid")
     args = parser.parse_args()
     text, n = re.subn(
         r"^synth_windows = \d+$", f"synth_windows = {args.windows}", PROFILE.read_text(),
@@ -36,31 +84,24 @@ def main() -> int:
     )
     if n != 1:
         raise SystemExit(f"{PROFILE}: expected one synth_windows line, found {n}")
+    extra, checks_of = COMMANDS[args.command]
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "year.ini"
         config.write_text(text)
         run = load_config(str(config))
         out = Path(tmp) / "out"
         start = time.perf_counter()
-        code = cli.main(["bid", "--config", str(config), "--out", str(out)])
+        code = cli.main([args.command, "--config", str(config), "--out", str(out), *extra])
         wall = time.perf_counter() - start
         if code != 0:
-            raise SystemExit(f"bid exited {code}")
-        solution = json.loads((out / "bid_solution.json").read_text())
-    diag = solution["diagnostics"]
-    c_bar, upper = solution["c_bar"], diag["upper_bracket_c"]
-    z_bar = next(pt["z_gamma"] for pt in solution["curve"] if pt["c"] == c_bar)
-    checks = {
-        "c_lo <= c_bar < upper <= c_hi": run.sweep.c_lo <= c_bar < upper <= run.sweep.c_hi,
-        "upper - c_bar <= refine_tol": upper - c_bar <= run.sweep.refine_tol,
-        "z_gamma(c_bar) >= x_p_min": z_bar >= run.market.x_p_min,
-        "z_gamma(upper) < x_p_min": diag["upper_bracket_z"] < run.market.x_p_min,
-        "every window scored": diag["n_windows"] == args.windows,
-    }
-    # ru_maxrss is in KiB on Linux
-    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"bid on {args.windows} windows: {wall:.2f} s wall, peak RSS {peak_mib:.1f} MiB")
-    print(f"c_bar {c_bar!r}, bracket upper end {upper!r} (z_gamma {diag['upper_bracket_z']!r})")
+            raise SystemExit(f"{args.command} exited {code}")
+        # ru_maxrss is in KiB on Linux
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(
+            f"{args.command} on {args.windows} windows: {wall:.2f} s wall, "
+            f"peak RSS {peak_mib:.1f} MiB"
+        )
+        checks = checks_of(run, out, args.windows)
     failed = [name for name, ok in checks.items() if not ok]
     for name in failed:
         print(f"FAILED: {name}", file=sys.stderr)

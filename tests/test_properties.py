@@ -285,8 +285,8 @@ def test_split_corner_cases_match_reference_bitwise(c, gen_max, load_max):
 
 
 def prefix_system(e0: float) -> HesConfig:
-    """From SoC 0.5 its battery runs k* = 16 steps at full headroom, from
-    0.3 it runs 8, and from either bound none."""
+    """From SoC 0.5 the route leaves windows of up to k* = 16 steps
+    unchecked (free_steps), from 0.3 up to 8, and from either bound none."""
     return HesConfig(
         gen=GeneratorParams(p_max=1.0),
         load=LoadParams(p_max=0.5),
@@ -296,6 +296,17 @@ def prefix_system(e0: float) -> HesConfig:
         ),
         dt=0.01,
     )
+
+
+def free_steps(cfg: HesConfig, e0: float, n_steps: int) -> int:
+    """k*: the longest window, up to n_steps, that controller._route sends
+    unchecked from SoC e0, by bisection over the length (the route's reach
+    grows with it)."""
+    lo, hi = 0, n_steps
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if controller._route(cfg, e0, mid) is None else (lo, mid - 1)
+    return lo
 
 
 def reference_error_sum(ref: dict) -> float:
@@ -331,7 +342,7 @@ def test_prefix_entry_points_match_reference_bitwise(e0, n_steps, steps_per_bloc
     cfg = prefix_system(e0)
     pb = cfg.batt.p_max
     matrix = prefix_windows(n_steps)
-    assert controller._free_steps(cfg, e0, n_steps) == k_star
+    assert free_steps(cfg, e0, n_steps) == k_star
     cs = [0.7, 3.0, 9.0]  # at 9 MW the battery is asked for more than p_max
     refs = {(c, i): reference_rule(cfg, c, row, e0) for c in cs for i, row in enumerate(matrix)}
     # past the prefix the rule's headroom binds: the loop's steps are tested too
@@ -363,9 +374,9 @@ def test_prefix_entry_points_match_reference_bitwise(e0, n_steps, steps_per_bloc
 def test_reference_battery_prefix():
     # 5 MW / 5 MWh at 0.95 one way, SoC in [0.1, 0.9] from 0.5, 2 s steps
     cfg = reference_system()
-    assert controller._free_steps(cfg, 0.5, 10**6) == 683
-    assert controller._free_steps(cfg, 0.5, 180) == 180
-    assert controller._free_steps(cfg, 0.1, 180) == 0
+    assert free_steps(cfg, 0.5, 10**6) == 683
+    assert free_steps(cfg, 0.5, 180) == 180
+    assert free_steps(cfg, 0.1, 180) == 0
     assert controller._full_headroom(cfg) == (0.10058479532163744, 0.8994722222222222)
 
 
@@ -403,7 +414,7 @@ def test_whole_prefix_scoring_runs_no_split(gen_max, load_max):
     row = np.array(SIGNED_COMMANDS + [k / 8.0 for k in knees])
     assert (8.0 * row[len(SIGNED_COMMANDS):]).tolist() == knees
     matrix = np.stack([row, row[::-1], *(np.full(row.size, r) for r in row)])
-    assert controller._free_steps(cfg, 0.5, row.size) == row.size
+    assert free_steps(cfg, 0.5, row.size) == row.size
     # c * r underflows at 0.05
     assert_scored_without_the_split(cfg, [8.0, 0.05, 2.0, 16.0], matrix, 0.5)
 
@@ -418,7 +429,7 @@ def test_whole_prefix_scoring_matches_reference_bitwise(cfg, matrix, data):
     dt = min(cfg.dt, 0.5 * half * batt.energy_capacity * batt.eta_d / (batt.p_max * (n + 1)))
     e0 = batt.soc_min + half
     cfg = HesConfig(cfg.gen, cfg.load, dataclasses.replace(batt, soc_init=e0), dt)
-    assert controller._free_steps(cfg, e0, n) == n
+    assert free_steps(cfg, e0, n) == n
     cs = data.draw(st.lists(capacities, min_size=1, max_size=4))
     assert_scored_without_the_split(cfg, cs, matrix, e0)
 
@@ -445,7 +456,7 @@ def test_prefix_never_outlasts_full_headroom(cfg, data):
     # any command can make it; it must not bind before step k*
     batt = cfg.batt
     e0 = soc_near_a_threshold(data, cfg)
-    k_star = controller._free_steps(cfg, e0, 10**9)
+    k_star = free_steps(cfg, e0, 10**9)
     n_steps = min(k_star + 3, 3000)
     up = data.draw(st.booleans())
     limit = cfg.gen.p_max if up else cfg.load.p_max
@@ -460,12 +471,11 @@ def test_prefix_never_outlasts_full_headroom(cfg, data):
 
 @contextlib.contextmanager
 def loop_only_route():
-    """Every entry point steps the battery through the loop at every step:
-    no window fits the prefix (_free_steps), and no SoC lies within the
-    full-headroom interval (_full_headroom)."""
+    """Every window steps the battery through the loop at every step: each
+    is checked (_route), against an empty full-headroom interval. rt_step
+    steps at its state's headroom either way."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controller, "_free_steps", lambda cfg, e0, n_steps: 0)
-        mp.setattr(controller, "_full_headroom", lambda cfg: (math.inf, -math.inf))
+        mp.setattr(controller, "_route", lambda cfg, e0, n_steps: (math.inf, -math.inf))
         yield
 
 
@@ -636,7 +646,7 @@ def test_windows_within_the_prefix_compute_no_thresholds(e0, n_steps):
     # windows of at most k* steps keep the prefix's route: they compute no
     # thresholds, and give the rule's bits
     cfg = prefix_system(e0)
-    assert controller._free_steps(cfg, e0, n_steps) >= n_steps
+    assert free_steps(cfg, e0, n_steps) >= n_steps
     matrix = prefix_windows(n_steps)
     cs = [0.7, 3.0, 9.0]
 
@@ -658,6 +668,79 @@ def test_windows_within_the_prefix_compute_no_thresholds(e0, n_steps):
         ref = reference_rule(cfg, 9.0, row, e0)
         for name in COLUMNS:
             assert same_bits(getattr(trace, name), ref[name]), name
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["e_lo", "e_hi"])
+@pytest.mark.parametrize("seconds", [2, 60])
+def test_windows_from_a_threshold_match_reference_bitwise(seconds, end):
+    # the reference battery at 2 s and 60 s steps, from exactly e_lo or
+    # e_hi: one step runs at full headroom, so the route leaves it
+    # unchecked, also at 60 s, where e_lo lies below soc_min plus one
+    # full-power step in real arithmetic; the next state may be derated,
+    # and every entry point gives the reference rule's bits
+    base = reference_system()
+    e0 = controller._full_headroom(HesConfig(base.gen, base.load, base.batt, seconds / 3600))[end]
+    cfg = HesConfig(
+        base.gen, base.load, dataclasses.replace(base.batt, soc_init=e0), seconds / 3600
+    )
+    assert controller._route(cfg, e0, 1) is None
+    cs = [20.0, 1.0]
+    for c, r in zip(cs * 3, [1.0, -1.0, 0.5, -0.5, 0.0, -0.0]):
+        step, nxt = rt_step(cfg, c, r, SocState(e0))
+        ref = reference_rule(cfg, c, np.array([r]), e0)
+        for name in COLUMNS[1:6]:
+            assert same_bits(getattr(step, name), ref[name][0]), (c, r, name)
+        assert same_bits(nxt.e, ref["soc"][1]), (c, r)
+    for n_steps in (2, 5):
+        matrix = prefix_windows(n_steps)
+        refs = {(c, i): reference_rule(cfg, c, row, e0) for c in cs for i, row in enumerate(matrix)}
+        stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
+        for j, c in enumerate(cs):
+            batch = rt_dispatch_batch(cfg, c, matrix, cfg.dt)
+            for i, row in enumerate(matrix):
+                ref = refs[(c, i)]
+                trace = rt_dispatch(cfg, c, RegSignal(samples=row, dt=cfg.dt))
+                for name in COLUMNS:
+                    assert same_bits(getattr(trace, name), ref[name]), (n_steps, c, i, name)
+                assert same_bits(batch.soc[i], ref["soc"]), (n_steps, c, i)
+                assert same_bits(batch.err_sums[i], reference_error_sum(ref)), (n_steps, c, i)
+                assert same_bits(stacked[j, i], reference_error_sum(ref)), (n_steps, c, i)
+
+
+def test_thresholds_are_found_once_a_config():
+    # rt_step near a bound steps at its state's headroom and finds no
+    # thresholds; windows near a bound are checked, and 100 calls with one
+    # config find them once (_full_headroom's two bisections), not per call
+    cfg = reference_system()
+    first_float = controller._first_float
+    bisections = []
+
+    def counted(*args):
+        bisections.append(args)
+        return first_float(*args)
+
+    rng = np.random.default_rng(3)
+    states = [0.1003, 0.9, 0.1, 0.8996, *rng.uniform(0.1, 0.1006, 48),
+              *rng.uniform(0.8994, 0.9, 48)]
+    commands = rng.choice([1.0, -1.0, 0.5, -0.5, 0.0], size=len(states))
+    controller._full_headroom.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_first_float", counted)
+        steps = [rt_step(cfg, 20.0, float(r), SocState(e)) for e, r in zip(states, commands)]
+        assert bisections == []
+        near = HesConfig(cfg.gen, cfg.load, dataclasses.replace(cfg.batt, soc_init=0.1003), cfg.dt)
+        windows = rng.choice([1.0, -1.0, 0.5], size=(100, 2))
+        traces = [rt_dispatch(near, 20.0, RegSignal(samples=w, dt=cfg.dt)) for w in windows]
+    assert len(bisections) == 2
+    for (step, nxt), e, r in zip(steps, states, commands):
+        ref = reference_rule(cfg, 20.0, np.array([r]), e)
+        for name in COLUMNS[1:6]:
+            assert same_bits(getattr(step, name), ref[name][0]), (e, r, name)
+        assert same_bits(nxt.e, ref["soc"][1]), (e, r)
+    for trace, w in zip(traces, windows):
+        ref = reference_rule(near, 20.0, w, 0.1003)
+        for name in COLUMNS:
+            assert same_bits(getattr(trace, name), ref[name]), (w, name)
 
 
 bad_capacities = st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
