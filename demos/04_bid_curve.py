@@ -33,6 +33,7 @@ from hes_regkit import (
     solve_bid,
     synth_signal,
 )
+from hes_regkit.reports import write_csv
 
 cfg = HesConfig(
     gen=GeneratorParams(p_max=3.0),
@@ -82,8 +83,9 @@ decay whose crossing sets the bid.
 if len(sys.argv) > 1:
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "bid_curve.csv", "w", encoding="utf-8") as fh:
-        fh.write("c,mean_xp,z_gamma,prob_compliant\n")
-        for pt in sol2.curve:
-            fh.write(f"{pt.c},{pt.mean_xp},{pt.z_gamma},{pt.prob_compliant}\n")
+    write_csv(
+        out / "bid_curve.csv",
+        ["c", "mean_xp", "z_gamma", "prob_compliant"],
+        ([pt.c, pt.mean_xp, pt.z_gamma, pt.prob_compliant] for pt in sol2.curve),
+    )
     print(f"\nwrote {out / 'bid_curve.csv'}")

@@ -47,13 +47,7 @@ from .offline import (
 )
 from .reports import digest_of, write_csv, write_json
 from .scoring import make_report
-from .signals import (
-    SignalArchive,
-    SignalError,
-    archive_stats,
-    energy_stats,
-    save_signal,
-)
+from .signals import SignalArchive, archive_stats, energy_stats, save_signal
 
 __all__ = ["main"]
 
@@ -94,7 +88,7 @@ def _summary_dict(s) -> dict:
     return {"mean": s.mean, "std": s.std, "min": s.min, "max": s.max}
 
 
-def cmd_characterize(cfg: RunConfig) -> int:
+def cmd_characterize(cfg: RunConfig, args: argparse.Namespace) -> int:
     archive = resolve_archive(cfg)
     stats = archive_stats(archive)
     out = _out_dir(cfg)
@@ -111,7 +105,7 @@ def cmd_characterize(cfg: RunConfig) -> int:
         for lo, hi, count in zip(summary.bin_edges, summary.bin_edges[1:], summary.counts):
             hist_rows.append([name, lo, hi, count])
     write_csv(out / "histograms.csv", ["metric", "bin_lo", "bin_hi", "count"], hist_rows)
-    report = _report_header("characterize", cfg, archive)
+    report = _report_header(args.command, cfg, archive)
     report.update(
         {
             "n_windows": archive.n_windows,
@@ -139,13 +133,14 @@ def _check_capacity(capacity: float, cfg: RunConfig) -> None:
                           f"windows at these prices, got {capacity}")
 
 
-def cmd_dispatch(cfg: RunConfig, *, window: int, capacity: float | None, mode: str) -> int:
+def cmd_dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
+    window, capacity, mode = args.window, args.capacity, args.mode
     if capacity is None:
         raise ConfigError("dispatch needs --capacity (MW)")
     _check_capacity(capacity, cfg)
     archive = resolve_archive(cfg)
     sig = _pick_window(archive, window)
-    header = _report_header("dispatch", cfg, archive)
+    header = _report_header(args.command, cfg, archive)
     header.update({"window": window, "capacity": capacity, "mode": mode})
 
     # every result first, so that a failing solve leaves no file behind
@@ -208,7 +203,7 @@ def _solution_dict(solution: BidSolution, points: list[dict]) -> dict:
     }
 
 
-def cmd_bid(cfg: RunConfig) -> int:
+def cmd_bid(cfg: RunConfig, args: argparse.Namespace) -> int:
     archive = resolve_archive(cfg)
     if archive.n_windows < 2:
         raise ConfigError(
@@ -219,7 +214,7 @@ def cmd_bid(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     points = _curve_points(solution)
     write_csv(out / "bid_curve.csv", _BID_CURVE_COLUMNS, _rows(points, _BID_CURVE_COLUMNS))
-    report = _report_header("bid", cfg, archive)
+    report = _report_header(args.command, cfg, archive)
     report.update(_solution_dict(solution, points))
     report["revenue"] = rev.to_dict()
     write_json(out / "bid_solution.json", report)
@@ -273,7 +268,8 @@ def _sweep(cases, run_case) -> tuple[list, list[dict]]:
     return results, failed
 
 
-def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
+def cmd_asym_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+    vary, values = args.vary, _parse_values(args.values)
     archive = resolve_archive(cfg)
 
     def run_case(vary: str, value: float) -> dict:
@@ -297,7 +293,7 @@ def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
     results, failed = _sweep([(vary, v) for v in values], run_case)
     out = _out_dir(cfg)
     write_csv(out / "asym_sweep.csv", _SWEEP_COLUMNS, _rows(results, _SWEEP_COLUMNS))
-    report = _report_header("asym-sweep", cfg, archive)
+    report = _report_header(args.command, cfg, archive)
     report.update({"vary": vary, "values": values, "results": results})
     if failed:
         report["failed"] = failed
@@ -305,9 +301,8 @@ def cmd_asym_sweep(cfg: RunConfig, *, vary: str, values: list[float]) -> int:
     return 1 if failed else 0
 
 
-def cmd_soc_drift(
-    cfg: RunConfig, *, vary: str | None, values: list[float], capacity: float | None
-) -> int:
+def cmd_soc_drift(cfg: RunConfig, args: argparse.Namespace) -> int:
+    vary, values, capacity = args.vary, _parse_values(args.values), args.capacity
     if values and vary is None:
         raise ConfigError("soc-drift --values needs --vary")
     if vary is not None and not values:
@@ -359,7 +354,7 @@ def cmd_soc_drift(
 
     cases = [(vary, v) for v in values] if vary else [(None, None)]
     summaries, failed = _sweep(cases, run_case)
-    report = _report_header("soc-drift", cfg, archive)
+    report = _report_header(args.command, cfg, archive)
     report["cases"] = summaries
     if failed:
         report["failed"] = failed
@@ -367,13 +362,13 @@ def cmd_soc_drift(
     return 1 if failed else 0
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.synth is None:
         raise ConfigError("synth needs a [signal] synth_kind source in the config")
     archive = resolve_archive(cfg)
     out = _out_dir(cfg)
     save_signal(out / "signal.csv", archive.samples.ravel())
-    report = _report_header("synth", cfg, archive)
+    report = _report_header(args.command, cfg, archive)
     report.update(
         {
             "kind": cfg.synth.kind,
@@ -401,8 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=handler)
         p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--out", help="override [run] out_dir")
         p.add_argument("--seed", type=int, help="override [run] seed")
@@ -410,25 +406,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xp-min", type=float, help="override [market] x_p_min")
         return p
 
-    add("characterize", "signal archive statistics")
+    add("characterize", "signal archive statistics", cmd_characterize)
 
-    p = add("dispatch", "dispatch one window")
+    p = add("dispatch", "dispatch one window", cmd_dispatch)
     p.add_argument("--window", type=int, default=0, help="archive window index")
     p.add_argument("--capacity", type=float, help="capacity bid C in MW")
     p.add_argument("--mode", choices=("rt", "offline", "both"), default="both")
 
-    add("bid", "select the capacity bid over the archive")
+    add("bid", "select the capacity bid over the archive", cmd_bid)
 
-    p = add("asym-sweep", "bid selection vs one asset limit")
+    p = add("asym-sweep", "bid selection vs one asset limit", cmd_asym_sweep)
     p.add_argument("--vary", required=True, choices=("gen", "load"))
     p.add_argument("--values", required=True, help="comma-separated limits in MW")
 
-    p = add("soc-drift", "per-window SoC summaries")
+    p = add("soc-drift", "per-window SoC summaries", cmd_soc_drift)
     p.add_argument("--vary", choices=("gen", "load"))
     p.add_argument("--values", help="comma-separated limits in MW")
     p.add_argument("--capacity", type=float, help="fixed capacity (default: solve bid)")
 
-    add("synth", "write the configured synthetic archive to CSV")
+    add("synth", "write the configured synthetic archive to CSV", cmd_synth)
     return parser
 
 
@@ -444,38 +440,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config).with_overrides(
             out_dir=args.out, seed=args.seed, gamma=args.gamma, x_p_min=args.xp_min
         )
-        if args.command == "characterize":
-            return cmd_characterize(cfg)
-        if args.command == "dispatch":
-            return cmd_dispatch(
-                cfg, window=args.window, capacity=args.capacity, mode=args.mode
-            )
-        if args.command == "bid":
-            return cmd_bid(cfg)
-        if args.command == "asym-sweep":
-            return cmd_asym_sweep(
-                cfg, vary=args.vary, values=_parse_values(args.values)
-            )
-        if args.command == "soc-drift":
-            return cmd_soc_drift(
-                cfg,
-                vary=args.vary,
-                values=_parse_values(args.values),
-                capacity=args.capacity,
-            )
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except (
-        ConfigError,
-        SignalError,
-        SolverError,
-        BudgetError,
-        BracketError,
-        EquivalenceError,
-        ValueError,
-        OSError,
-    ) as exc:
+        return args.run(cfg, args)
+    except (ValueError, OSError, SolverError, BudgetError, EquivalenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

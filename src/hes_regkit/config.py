@@ -103,19 +103,13 @@ class RunConfig:
         gamma: float | None = None,
         x_p_min: float | None = None,
     ) -> "RunConfig":
-        cfg = self
-        if out_dir is not None:
-            cfg = dataclasses.replace(cfg, out_dir=out_dir)
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        if gamma is not None or x_p_min is not None:
-            market = dataclasses.replace(
-                cfg.market,
-                gamma=cfg.market.gamma if gamma is None else gamma,
-                x_p_min=cfg.market.x_p_min if x_p_min is None else x_p_min,
-            )
-            cfg = dataclasses.replace(cfg, market=market)
-        return cfg
+        def given(**values) -> dict:
+            return {k: v for k, v in values.items() if v is not None}
+
+        market = dataclasses.replace(self.market, **given(gamma=gamma, x_p_min=x_p_min))
+        return dataclasses.replace(
+            self, market=market, **given(out_dir=out_dir, seed=seed)
+        )
 
 
 SCHEMA = """\

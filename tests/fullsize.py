@@ -7,10 +7,14 @@ set to --windows (8 760 hour windows of 1 800 samples at 2 s: a year at
 RegD's native resolution, 15.8 M samples), into a temporary directory, and
 checks that it exits 0. For `bid` (the default) it checks that the bid is
 bracketed: c_bar compliant, the bracket's upper end not, the two within
-refine_tol, both within [c_lo, c_hi]. For `soc-drift` it checks that the
+refine_tol, both within [c_lo, c_hi]. `bid` keeps the profile's
+energy-neutral source, which its bracket needs; `soc-drift` swaps in a
+charging drift (`drifting`, bias -0.5, noise 0.8), so that windows reach the
+SoC ceiling and the rule's step loop runs. For `soc-drift` it checks that the
 windows take the rule's checked route (they are longer than the route
-admits unchecked), that the table has one row per window, and that every
-window's SoC minimum and maximum lie within the envelope, SOC_TOL wide. It
+admits unchecked), that the table has one row per window, that at least one
+window reaches a bound, and that every window's SoC minimum and maximum lie
+within the envelope, SOC_TOL wide. It
 prints the wall time and the peak RSS of the process, which are reported,
 not gated: run one command a process. Not part of tier-1: `bid` takes tens
 of seconds.
@@ -31,6 +35,8 @@ from hes_regkit.reports import read_csv
 
 PROFILE = Path(__file__).resolve().parents[1] / "profiles" / "symmetric.ini"
 DRIFT_CAPACITY = 12.0
+NEUTRAL_SOURCE = "synth_kind = energy-neutral-random"
+DRIFT_SOURCE = "synth_kind = drifting\nsynth_bias = -0.5\nsynth_noise = 0.8"
 
 
 def bid_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]:
@@ -54,23 +60,31 @@ def soc_drift_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]
     lows = [float(v) for v in column["soc_min"]]
     highs = [float(v) for v in column["soc_max"]]
     batt = run.hes.batt
-    print(
-        f"SoC over the windows from {min(lows)!r} to {max(highs)!r}; "
-        f"{column['hit_bound'].count('true')} windows reach a bound"
-    )
+    hits = column["hit_bound"].count("true")
+    print(f"SoC over the windows from {min(lows)!r} to {max(highs)!r}; {hits} windows reach a bound")
     return {
         "windows take the checked route":
             controller._route(run.hes, batt.soc_init, run.window_len) is not None,
         "one row per window": column["window"] == [str(i) for i in range(windows)],
+        "some window reaches a bound": hits >= 1,
         "soc_min >= envelope - SOC_TOL": min(lows) >= batt.soc_min - SOC_TOL,
         "soc_max <= envelope + SOC_TOL": max(highs) <= batt.soc_max + SOC_TOL,
     }
 
 
+# command: (signal source line(s), extra flags, checks)
 COMMANDS = {
-    "bid": ([], bid_checks),
-    "soc-drift": (["--capacity", str(DRIFT_CAPACITY)], soc_drift_checks),
+    "bid": (NEUTRAL_SOURCE, [], bid_checks),
+    "soc-drift": (DRIFT_SOURCE, ["--capacity", str(DRIFT_CAPACITY)], soc_drift_checks),
 }
+
+
+def set_line(text: str, pattern: str, line: str) -> str:
+    """text with its one line matching pattern replaced by line."""
+    text, n = re.subn(pattern, line, text, flags=re.M)
+    if n != 1:
+        raise SystemExit(f"{PROFILE}: expected one line matching {pattern!r}, found {n}")
+    return text
 
 
 def main() -> int:
@@ -78,13 +92,9 @@ def main() -> int:
     parser.add_argument("--windows", type=int, default=8760)
     parser.add_argument("--command", choices=sorted(COMMANDS), default="bid")
     args = parser.parse_args()
-    text, n = re.subn(
-        r"^synth_windows = \d+$", f"synth_windows = {args.windows}", PROFILE.read_text(),
-        flags=re.M,
-    )
-    if n != 1:
-        raise SystemExit(f"{PROFILE}: expected one synth_windows line, found {n}")
-    extra, checks_of = COMMANDS[args.command]
+    source, extra, checks_of = COMMANDS[args.command]
+    text = set_line(PROFILE.read_text(), r"^synth_windows = \d+$", f"synth_windows = {args.windows}")
+    text = set_line(text, r"^synth_kind = .*$", source)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "year.ini"
         config.write_text(text)

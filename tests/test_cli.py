@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import hes_regkit.offline as offline
-from hes_regkit.cli import main
-from hes_regkit.config import load_config, resolve_archive
+from hes_regkit.bidding import BracketError
+from hes_regkit.cli import _build_parser, main
+from hes_regkit.config import ConfigError, load_config, resolve_archive
 from hes_regkit.controller import load_trace_csv, rt_dispatch_batch, validate_trace
 from hes_regkit.reports import read_csv, write_csv
-from hes_regkit.signals import save_signal
+from hes_regkit.signals import SignalError, save_signal
 from helpers import subprocess_env
 
 BASE = """\
@@ -825,3 +826,59 @@ class TestPlumbing:
         run(["characterize", "--config", config_path, "--out", tmp_path / "o"])
         captured = capsys.readouterr()
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "error",
+        [ConfigError, SignalError, BracketError, offline.SolverError, offline.BudgetError,
+         offline.EquivalenceError, OSError, ValueError],
+        ids=lambda e: e.__name__,
+    )
+    def test_refusal_exits_one_with_one_error_line(
+        self, error, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(cfg):
+            raise error("refused here")
+
+        monkeypatch.setattr("hes_regkit.cli.resolve_archive", refuse)
+        out = tmp_path / "o"
+        assert run(["bid", "--config", config_path, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: refused here"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [TypeError, RuntimeError], ids=lambda e: e.__name__)
+    def test_programming_errors_propagate(self, error, config_path, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise error("a bug")
+
+        monkeypatch.setattr("hes_regkit.cli.resolve_archive", fail)
+        with pytest.raises(error, match="a bug"):
+            run(["bid", "--config", config_path, "--out", tmp_path / "o"])
+
+    def test_override_flags_reach_the_report(self, tmp_path):
+        out = tmp_path / "o"
+        profile = Path(__file__).resolve().parents[1] / "profiles" / "symmetric.ini"
+        argv = ["bid", "--config", profile, "--out", out,
+                "--gamma", "0.8", "--xp-min", "0.7", "--seed", "5"]
+        assert run(argv) == 0
+        report = json.loads((out / "bid_solution.json").read_text())
+        assert report["config"]["market"]["gamma"] == 0.8
+        assert report["config"]["market"]["x_p_min"] == 0.7
+        assert report["config"]["seed"] == 5
+        assert report["c_bar"] == pytest.approx(17.71, abs=0.01)  # 15.75 without them
+
+    def test_bad_override_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["bid", "--config", config_path, "--out", out, "--gamma", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: gamma must be in (0, 1), got 2.0"]
+        assert not out.exists()
+
+    def test_every_subcommand_parses_to_its_handler(self):
+        parser = _build_parser()
+        required = {"asym-sweep": ["--vary", "gen", "--values", "1"]}
+        names = ["characterize", "dispatch", "bid", "asym-sweep", "soc-drift", "synth"]
+        handlers = [
+            parser.parse_args([name, "--config", "x.ini", *required.get(name, [])]).run
+            for name in names
+        ]
+        assert all(callable(h) for h in handlers)
+        assert len(set(handlers)) == len(names)
