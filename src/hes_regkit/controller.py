@@ -20,16 +20,16 @@ One block body (_rule_block) runs the rule over a block of steps of many
 windows at once: the SoC-free split of the command (_split_command), then
 the battery's half, then the net output. The split is one product, target
 = c * r, and then in-place ufunc passes over contiguous arrays, as is the
-battery's share (_battery_share). While the SoC lies in [e_lo, e_hi], the
-interval on which _headroom is full (_full_headroom), the battery's
-headroom is (p_max, -p_max) whatever the commands, and so is its share. So
-the block runs every step at full headroom in one pass, the SoC one running
-sum of model.soc_change (_soc_path), and steps the battery (headroom,
-battery share, SoC update) only from the first state outside the interval.
-Up to that state the pass makes the same additions as the loop, so the
-route changes no bit. A window that no command can take out of the
-interval (_route: full headroom at the farthest SoC it can reach from e0)
-is not checked, and its call computes no thresholds.
+battery's share (_battery_share). While _headroom is full, (p_max,
+-p_max), the battery's share is the same whatever the commands. _headroom
+is monotone in the SoC, so it is full on a range of states exactly when it
+is full at the range's two ends (_full). So the block runs every step at
+full headroom in one pass, the SoC one running sum of model.soc_change
+(_soc_path), and steps the battery (headroom, battery share, SoC update)
+only from the first state at which the headroom is not full. Up to that
+state the pass makes the same additions as the loop, so the route changes
+no bit. A window whose farthest reachable SoCs from e0 both have full
+headroom (_route) is not checked.
 
 rt_dispatch and offline.closed_form_dispatch (every step at full headroom,
 unchecked) run the block once over the whole window (_rule_columns), and
@@ -41,9 +41,9 @@ keeps only a rotating SoC block, which is all bid scoring needs, and needs
 no split: at full headroom the net output is the command clipped to the
 assets' reach, first to [-load.p_max, gen.p_max], then its rest to
 [-batt.p_max, batt.p_max] (_saturated_error), which gives the same
-|target - p_hes| bit for bit. Where the windows can leave the interval, it
-tracks each column's SoC range on the way, and re-runs through the block
-body only the (capacity, window) columns whose range leaves [e_lo, e_hi].
+|target - p_hes| bit for bit. Where the windows are checked, it tracks
+each column's SoC range on the way, and re-runs through the block body
+only the (capacity, window) columns whose range is not full (_full).
 rt_dispatch_batch is the stream for one capacity, writing each
 window's whole SoC path. Every window starts at cfg.batt.soc_init (rt_step
 at the state it is given), every entry point gives the same bits, whatever
@@ -57,9 +57,7 @@ read_csv, with the capacity and the initial SoC as '#' comment lines.
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,74 +193,40 @@ def _headroom(cfg: HesConfig, e):
     return delta_d * pb, -delta_c * pb
 
 
-def _ordinal(x: float) -> int:
-    """x's place among the floats as an integer, increasing in x; -0.0 and
-    0.0 share 0."""
-    (i,) = struct.unpack("<q", struct.pack("<d", x))
-    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+def _full(cfg: HesConfig, lo, hi):
+    """Whether the battery has full headroom, (p_max, -p_max), at every SoC
+    in [lo, hi] (elementwise for arrays): full discharge at lo and full
+    charge at hi. Each operation of _headroom is monotone in e in floating
+    point, so full discharge holds at every state from lo up, and full
+    charge at every state up to hi, exactly."""
+    pb = cfg.batt.p_max
+    return (_headroom(cfg, lo)[0] == pb) & (_headroom(cfg, hi)[1] == -pb)
 
 
-def _from_ordinal(k: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | 1 << 63))[0]
-
-
-def _first_float(holds, lo: float, hi: float) -> float:
-    """The least float in (lo, hi] at which ``holds``, monotone in its
-    argument, is true, given that it is false at lo and true at hi: a
-    bisection over the floats in their order, at most 64 halvings."""
-    a, b = _ordinal(lo), _ordinal(hi)
-    while b - a > 1:
-        m = (a + b) // 2
-        a, b = (a, m) if holds(_from_ordinal(m)) else (m, b)
-    return _from_ordinal(b)
-
-
-# once per config (frozen, so hashable): a bid solve asks on every scoring call
-@functools.lru_cache
-def _full_headroom(cfg: HesConfig) -> tuple[float, float]:
-    """(e_lo, e_hi): the SoC interval on which _headroom is full, (p_max,
-    -p_max), each end tight to the ulp.
-
-    Each operation of _headroom is monotone in e in floating point, so full
-    discharge holds exactly from e_lo up, and full charge exactly up to
-    e_hi. Both are found by bisection on _headroom itself. For the
-    reference battery (5 MW, 5 MWh, 0.95 each way, SoC in [0.1, 0.9], 2 s
-    steps) they are 0.10058479532163744 and 0.8994722222222222. Where no
-    SoC has both, e_lo > e_hi, and every state lies outside.
-    """
-    pb, batt = cfg.batt.p_max, cfg.batt
-    e_lo = _first_float(lambda e: _headroom(cfg, e)[0] == pb, batt.soc_min, math.inf)
-    past = _first_float(lambda e: _headroom(cfg, e)[1] != -pb, -math.inf, batt.soc_max)
-    return e_lo, math.nextafter(past, -math.inf)
-
-
-def _route(cfg: HesConfig, e0: float, n_steps: int):
-    """The bounds (e_lo, e_hi) a block checks its states against, or None
-    where no SoC an n_steps window can reach from e0 derates the battery.
+def _route(cfg: HesConfig, e0: float, n_steps: int) -> bool:
+    """Whether a block checks its states (``checked``): False where no SoC
+    an n_steps window can reach from e0 derates the battery.
 
     A step moves the SoC by at most m, the larger |soc_change| at full
     discharge and at full charge; within the envelope the sum rounds by at
     most 2**-53 a step. So the state each step starts from lies within the
-    reach, (n_steps - 1) steps, of e0. As _headroom is monotone in e, every
-    step runs at full headroom if discharge is full at e0 - reach and
-    charge at e0 + reach: then no state is checked, and the call computes
-    no thresholds. A window checked where it need not be keeps its bits.
+    reach, (n_steps - 1) steps, of e0, and every step runs at full headroom
+    if _full holds on [e0 - reach, e0 + reach]. A window checked where it
+    need not be keeps its bits.
     """
     pb, dt = cfg.batt.p_max, cfg.dt
     m = max(-soc_change(cfg.batt, 0.0, pb, dt), soc_change(cfg.batt, -pb, 0.0, dt))
     # the margins cover the rounding of the reach and of e0 -+ reach too
     reach = (n_steps - 1) * (m * (1.0 + 2.0**-40) + 2.0**-52)
-    if _headroom(cfg, e0 - reach)[0] == pb and _headroom(cfg, e0 + reach)[1] == -pb:
-        return None
-    return _full_headroom(cfg)
+    return not _full(cfg, e0 - reach, e0 + reach)
 
 
-def _first_outside(states, bounds) -> int:
-    """The first row of ``states`` with a SoC outside bounds = (e_lo,
-    e_hi), or the number of rows."""
-    e_lo, e_hi = bounds
-    outside = (states < e_lo) | (states > e_hi)
-    rows = np.flatnonzero(np.any(outside, axis=tuple(range(1, outside.ndim))))
+def _first_derated(cfg: HesConfig, states) -> int:
+    """The first row of ``states`` with a SoC at which the headroom is not
+    full (_full on the row's minimum and maximum), or the number of rows."""
+    axes = tuple(range(1, states.ndim))
+    full = _full(cfg, states.min(axis=axes), states.max(axis=axes))
+    rows = np.flatnonzero(~full)
     return int(rows[0]) if rows.size else len(states)
 
 
@@ -318,22 +282,22 @@ def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
     return p_hes
 
 
-def _rule_block(cfg: HesConfig, c, r, soc, cols, bounds=None, headroom=None) -> tuple:
+def _rule_block(cfg: HesConfig, c, r, soc, cols, checked=False, headroom=None) -> tuple:
     """One block of steps of the rule along r's first axis, into ``cols``:
     DispatchTrace's columns but the SoC, in its order, each shaped like
     c * r. The split, its residual held in the p_hes column; the battery at
     ``headroom`` (d_max, c_max), full headroom by default, over the whole
-    block, its SoC one running sum; with ``bounds`` (e_lo, e_hi), step by
-    step again from the first state outside them (with None, no state is
-    checked); the net output. ``soc`` has one more step than r; from
-    soc[0] it fills soc[1:]."""
+    block, its SoC one running sum; if ``checked``, step by step again from
+    the first state at which the headroom is not full (_first_derated);
+    the net output. ``soc`` has one more step than r; from soc[0] it fills
+    soc[1:]."""
     target, p_gen, p_load, p_discharge, p_charge, resid = cols
     _split_command(cfg, c, r, (target, p_gen, p_load, resid))
     pb = cfg.batt.p_max
     _battery_share(resid, *(headroom or (pb, -pb)), (p_discharge, p_charge))
     _soc_path(cfg.batt, p_discharge, p_charge, cfg.dt, soc)
     n = r.shape[0]
-    for j in range(n if bounds is None else _first_outside(soc[:n], bounds), n):
+    for j in range(_first_derated(cfg, soc[:n]) if checked else n, n):
         p_d, p_c = _battery_share(
             resid[j], *_headroom(cfg, soc[j]), out=(p_discharge[j], p_charge[j])
         )
@@ -343,9 +307,9 @@ def _rule_block(cfg: HesConfig, c, r, soc, cols, bounds=None, headroom=None) -> 
     return cols
 
 
-def _rule_error(cfg: HesConfig, c, r, soc, cols, bounds):
+def _rule_error(cfg: HesConfig, c, r, soc, cols, checked):
     """target - p_hes of one block of the rule (_rule_block), into cols[0]."""
-    target, *_, p_hes = _rule_block(cfg, c, r, soc, cols, bounds)
+    target, *_, p_hes = _rule_block(cfg, c, r, soc, cols, checked)
     return np.subtract(target, p_hes, out=target)
 
 
@@ -359,10 +323,10 @@ def _rule_columns(
     Returns DispatchTrace's columns in its order, each step-major; soc has
     one more row and is the transpose of a (windows, steps + 1) array.
     """
-    bounds = None if full_headroom else _route(cfg, e0, r.shape[0])
+    checked = not full_headroom and _route(cfg, e0, r.shape[0])
     soc = np.empty((r.shape[1], r.shape[0] + 1)).T
     soc[0] = e0
-    cols = _rule_block(cfg, c, r, soc, [np.empty_like(r) for _ in range(6)], bounds)
+    cols = _rule_block(cfg, c, r, soc, [np.empty_like(r) for _ in range(6)], checked)
     return (*cols, soc)
 
 
@@ -470,26 +434,26 @@ def _rule_stream(
     With ``soc_path``, a step-major (steps + 1, capacities, windows) array
     whose row 0 holds cfg.batt.soc_init, each block runs _rule_block and
     fills the rows of its steps. Without, no block needs the split: where
-    _route finds the windows at full headroom throughout, the errors come
-    from the saturation form (_saturated_error) alone, with no SoC and no
-    thresholds. Where they can leave it, the saturation form also
-    carries each column's SoC in one rotating block, and keeps its minimum
-    and maximum over the states the steps start from. A column whose range
-    lies within [e_lo, e_hi] (_full_headroom) ran at full headroom at every
-    step, so its sum is the rule's; every other (capacity, window) column
-    runs again through _rule_block, which checks every block's states.
+    _route leaves the windows unchecked, the errors come from the
+    saturation form (_saturated_error) alone, with no SoC. Where they are
+    checked, the saturation form also carries each column's SoC in one
+    rotating block, and keeps its minimum and maximum over the states the
+    steps start from. A column with full headroom at both ends of its range
+    (_full) ran at full headroom at every step, so its sum is the rule's;
+    every other (capacity, window) column runs again through _rule_block,
+    which checks every block's states.
     Columns are independent, and the block size changes no bit, so the
     merged sums are the rule's, bit for bit.
     """
     e0 = cfg.batt.soc_init
     c = cs[:, None]
-    bounds = _route(cfg, e0, samples.shape[1])
+    checked = _route(cfg, e0, samples.shape[1])
     if soc_path is not None:
         return _stream(
-            c, samples, 6, lambda r, cols, soc: _rule_error(cfg, c, r, soc, cols, bounds),
+            c, samples, 6, lambda r, cols, soc: _rule_error(cfg, c, r, soc, cols, checked),
             soc_path=soc_path,
         )
-    if bounds is None:
+    if not checked:
         return _stream(c, samples, 3, lambda r, cols, soc: _saturated_error(cfg, c, r, cols))
     lo = np.full((cs.size, samples.shape[0]), math.inf)
     hi = np.full_like(lo, -math.inf)
@@ -502,12 +466,12 @@ def _rule_stream(
         return err
 
     err_sums = _stream(c, samples, 5, speculate, carry=e0)
-    caps, windows = np.nonzero((lo < bounds[0]) | (hi > bounds[1]))
+    caps, windows = np.nonzero(~_full(cfg, lo, hi))
     if caps.size:
         pairs = cs[caps]
         err_sums[caps, windows] = _stream(
             pairs, samples, 6,
-            lambda r, cols, soc: _rule_error(cfg, pairs, r, soc, cols, bounds),
+            lambda r, cols, soc: _rule_error(cfg, pairs, r, soc, cols, True),
             windows=windows, carry=e0,
         )
     return err_sums

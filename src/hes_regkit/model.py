@@ -138,6 +138,14 @@ class HesConfig:
         _require_finite("", self, "dt")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0 hours, got {self.dt}")
+        # the rule's SoC headroom divides by these, multiplied in this order
+        dt, pb, eta_c = self.dt, self.batt.p_max, self.batt.eta_c
+        for name, product in (
+            (f"dt * battery p_max = {dt} * {pb}", dt * pb),
+            (f"battery eta_c * dt * p_max = {eta_c} * {dt} * {pb}", eta_c * dt * pb),
+        ):
+            if product == 0.0:
+                raise ValueError(f"{name} underflows to 0")
 
 
 @dataclass(frozen=True)

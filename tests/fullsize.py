@@ -64,7 +64,7 @@ def soc_drift_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]
     print(f"SoC over the windows from {min(lows)!r} to {max(highs)!r}; {hits} windows reach a bound")
     return {
         "windows take the checked route":
-            controller._route(run.hes, batt.soc_init, run.window_len) is not None,
+            controller._route(run.hes, batt.soc_init, run.window_len),
         "one row per window": column["window"] == [str(i) for i in range(windows)],
         "some window reaches a bound": hits >= 1,
         "soc_min >= envelope - SOC_TOL": min(lows) >= batt.soc_min - SOC_TOL,

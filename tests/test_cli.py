@@ -828,6 +828,25 @@ class TestPlumbing:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("batt_p_max = 5.0", "batt_p_max = 5e-324", "dt * battery p_max = "),
+            ("batt_eta_c = 0.95", "batt_eta_c = 5e-324", "battery eta_c * dt * p_max = "),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["dispatch", "--capacity", 5], ["bid"], ["soc-drift"]])
+    def test_headroom_product_underflow_refused(self, tmp_path, capsys, command, line, bad, message):
+        # the product once reached the rule's headroom as 0, a ZeroDivisionError
+        p = tmp_path / "tiny.ini"
+        p.write_text(BASE.replace(line, bad))
+        out = tmp_path / "o"
+        assert run([*command, "--config", p, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert err[0].endswith(" underflows to 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "error",
         [ConfigError, SignalError, BracketError, offline.SolverError, offline.BudgetError,
          offline.EquivalenceError, OSError, ValueError],

@@ -12,6 +12,7 @@ from hes_regkit import (
     check_step_feasible,
     ensure_dispatchable,
     hes_output,
+    rt_step,
     soc_step,
 )
 from helpers import reference_system
@@ -93,6 +94,28 @@ class TestValidation:
             HesConfig(
                 gen=GeneratorParams(3.0), load=LoadParams(3.0), batt=make_batt(), dt=0.0
             )
+
+    @pytest.mark.parametrize(
+        "overrides, dt, message",
+        [
+            ({"p_max": 5e-324}, 2.0 / 3600, "dt * battery p_max = 0.0005555555555555556 * 5e-324"),
+            ({"eta_c": 5e-324}, 2.0 / 3600, "battery eta_c * dt * p_max = 5e-324 * "),
+            # dt * p_max is the least subnormal; 0.4 of it rounds to 0
+            ({"p_max": 5e-324, "eta_c": 0.4}, 1.0, "battery eta_c * dt * p_max = 0.4 * 1.0 * "),
+        ],
+    )
+    def test_config_rejects_a_headroom_product_that_underflows(self, overrides, dt, message):
+        # the SoC headroom divides by dt * p_max and eta_c * dt * p_max
+        with pytest.raises(ValueError, match="underflows to 0") as info:
+            HesConfig(GeneratorParams(3.0), LoadParams(3.0), make_batt(**overrides), dt)
+        assert str(info.value).startswith(message)
+
+    def test_smallest_headroom_products_are_accepted(self):
+        # both products are the least subnormal; the rule runs on it
+        cfg = HesConfig(GeneratorParams(3.0), LoadParams(3.0), make_batt(p_max=5e-324), 1.0)
+        assert cfg.dt * cfg.batt.p_max == cfg.batt.eta_c * cfg.dt * cfg.batt.p_max == 5e-324
+        step, nxt = rt_step(cfg, 1.0, -0.5, SocState(0.5))
+        assert (step.p_load, step.p_charge, nxt.e) == (0.5, 0.0, 0.5)
 
     def test_dispatchable_requires_zero_floor(self):
         cfg = HesConfig(

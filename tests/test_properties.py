@@ -305,7 +305,7 @@ def free_steps(cfg: HesConfig, e0: float, n_steps: int) -> int:
     lo, hi = 0, n_steps
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if controller._route(cfg, e0, mid) is None else (lo, mid - 1)
+        lo, hi = (lo, mid - 1) if controller._route(cfg, e0, mid) else (mid, hi)
     return lo
 
 
@@ -371,13 +371,30 @@ def test_prefix_entry_points_match_reference_bitwise(e0, n_steps, steps_per_bloc
             assert same_bits(stacked[j, i], reference_error_sum(refs[(c, i)])), (c, i)
 
 
+# the reference battery's full-headroom interval [e_lo, e_hi] at 2 s and 60
+# s steps: full discharge from e_lo up, full charge up to e_hi
+THRESHOLDS = {
+    2: (0.10058479532163744, 0.8994722222222222),
+    60: (0.11754385964912281, 0.8841666666666667),
+}
+
+
+def assert_thresholds_tight(cfg: HesConfig, e_lo: float, e_hi: float) -> None:
+    """Full headroom holds at each threshold and not one ulp outside it."""
+    pb = cfg.batt.p_max
+    assert controller._headroom(cfg, e_lo)[0] == pb
+    assert controller._headroom(cfg, math.nextafter(e_lo, -math.inf))[0] < pb
+    assert controller._headroom(cfg, e_hi)[1] == -pb
+    assert controller._headroom(cfg, math.nextafter(e_hi, math.inf))[1] > -pb
+
+
 def test_reference_battery_prefix():
     # 5 MW / 5 MWh at 0.95 one way, SoC in [0.1, 0.9] from 0.5, 2 s steps
     cfg = reference_system()
     assert free_steps(cfg, 0.5, 10**6) == 683
     assert free_steps(cfg, 0.5, 180) == 180
     assert free_steps(cfg, 0.1, 180) == 0
-    assert controller._full_headroom(cfg) == (0.10058479532163744, 0.8994722222222222)
+    assert_thresholds_tight(cfg, *THRESHOLDS[2])
 
 
 def assert_scored_without_the_split(cfg: HesConfig, cs, matrix, e0: float) -> None:
@@ -472,10 +489,11 @@ def test_prefix_never_outlasts_full_headroom(cfg, data):
 @contextlib.contextmanager
 def loop_only_route():
     """Every window steps the battery through the loop at every step: each
-    is checked (_route), against an empty full-headroom interval. rt_step
+    is checked (_route), and no state has full headroom (_full). rt_step
     steps at its state's headroom either way."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controller, "_route", lambda cfg, e0, n_steps: (math.inf, -math.inf))
+        mp.setattr(controller, "_route", lambda cfg, e0, n_steps: True)
+        mp.setattr(controller, "_full", lambda cfg, lo, hi: np.zeros(np.shape(lo), dtype=bool))
         yield
 
 
@@ -541,11 +559,10 @@ def saturating_capacity(cfg: HesConfig, data) -> float:
 
 
 def outside_full_headroom(cfg: HesConfig, soc: np.ndarray) -> np.ndarray:
-    """Per window (row of soc), whether a state a step starts from lies
-    outside the full-headroom interval."""
-    e_lo, e_hi = controller._full_headroom(cfg)
+    """Per window (row of soc), whether the headroom is not full at some
+    state a step starts from."""
     states = soc[:, :-1]
-    return np.any((states < e_lo) | (states > e_hi), axis=1)
+    return ~controller._full(cfg, states, states).all(axis=1)
 
 
 @PROPERTY
@@ -553,8 +570,7 @@ def outside_full_headroom(cfg: HesConfig, soc: np.ndarray) -> np.ndarray:
 def test_windows_in_and_out_of_the_band_match_loop_only_route(cfg, data):
     # one call in which some windows enter the band and others do not
     c = saturating_capacity(cfg, data)
-    e_lo, e_hi = controller._full_headroom(cfg)
-    assert e_lo <= cfg.batt.soc_init <= e_hi
+    assert controller._full(cfg, cfg.batt.soc_init, cfg.batt.soc_init)
     span_steps = math.ceil(
         (cfg.batt.soc_max - cfg.batt.soc_min) / -soc_change(cfg.batt, 0.0, cfg.batt.p_max, cfg.dt)
     )
@@ -591,34 +607,53 @@ def test_square_wave_touching_the_floor_matches_loop_only_route(cfg, data):
     # the wave is derated at the floor, and full headroom returns after it
     derated = np.flatnonzero(trace.p_discharge[:down] < batt.p_max)
     assert derated.size
-    e_lo, e_hi = controller._full_headroom(cfg)
     back = trace.soc[down + 1 : down + up + 1]
-    assert np.any((back >= e_lo) & (back <= e_hi))
+    assert np.any(controller._full(cfg, back, back))
     assert outside_full_headroom(cfg, batch.soc)[[0, 2]].tolist() == [True, False]
+
+
+def ulp_neighbours(x: float, k: int) -> list[float]:
+    """x and the k floats on either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
 
 
 @PROPERTY
 @given(cfg=fleets(), data=st.data())
-def test_full_headroom_thresholds_are_tight(cfg, data):
-    # full headroom holds at each threshold and not one ulp outside it, and
-    # exactly on the interval between them
-    pb = cfg.batt.p_max
-    e_lo, e_hi = controller._full_headroom(cfg)
-    assert controller._headroom(cfg, e_lo)[0] == pb
-    assert controller._headroom(cfg, math.nextafter(e_lo, -math.inf))[0] < pb
-    assert controller._headroom(cfg, e_hi)[1] == -pb
-    assert controller._headroom(cfg, math.nextafter(e_hi, math.inf))[1] > -pb
-    for e in data.draw(st.lists(st.floats(cfg.batt.soc_min, cfg.batt.soc_max), max_size=8)):
-        d_max, c_max = controller._headroom(cfg, e)
-        assert (d_max == pb and c_max == -pb) == (e_lo <= e <= e_hi), e
+def test_headroom_is_monotone_in_the_soc(cfg, data):
+    # what _full rests on: in floating point, d_max and c_max never fall as
+    # the SoC rises, within the envelope, outside it (the route tests SoCs a
+    # reach beyond e0), and among the ulp neighbours of the two SoCs where,
+    # in real arithmetic, the headroom starts to bind
+    batt = cfg.batt
+    pb, cap, dt = batt.p_max, batt.energy_capacity, cfg.dt
+    binds = [batt.soc_min + dt * pb / (batt.eta_d * cap), batt.soc_max - batt.eta_c * dt * pb / cap]
+    k = data.draw(st.integers(1, 64))
+    near = [e for b in binds for e in ulp_neighbours(b, k)]
+    drawn = data.draw(st.lists(st.floats(batt.soc_min - 1.0, batt.soc_max + 1.0), max_size=16))
+    states = np.array(sorted(near + drawn + [batt.soc_min, batt.soc_max]))
+    d_max, c_max = controller._headroom(cfg, states)
+    assert np.all(np.diff(d_max) >= 0.0)
+    assert np.all(np.diff(c_max) >= 0.0)
+    # and _full on each range [lo, hi] is full headroom at every state in it
+    full = (d_max == pb) & (c_max == -pb)
+    for lo, hi in data.draw(st.lists(st.tuples(*[st.integers(0, states.size - 1)] * 2), max_size=8)):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert controller._full(cfg, states[lo], states[hi]) == full[lo : hi + 1].all()
 
 
 def test_widened_interval_changes_the_bits():
-    # what the route tests above would catch: taken one full-power step
-    # wider, the interval lets a derated step through at full headroom
+    # what the route tests above would catch: a _full that tests its range
+    # one full-power step inside each end lets a derated step through at
+    # full headroom
     cfg = reference_system()
     batt = cfg.batt
-    e_lo, e_hi = controller._full_headroom(cfg)
+    full = controller._full
     m_dis = -soc_change(batt, 0.0, batt.p_max, cfg.dt)
     m_ch = soc_change(batt, -batt.p_max, 0.0, cfg.dt)
     wave = np.r_[np.ones(800), -np.ones(800)]
@@ -634,7 +669,7 @@ def test_widened_interval_changes_the_bits():
     with loop_only_route():
         loop_only = dispatched()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controller, "_full_headroom", lambda cfg: (e_lo - m_dis, e_hi + m_ch))
+        mp.setattr(controller, "_full", lambda cfg, lo, hi: full(cfg, lo + m_dis, hi - m_ch))
         widened = dispatched()
     for i, (got, want) in enumerate(zip(widened, loop_only)):
         for j in range(3):
@@ -643,18 +678,18 @@ def test_widened_interval_changes_the_bits():
 
 @pytest.mark.parametrize("e0, n_steps", [(0.5, 16), (0.5, 5), (0.3, 8)])
 def test_windows_within_the_prefix_compute_no_thresholds(e0, n_steps):
-    # windows of at most k* steps keep the prefix's route: they compute no
-    # thresholds, and give the rule's bits
+    # windows of at most k* steps keep the prefix's route: no state is
+    # checked against the headroom, and they give the rule's bits
     cfg = prefix_system(e0)
     assert free_steps(cfg, e0, n_steps) >= n_steps
     matrix = prefix_windows(n_steps)
     cs = [0.7, 3.0, 9.0]
 
-    def unused(cfg):
-        raise AssertionError("a window within the prefix computed the thresholds")
+    def unused(cfg, states):
+        raise AssertionError("a window within the prefix checked its states")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controller, "_full_headroom", unused)
+        mp.setattr(controller, "_first_derated", unused)
         stacked = rt_error_sums(cfg, cs, matrix, cfg.dt)
         batches = [rt_dispatch_batch(cfg, c, matrix, cfg.dt) for c in cs]
         traces = [rt_dispatch(cfg, 9.0, RegSignal(samples=row, dt=cfg.dt)) for row in matrix]
@@ -679,11 +714,12 @@ def test_windows_from_a_threshold_match_reference_bitwise(seconds, end):
     # full-power step in real arithmetic; the next state may be derated,
     # and every entry point gives the reference rule's bits
     base = reference_system()
-    e0 = controller._full_headroom(HesConfig(base.gen, base.load, base.batt, seconds / 3600))[end]
+    e0 = THRESHOLDS[seconds][end]
     cfg = HesConfig(
         base.gen, base.load, dataclasses.replace(base.batt, soc_init=e0), seconds / 3600
     )
-    assert controller._route(cfg, e0, 1) is None
+    assert_thresholds_tight(cfg, *THRESHOLDS[seconds])
+    assert not controller._route(cfg, e0, 1)
     cs = [20.0, 1.0]
     for c, r in zip(cs * 3, [1.0, -1.0, 0.5, -0.5, 0.0, -0.0]):
         step, nxt = rt_step(cfg, c, r, SocState(e0))
@@ -707,31 +743,19 @@ def test_windows_from_a_threshold_match_reference_bitwise(seconds, end):
                 assert same_bits(stacked[j, i], reference_error_sum(ref)), (n_steps, c, i)
 
 
-def test_thresholds_are_found_once_a_config():
-    # rt_step near a bound steps at its state's headroom and finds no
-    # thresholds; windows near a bound are checked, and 100 calls with one
-    # config find them once (_full_headroom's two bisections), not per call
+def test_steps_and_windows_near_a_bound_match_reference_bitwise():
+    # rt_step near a bound steps at its state's headroom; windows near a
+    # bound are checked
     cfg = reference_system()
-    first_float = controller._first_float
-    bisections = []
-
-    def counted(*args):
-        bisections.append(args)
-        return first_float(*args)
-
     rng = np.random.default_rng(3)
     states = [0.1003, 0.9, 0.1, 0.8996, *rng.uniform(0.1, 0.1006, 48),
               *rng.uniform(0.8994, 0.9, 48)]
     commands = rng.choice([1.0, -1.0, 0.5, -0.5, 0.0], size=len(states))
-    controller._full_headroom.cache_clear()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controller, "_first_float", counted)
-        steps = [rt_step(cfg, 20.0, float(r), SocState(e)) for e, r in zip(states, commands)]
-        assert bisections == []
-        near = HesConfig(cfg.gen, cfg.load, dataclasses.replace(cfg.batt, soc_init=0.1003), cfg.dt)
-        windows = rng.choice([1.0, -1.0, 0.5], size=(100, 2))
-        traces = [rt_dispatch(near, 20.0, RegSignal(samples=w, dt=cfg.dt)) for w in windows]
-    assert len(bisections) == 2
+    steps = [rt_step(cfg, 20.0, float(r), SocState(e)) for e, r in zip(states, commands)]
+    near = HesConfig(cfg.gen, cfg.load, dataclasses.replace(cfg.batt, soc_init=0.1003), cfg.dt)
+    assert controller._route(near, 0.1003, 2)
+    windows = rng.choice([1.0, -1.0, 0.5], size=(100, 2))
+    traces = [rt_dispatch(near, 20.0, RegSignal(samples=w, dt=cfg.dt)) for w in windows]
     for (step, nxt), e, r in zip(steps, states, commands):
         ref = reference_rule(cfg, 20.0, np.array([r]), e)
         for name in COLUMNS[1:6]:
