@@ -51,7 +51,6 @@ from .model import (
 from .offline import (
     BenchmarkReport,
     BudgetError,
-    DpOracleConfig,
     EquivalenceError,
     OfflineSolution,
     SolverError,

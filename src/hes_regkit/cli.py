@@ -222,11 +222,9 @@ def cmd_bid(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _vary_config(hes: HesConfig, vary: str, value: float) -> HesConfig:
-    if vary == "gen":
-        return dataclasses.replace(hes, gen=dataclasses.replace(hes.gen, p_max=value))
-    if vary == "load":
-        return dataclasses.replace(hes, load=dataclasses.replace(hes.load, p_max=value))
-    raise ConfigError(f"--vary must be 'gen' or 'load', got {vary!r}")
+    """hes with value as the p_max of its ``vary`` asset, a field name
+    ('gen' or 'load', argparse's choices for --vary)."""
+    return dataclasses.replace(hes, **{vary: dataclasses.replace(getattr(hes, vary), p_max=value)})
 
 
 def _parse_values(raw: str | None) -> list[float]:

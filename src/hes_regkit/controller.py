@@ -198,9 +198,12 @@ def _full(cfg: HesConfig, lo, hi):
     in [lo, hi] (elementwise for arrays): full discharge at lo and full
     charge at hi. Each operation of _headroom is monotone in e in floating
     point, so full discharge holds at every state from lo up, and full
-    charge at every state up to hi, exactly."""
+    charge at every state up to hi, exactly. A speculative state far outside
+    the envelope (a tiny battery's) may overflow the headroom's quotients
+    to inf, which the minimum with 1 clips, or be NaN, which is never full."""
     pb = cfg.batt.p_max
-    return (_headroom(cfg, lo)[0] == pb) & (_headroom(cfg, hi)[1] == -pb)
+    with np.errstate(over="ignore"):
+        return (_headroom(cfg, lo)[0] == pb) & (_headroom(cfg, hi)[1] == -pb)
 
 
 def _route(cfg: HesConfig, e0: float, n_steps: int) -> bool:
@@ -240,11 +243,14 @@ def _soc_path(batt: BatteryParams, p_discharge, p_charge, dt: float, soc):
     instead, with the same additions: a (2, 16 000) block took 230 us
     accumulated and 7 us by rows (2-CPU Xeon, numpy 2.4).
     """
-    soc[1:] = soc_change(batt, p_charge, p_discharge, dt)
-    if 16 * len(soc) > soc[0].size:
-        return np.add.accumulate(soc, axis=0, out=soc)
-    for j in range(1, len(soc)):
-        np.add(soc[j - 1], soc[j], out=soc[j])
+    # a tiny battery's step or running sum may overflow; its non-finite
+    # states fail _full, so the step loop or the re-run rewrites them
+    with np.errstate(over="ignore", invalid="ignore"):
+        soc[1:] = soc_change(batt, p_charge, p_discharge, dt)
+        if 16 * len(soc) > soc[0].size:
+            return np.add.accumulate(soc, axis=0, out=soc)
+        for j in range(1, len(soc)):
+            np.add(soc[j - 1], soc[j], out=soc[j])
     return soc
 
 

@@ -14,6 +14,7 @@ so round-trip losses show up as SoC that charging cannot fully recover.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,13 @@ class BatteryParams:
             eta = getattr(self, name)
             if not 0.0 < eta <= 1.0:
                 raise ValueError(f"battery {name} must be in (0, 1], got {eta}")
+        # a subnormal eta_d lets the rule's discharge headroom underflow,
+        # and dividing by eta_d then magnifies that error past the SoC bounds
+        if self.eta_d < sys.float_info.min:
+            raise ValueError(
+                "battery eta_d must be at least the smallest normal float "
+                f"{sys.float_info.min}, got {self.eta_d}"
+            )
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
             raise ValueError(
                 "battery SoC envelope must satisfy 0 <= soc_min < soc_max <= 1, "

@@ -29,7 +29,6 @@ reaches it gets an answer.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "BudgetError",
     "EquivalenceError",
     "OfflineSolution",
-    "DpOracleConfig",
     "BenchmarkReport",
     "offline_dispatch",
     "closed_form_dispatch",
@@ -74,6 +72,10 @@ _LP_OPTIONS = {
 }
 _REPAIR_OBJ_RTOL = 1e-6
 _TRACE_POWER_TOL = 1e-6  # solver-grade slack for LP-derived traces
+# the grid oracle's SoC nodes and battery power levels; an odd power count
+# puts zero power on the grid, which keeps every SoC node feasible
+_SOC_GRID_POINTS = 101
+_POWER_GRID_POINTS = 101
 
 
 class SolverError(RuntimeError):
@@ -111,27 +113,6 @@ class OfflineSolution:
     complementarity_clean: bool
     lp_bound: float | None = None
     dp_value: float | None = None
-
-
-@dataclass(frozen=True)
-class DpOracleConfig:
-    """Grid sizes for the dynamic-programming oracle."""
-
-    soc_grid_points: int = 101
-    power_grid_points: int = 101
-
-    def __post_init__(self) -> None:
-        for name in ("soc_grid_points", "power_grid_points"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.soc_grid_points < 3:
-            raise ValueError(f"soc_grid_points must be >= 3, got {self.soc_grid_points}")
-        if self.power_grid_points < 3 or self.power_grid_points % 2 == 0:
-            raise ValueError(
-                "power_grid_points must be an odd integer >= 3 (so zero power "
-                f"is on the grid), got {self.power_grid_points}"
-            )
 
 
 def _solve_lp(cfg: HesConfig, c: float, sig: RegSignal):
@@ -341,12 +322,7 @@ def _interp_at(x: np.ndarray, xp: np.ndarray):
     return interp
 
 
-def dp_oracle(
-    cfg: HesConfig,
-    c: float,
-    sig: RegSignal,
-    grid: DpOracleConfig | None = None,
-) -> OfflineSolution:
+def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
     """Exact-on-grid dispatch via backward value iteration.
 
     State is SoC on a uniform grid; the action is battery power on a signed
@@ -361,13 +337,12 @@ def dp_oracle(
     """
     _check_inputs(cfg, c, sig.dt)
     _check_steps(sig)
-    grid = grid or DpOracleConfig()
     batt = cfg.batt
     n = sig.n
     gmax, lmax, pb = cfg.gen.p_max, cfg.load.p_max, batt.p_max
-    nodes = np.linspace(batt.soc_min, batt.soc_max, grid.soc_grid_points)
+    nodes = np.linspace(batt.soc_min, batt.soc_max, _SOC_GRID_POINTS)
 
-    b = np.linspace(-pb, pb, grid.power_grid_points)
+    b = np.linspace(-pb, pb, _POWER_GRID_POINTS)
     pd_act = np.maximum(b, 0.0)
     pc_act = np.minimum(b, 0.0)
     de_act = soc_change(batt, pc_act, pd_act, cfg.dt)
@@ -386,7 +361,7 @@ def dp_oracle(
     feasible = (e_next >= batt.soc_min - 1e-12) & (e_next <= batt.soc_max + 1e-12)
     e_next_flat = np.clip(e_next, batt.soc_min, batt.soc_max).ravel()
 
-    values = np.zeros((n + 1, grid.soc_grid_points))
+    values = np.zeros((n + 1, _SOC_GRID_POINTS))
     continuation = _interp_at(e_next_flat, nodes)
     for k in range(n - 1, -1, -1):
         cont = continuation(values[k + 1]).reshape(e_next.shape)
@@ -394,10 +369,8 @@ def dp_oracle(
         values[k] = np.where(feasible, total, np.inf).min(axis=1)
 
     # forward rollout from the exact initial state
-    p_gen = np.empty(n)
-    p_load = np.empty(n)
-    p_discharge = np.empty(n)
-    p_charge = np.empty(n)
+    net_gl = np.empty(n)
+    acts = np.empty(n, dtype=np.intp)
     soc = np.empty(n + 1)
     e = batt.soc_init
     soc[0] = e
@@ -412,22 +385,11 @@ def dp_oracle(
         tied = np.flatnonzero(total <= best + 1e-12)
         j = int(tied[np.argmin(np.abs(net_act[tied]))])
         resid = float(target[k]) - net_act[j]
-        net_gl = min(max(resid, -lmax), gmax)
-        p_gen[k] = max(net_gl, 0.0)
-        p_load[k] = max(-net_gl, 0.0)
-        p_discharge[k] = pd_act[j]
-        p_charge[k] = pc_act[j]
+        net_gl[k] = min(max(resid, -lmax), gmax)
+        acts[k] = j
         e = e + de_act[j]
         soc[k + 1] = e
-    trace = DispatchTrace(
-        target=target,
-        p_gen=p_gen,
-        p_load=p_load,
-        p_discharge=p_discharge,
-        p_charge=p_charge,
-        p_hes=_net_output(p_gen, p_load, p_discharge, p_charge),
-        soc=soc,
-    )
+    trace = _assemble_trace(cfg, target, net_gl, np.zeros(n), pd_act[acts], pc_act[acts], soc)
     return OfflineSolution(
         trace=trace,
         objective=trace.abs_error(),

@@ -395,14 +395,15 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
     return values if np.all(np.abs(values) <= 1.0) else None  # NaN fails too
 
 
-def _parse_group(group: list[tuple[Path, int, bytes]], samples: array) -> None:
+def _parse_group(group: list[tuple[Path, int, bytes, int]], samples: array) -> None:
     """Append the values of a group of plain pieces, each (path, lines of
-    the file before it, piece), joined into one piece for the kernel, and
+    the file before it, piece, the group's bytes up to its end), joined
+    into one piece for the kernel, and
     read again with its empty lines dropped if it holds any. If that fails,
     each piece as it was read goes through the line reader, so the lines
     keep their numbers, and the group empties."""
     if group:
-        joined = b"".join(piece for _, _, piece in group)
+        joined = b"".join(piece for _, _, piece, _ in group)
         values = _piece_values(joined)
         # empty lines are looked for only in a group the kernel refused:
         # `in` takes about 90 us on a 64 KiB piece of short lines
@@ -411,7 +412,7 @@ def _parse_group(group: list[tuple[Path, int, bytes]], samples: array) -> None:
                 joined = joined.replace(b"\n\n", b"\n")
             values = _piece_values(joined.lstrip(b"\n"))
         if values is None:
-            for path, lineno, piece in group:
+            for path, lineno, piece, _ in group:
                 _read_lines(path, piece.decode("ascii"), samples, lineno, True)
         else:
             samples.frombytes(values.view(np.uint8))
@@ -443,14 +444,13 @@ def _read_samples(files: list[Path]) -> np.ndarray:
     piece outlives it. A plain piece (ASCII, no '#', after the header; CRLF
     and a lone CR turned into LF as in text mode) waits in a group of at
     most _PIECE_BYTES for the kernel; any other piece goes through the line
-    reader alone, after the group, so the first faulty line in stream order
-    decides the error."""
+    reader alone, after the group. The group is parsed before any error
+    leaves, so the first faulty line in stream order decides the error."""
     samples = array("d")
-    group: list[tuple[Path, int, bytes]] = []
-    size = 0
-    for path in files:
-        lineno, saw_header = 0, False
-        try:
+    group: list[tuple[Path, int, bytes, int]] = []
+    try:
+        for path in files:
+            lineno, saw_header = 0, False
             with path.open("rb") as f:
                 for offset, piece, last in _pieces(f):
                     if piece.isascii():
@@ -461,18 +461,16 @@ def _read_samples(files: list[Path]) -> np.ndarray:
                         if not saw_header and piece.startswith(_HEADER):
                             piece, lineno, saw_header = piece[len(_HEADER) :], 1, True
                         if saw_header and b"#" not in piece:
-                            if size + len(piece) > _PIECE_BYTES:
+                            if group and group[-1][3] + len(piece) > _PIECE_BYTES:
                                 _parse_group(group, samples)
-                                size = 0
-                            group.append((path, lineno, piece))
-                            size += len(piece)
+                            size = group[-1][3] + len(piece) if group else len(piece)
+                            group.append((path, lineno, piece, size))
                             if not last:  # the next piece's line numbers; numpy
                                 # counts LFs six times faster than bytes.count
                                 lfs = np.frombuffer(piece, np.uint8) == ord("\n")
                                 lineno += np.count_nonzero(lfs)
                             continue
                     _parse_group(group, samples)
-                    size = 0
                     try:
                         text = piece.decode("utf-8")
                     except UnicodeDecodeError as exc:
@@ -482,13 +480,10 @@ def _read_samples(files: list[Path]) -> np.ndarray:
                     text = text.replace("\r\n", "\n").replace("\r", "\n")
                     saw_header = _read_lines(path, text, samples, lineno, saw_header)
                     lineno += text.count("\n")
-        except OSError:
-            _parse_group(group, samples)
-            raise
-        if not saw_header:
-            _parse_group(group, samples)
-            raise SignalParseError(f"{path}: no header line found")
-    _parse_group(group, samples)
+            if not saw_header:
+                raise SignalParseError(f"{path}: no header line found")
+    finally:
+        _parse_group(group, samples)
     return np.frombuffer(samples)
 
 

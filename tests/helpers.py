@@ -21,7 +21,7 @@ from hes_regkit import (
     RegSignal,
     synth_signal,
 )
-from hes_regkit import controller
+from hes_regkit import controller, offline
 from hes_regkit.model import _envelope_violations
 
 DT_2S = 2.0 / 3600.0
@@ -120,11 +120,11 @@ def random_capacity(rng: np.random.Generator, cfg: HesConfig, *, lo=0.2, hi=1.2)
     return float(rng.uniform(lo, hi) * reach)
 
 
-def grid_resolution_mw(cfg: HesConfig, grid) -> float:
-    """The power step of offline.dp_oracle's grids (a DpOracleConfig): the
-    larger of its battery power step and the power of one SoC step."""
-    de = (cfg.batt.soc_max - cfg.batt.soc_min) / (grid.soc_grid_points - 1)
-    dp = 2 * cfg.batt.p_max / (grid.power_grid_points - 1)
+def grid_resolution_mw(cfg: HesConfig) -> float:
+    """The power step of offline.dp_oracle's grids: the larger of its
+    battery power step and the power of one SoC step."""
+    de = (cfg.batt.soc_max - cfg.batt.soc_min) / (offline._SOC_GRID_POINTS - 1)
+    dp = 2 * cfg.batt.p_max / (offline._POWER_GRID_POINTS - 1)
     return max(dp, de * cfg.batt.energy_capacity / (cfg.dt * cfg.batt.eta_d))
 
 

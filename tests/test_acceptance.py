@@ -27,7 +27,6 @@ from hes_regkit.cli import main
 from hes_regkit.controller import rt_dispatch, rt_dispatch_batch, validate_trace
 from hes_regkit.model import GeneratorParams, HesConfig, LoadParams
 from hes_regkit.offline import (
-    DpOracleConfig,
     EquivalenceError,
     benchmark_controller,
     dp_oracle,
@@ -96,7 +95,6 @@ def test_criterion_2_oracle_agreement(capsys):
     # with the value-iteration oracle within twice its grid resolution, and
     # the LP relaxation bound may never exceed the oracle (1e-6 slack).
     rng = np.random.default_rng(7041776)
-    grid = DpOracleConfig(soc_grid_points=101, power_grid_points=101)
     clean = 0
     bad_gap = []
     bad_bound = []
@@ -107,14 +105,14 @@ def test_criterion_2_oracle_agreement(capsys):
         sig = random_signal(rng, n, dt)
         c = random_capacity(rng, cfg)
         off = offline_dispatch(cfg, c, sig)
-        dp = dp_oracle(cfg, c, sig, grid)
+        dp = dp_oracle(cfg, c, sig)
         if off.lp_bound is not None and off.lp_bound > dp.objective + 1e-6 * max(
             1.0, abs(dp.objective)
         ):
             bad_bound.append((off.lp_bound, dp.objective))
         if off.solver_path in ("lp", "lp-with-repair"):
             clean += 1
-            tol = 2.0 * grid_resolution_mw(cfg, grid)
+            tol = 2.0 * grid_resolution_mw(cfg)
             if abs(dp.objective - off.objective) > tol:
                 bad_gap.append((off.objective, dp.objective, tol))
     ok = clean >= 100 and not bad_gap and not bad_bound

@@ -119,6 +119,19 @@ class TestSolveBid:
         assert sol.c_star == 5.0
         assert sol.point_at(5.0).c == 5.0  # capped bid has an evaluated point
 
+    def test_market_cap_off_the_sweep_gets_its_own_point(self):
+        # 5.1 is on neither the coarse grid nor the refinement's bracket
+        arch = square_archive(amplitude=0.8)
+        sol = solve_bid(self.cfg, arch, reference_market(c_max=5.1), self.sweep)
+        assert sol.c_star == 5.1 < sol.c_hat
+        coarse = set(self.sweep.coarse_points())
+        assert [pt.c for pt in sol.curve if pt.c not in coarse and pt.c < 13.0] == [5.1]
+        pt = sol.point_at(5.1)
+        assert same_bits(pt.scores, score_samples(self.cfg, 5.1, arch))
+        assert pt.objective == 5.1 * pt.mean_xp
+        with pytest.raises(KeyError, match=r"no curve point at c=5\.05"):
+            sol.point_at(5.05)
+
     def test_curve_is_sorted_and_consistent(self):
         arch = square_archive(amplitude=0.8)
         sol = solve_bid(self.cfg, arch, self.market, self.sweep)

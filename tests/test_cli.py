@@ -1,5 +1,6 @@
 """CLI behavior: artifacts, error paths, exit codes, rerun determinism."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -171,6 +172,27 @@ class TestDispatch:
         sig = resolve_archive(cfg).windows[2]
         expected = offline.benchmark_controller(cfg.hes, 10.0, sig).to_dict()
         assert {k: bench[k] for k in expected} == expected
+
+    def test_both_modes_refuse_disagreeing_objectives(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        # the window stays interior, so the rule must match the offline
+        # optimum; an offline objective 1 MW off raises EquivalenceError
+        real = offline.offline_dispatch
+
+        def perturbed(*args):
+            sol = real(*args)
+            return dataclasses.replace(sol, objective=sol.objective + 1.0)
+
+        monkeypatch.setattr("hes_regkit.cli.offline_dispatch", perturbed)
+        out = tmp_path / "o"
+        argv = ["dispatch", "--config", config_path, "--capacity", 10, "--mode",
+                "both", "--window", 2, "--out", out]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: rule-based objective ")
+        assert err[0].endswith(" disagree although SoC stayed interior")
+        assert not out.exists()
 
     def test_missing_capacity(self, config_path, capsys):
         assert run(["dispatch", "--config", config_path]) == 1
@@ -845,6 +867,55 @@ class TestPlumbing:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert err[0].endswith(" underflows to 0")
         assert not out.exists()
+
+    @pytest.mark.parametrize("eta_d", ["5e-324", "1e-320"])
+    @pytest.mark.parametrize(
+        "command", [["dispatch", "--mode", "rt", "--capacity", 4], ["bid"], ["soc-drift"]]
+    )
+    def test_subnormal_eta_d_refused(self, tmp_path, capsys, command, eta_d):
+        # the rule once wrote a trace with SoC far outside its bounds here
+        p = tmp_path / "tiny.ini"
+        p.write_text(BASE.replace("batt_eta_d = 0.95", f"batt_eta_d = {eta_d}"))
+        out = tmp_path / "o"
+        assert run([*command, "--config", p, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: battery eta_d must be at least the smallest normal float "
+            f"2.2250738585072014e-308, got {eta_d}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            (config, command)
+            for config in ("capacity-5e-324", "eta_d-smallest-normal", "capacity-1e-308-drifting")
+            for command in ("dispatch", "soc-drift", "bid")
+            if (config, command) != ("capacity-1e-308-drifting", "bid")  # one window: no bid
+        ],
+    )
+    def test_tiny_battery_runs_without_warnings(self, tmp_path, capsys, config, command):
+        # a one-step SoC change overflows, or on the drifting window a running
+        # sum of finite ones; pytest raises any RuntimeWarning as an error
+        text = {
+            "capacity-5e-324": BASE.replace(
+                "batt_energy_capacity = 5.0", "batt_energy_capacity = 5e-324"
+            ),
+            "eta_d-smallest-normal": BASE.replace(
+                "batt_eta_d = 0.95", "batt_eta_d = 2.2250738585072014e-308"
+            ),
+            "capacity-1e-308-drifting": DP_ROUTE.replace(
+                "batt_energy_capacity = 5.0", "batt_energy_capacity = 1e-308"
+            ),
+        }[config]
+        p = tmp_path / "tiny.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        args = ["dispatch", "--mode", "rt", "--capacity", 8] if command == "dispatch" else [command]
+        assert run([*args, "--config", p, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "dispatch":
+            trace = load_trace_csv(out / "trace_rt.csv")[0]
+            assert validate_trace(load_config(p).hes, trace) == []
 
     @pytest.mark.parametrize(
         "error",

@@ -1,5 +1,8 @@
 """Asset parameter validation, SoC stepping, per-step feasibility checks."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from hes_regkit import (
@@ -12,8 +15,11 @@ from hes_regkit import (
     check_step_feasible,
     ensure_dispatchable,
     hes_output,
+    rt_dispatch,
     rt_step,
     soc_step,
+    synth_signal,
+    validate_trace,
 )
 from helpers import reference_system
 
@@ -116,6 +122,27 @@ class TestValidation:
         assert cfg.dt * cfg.batt.p_max == cfg.batt.eta_c * cfg.dt * cfg.batt.p_max == 5e-324
         step, nxt = rt_step(cfg, 1.0, -0.5, SocState(0.5))
         assert (step.p_load, step.p_charge, nxt.e) == (0.5, 0.0, 0.5)
+
+    @pytest.mark.parametrize("eta_d", [5e-324, 1e-320, float(np.nextafter(sys.float_info.min, 0.0))])
+    def test_battery_refuses_a_subnormal_eta_d(self, eta_d):
+        # the rule's discharge headroom underflows there, and dividing by
+        # eta_d magnified its error: the SoC reached -0.4 at 5e-324
+        with pytest.raises(ValueError) as info:
+            make_batt(eta_d=eta_d)
+        assert str(info.value) == (
+            "battery eta_d must be at least the smallest normal float "
+            f"2.2250738585072014e-308, got {eta_d}"
+        )
+
+    @pytest.mark.parametrize("bias", [0.5, 0.0, -0.5])
+    def test_smallest_normal_eta_d_keeps_the_soc_envelope(self, bias):
+        # the full discharge step overflows to -inf; the rule derates it
+        cfg = HesConfig(
+            GeneratorParams(3.0), LoadParams(3.0), make_batt(eta_d=sys.float_info.min), 2.0 / 3600
+        )
+        sig = synth_signal("drifting", 1800, cfg.dt, 3, bias=bias, noise=0.5)
+        for c in (4.0, 12.0, 20.0):
+            assert validate_trace(cfg, rt_dispatch(cfg, c, sig)) == []
 
     def test_dispatchable_requires_zero_floor(self):
         cfg = HesConfig(

@@ -9,7 +9,6 @@ import pytest
 import hes_regkit.offline as offline
 from hes_regkit import (
     BudgetError,
-    DpOracleConfig,
     RegSignal,
     benchmark_controller,
     closed_form_dispatch,
@@ -191,11 +190,13 @@ class TestDpOracle:
         assert dp.objective == pytest.approx(24.0, abs=1e-9)
         assert dp.complementarity_clean
 
-    def test_refinement_converges(self):
+    def test_refinement_converges(self, monkeypatch):
         cfg, sig = saturating_instance()
         objectives = []
         for s_pts, p_pts in [(11, 11), (51, 51), (101, 101), (201, 201)]:
-            dp = dp_oracle(cfg, SAT_C, sig, DpOracleConfig(s_pts, p_pts))
+            monkeypatch.setattr(offline, "_SOC_GRID_POINTS", s_pts)
+            monkeypatch.setattr(offline, "_POWER_GRID_POINTS", p_pts)
+            dp = dp_oracle(cfg, SAT_C, sig)
             objectives.append(dp.objective)
             assert abs(dp.dp_value - dp.objective) <= 1.0  # root value tracks rollout
         for coarse, fine in zip(objectives, objectives[1:]):
@@ -210,9 +211,8 @@ class TestDpOracle:
         c = 12.0
         sol = offline_dispatch(cfg, c, sig)
         assert sol.solver_path in ("lp", "lp-with-repair")
-        grid = DpOracleConfig(101, 101)
-        dp = dp_oracle(cfg, c, sig, grid)
-        tol = 2 * grid_resolution_mw(cfg, grid)
+        dp = dp_oracle(cfg, c, sig)
+        tol = 2 * grid_resolution_mw(cfg)
         assert abs(dp.objective - sol.objective) <= tol
         assert sol.lp_bound <= dp.objective + 1e-6
 
@@ -222,7 +222,7 @@ class TestDpOracle:
         assert validate_trace(cfg, dp.trace) == []
 
     @staticmethod
-    def assert_np_interp_route_bitwise(monkeypatch, cfg, c, sig, grid=None):
+    def assert_np_interp_route_bitwise(monkeypatch, cfg, c, sig):
         """dp_oracle's backward pass gives, at every step, the continuation
         np.interp gives, so the value table is np.interp's; and the rollout,
         objective and root value are those of the np.interp route."""
@@ -241,9 +241,9 @@ class TestDpOracle:
 
         with monkeypatch.context() as m:
             m.setattr(offline, "_interp_at", checked)
-            ref = dp_oracle(cfg, c, sig, grid)
+            ref = dp_oracle(cfg, c, sig)
         assert len(steps) == sig.n and all(steps)
-        got = dp_oracle(cfg, c, sig, grid)
+        got = dp_oracle(cfg, c, sig)
         for name in ("p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc"):
             assert same_bits(getattr(got.trace, name), getattr(ref.trace, name)), name
         assert same_bits(got.objective, ref.objective)
@@ -262,8 +262,9 @@ class TestDpOracle:
         dt = float(rng.uniform(DT_2S, 0.25))
         cfg = random_system(rng, dt)
         sig = random_signal(rng, int(rng.integers(2, 120)), dt)
-        grid = DpOracleConfig(int(rng.integers(3, 160)), 2 * int(rng.integers(1, 60)) + 1)
-        self.assert_np_interp_route_bitwise(monkeypatch, cfg, random_capacity(rng, cfg), sig, grid)
+        monkeypatch.setattr(offline, "_SOC_GRID_POINTS", int(rng.integers(3, 160)))
+        monkeypatch.setattr(offline, "_POWER_GRID_POINTS", 2 * int(rng.integers(1, 60)) + 1)
+        self.assert_np_interp_route_bitwise(monkeypatch, cfg, random_capacity(rng, cfg), sig)
 
     def test_budget_guard(self):
         cfg = reference_system()
@@ -271,17 +272,18 @@ class TestDpOracle:
         with pytest.raises(BudgetError, match=str(offline.STEP_LIMIT + 1)):
             dp_oracle(cfg, 8.0, sig)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="odd"):
-            DpOracleConfig(11, 10)
-        with pytest.raises(ValueError):
-            DpOracleConfig(2, 11)
-        # np.linspace would raise a bare TypeError for these
-        with pytest.raises(ValueError, match="soc_grid_points must be an integer, got 11.0"):
-            DpOracleConfig(11.0, 11)
-        with pytest.raises(ValueError, match="power_grid_points must be an integer, got '11'"):
-            DpOracleConfig(11, "11")
-        assert DpOracleConfig(np.int64(11), 11).soc_grid_points == 11
+    def test_idle_steps_have_no_negative_zero_load(self):
+        # a zero command leaves the battery and the gen/load pair idle; the
+        # trace splits net gen/load as the LP traces do, so an idle load is
+        # +0.0 and prints as 0, never as -0
+        cfg = reference_system()
+        samples = np.zeros(12)
+        samples[4:8] = [0.5, -0.25, 1.0, -1.0]
+        dp = dp_oracle(cfg, 8.0, RegSignal(samples=samples, dt=DT_2S))
+        for name in ("p_gen", "p_load"):
+            col = getattr(dp.trace, name)
+            assert not np.any(np.signbit(col)), name
+        assert np.count_nonzero(dp.trace.p_load == 0.0) >= 8
 
 
 class TestBenchmark:

@@ -14,7 +14,6 @@ import pytest
 from hes_regkit import (
     POWER_TOL,
     SOC_TOL,
-    DpOracleConfig,
     HesConfig,
     OfflineSolution,
     RegSignal,
@@ -138,5 +137,5 @@ def test_burn_instance_value_is_the_lp_bound():
     assert relative(oracle.trace.abs_error(), oracle.value) <= TRACE_L1_RTOL
     overlap = oracle.trace.p_discharge * -oracle.trace.p_charge
     assert float(overlap.max()) > COMPLEMENTARITY_TOL
-    one_sided = dp_oracle(cfg, SAT_C, sig, DpOracleConfig(101, 101))
+    one_sided = dp_oracle(cfg, SAT_C, sig)
     assert one_sided.objective > oracle.value + 5.0
