@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -381,7 +382,14 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The subcommand table, built on the first call and shared by every
+    later call in the process. parse_args keeps no state between calls, and
+    no option has a mutable default, so each call still gets a Namespace of
+    its own. Each subcommand's handler is bound here once: to change what a
+    handler does in-process, patch the names it calls, not the cmd_*
+    function."""
     parser = argparse.ArgumentParser(
         prog="hes-regkit",
         description="Capacity bidding and dispatch for hybrid energy systems "

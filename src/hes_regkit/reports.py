@@ -39,6 +39,10 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
+# what json.dumps(s, ensure_ascii=False) runs, built once rather than per string
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _emit(obj: Any, out: list[str], indent: int) -> None:
     pad = "  " * indent
     if obj is None:
@@ -52,7 +56,7 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(_encode_str(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -62,7 +66,7 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
         for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
-            out.append(pad + "  " + json.dumps(key, ensure_ascii=False) + ": ")
+            out.append(pad + "  " + _encode_str(key) + ": ")
             _emit(obj[key], out, indent + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
@@ -89,7 +93,7 @@ def dumps_json(obj: Any) -> str:
 
 def write_json(path: str | Path, obj: Any) -> Path:
     p = Path(path)
-    p.write_text(dumps_json(obj), encoding="utf-8")
+    p.write_bytes(dumps_json(obj).encode("utf-8"))  # "\n" on every platform
     return p
 
 

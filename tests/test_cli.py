@@ -962,6 +962,32 @@ class TestPlumbing:
         assert capsys.readouterr().err.splitlines() == ["error: gamma must be in (0, 1), got 2.0"]
         assert not out.exists()
 
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["soc-drift", "--vary", "gen", "--values", "0,3"], ["soc-drift"]),
+            (["dispatch", "--capacity", "8", "--mode", "rt"], ["dispatch", "--capacity", "8"]),
+            (["asym-sweep", "--vary", "gen", "--values", "0"],
+             ["asym-sweep", "--vary", "gen", "--values", "8"]),
+        ],
+        ids=["soc-drift", "dispatch", "asym-sweep"],
+    )
+    def test_a_call_leaves_nothing_for_the_next(self, first, second, config_path, tmp_path):
+        # two calls on the shared parser write what each writes on a new one
+        shared = []
+        for i, argv in enumerate((first, second)):
+            out = tmp_path / f"shared-{i}"
+            assert run([*argv, "--config", config_path, "--out", out]) == 0
+            shared.append(outputs(out))
+        for i, argv in enumerate((first, second)):
+            _build_parser.cache_clear()
+            out = tmp_path / f"new-{i}"
+            assert run([*argv, "--config", config_path, "--out", out]) == 0
+            assert outputs(out) == shared[i]
+
     def test_every_subcommand_parses_to_its_handler(self):
         parser = _build_parser()
         required = {"asym-sweep": ["--vary", "gen", "--values", "1"]}

@@ -1,12 +1,16 @@
-"""CSV artifacts: the exact bytes of trace and signal files, and what they refuse."""
+"""CSV and JSON artifacts: the exact bytes of trace, signal and report files,
+and what they refuse."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hes_regkit import DispatchTrace, load_trace_csv, reports, save_signal, save_trace_csv
-from hes_regkit.reports import write_csv
+from hes_regkit.reports import dumps_json, write_csv
 
 # 0.1 + 0.2 and 1/3 need all 17 significant digits to round-trip; -0.0 is
 # what the rule's p_load reads at r = +0.0
@@ -146,3 +150,18 @@ def test_write_csv_refusals_leave_no_file(tmp_path, monkeypatch, column, bad, er
     with pytest.raises(ValueError, match="CSV row 28 has 6 cells, header has 7"):
         write_csv(tmp_path / "ragged.csv", list("abcdefg"), rows)
     assert not list(tmp_path.iterdir())
+
+
+# any text, with the characters JSON escapes or keeps as UTF-8 drawn often
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600'), st.characters())
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(key=_JSON_TEXT, value=_JSON_TEXT)
+@example(key='"\\', value="\x00\n\t\u00e9\U0001f600")
+def test_strings_render_as_json_dumps(key, value):
+    want = json.dumps(key, ensure_ascii=False) + ": " + json.dumps(value, ensure_ascii=False)
+    assert dumps_json({key: value}) == "{\n  " + want + "\n}\n"
+
