@@ -110,6 +110,20 @@ def test_value_is_the_lp_bound(cases):
     assert worst <= VALUE_RTOL
 
 
+def test_cost_to_go_has_at_most_five_pieces(cases, drift_windows):
+    # The error halves of the slope pairs below are the relaxation's own
+    # slopes, {0, +-eta_d/alpha, +-1/(alpha eta_c)}, and lexicographic order
+    # keeps them ascending, so G_k's error alone has at most five pieces.
+    for case in [*cases, *drift_windows]:
+        batt = _Battery(case.cfg)
+        allowed = {0.0, batt.s_d, -batt.s_d, batt.s_c, -batt.s_c}
+        for g in case.oracle.cost_to_go:
+            errors = [s[0] for s in g.slopes]
+            assert errors == sorted(errors)
+            assert set(errors) <= allowed
+            assert len(set(errors)) <= 5
+
+
 def test_cost_to_go_has_at_most_eight_pieces(cases, drift_windows):
     # Each G_k's slopes are slopes of G_{k+1} or of the reflected step cost,
     # and equal ones merge, so G_k has at most as many pieces as there are
