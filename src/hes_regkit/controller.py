@@ -41,9 +41,16 @@ keeps only a rotating SoC block, which is all bid scoring needs, and needs
 no split: at full headroom the net output is the command clipped to the
 assets' reach, first to [-load.p_max, gen.p_max], then its rest to
 [-batt.p_max, batt.p_max] (_saturated_error), which gives the same
-|target - p_hes| bit for bit. Where the windows are checked, it tracks
-each column's SoC range on the way, and re-runs through the block body
-only the (capacity, window) columns whose range is not full (_full).
+|target - p_hes| bit for bit. Where the windows are unchecked, a quiet
+capacity (_quiet), one whose two extreme targets c * max r and c * min r
+the assets follow exactly, has an error of exactly 0 at every step: each
+extreme lies within the generator's (load's) limit, or that limit is a
+multiple of the extreme's ulp and the rest is within batt.p_max. Its row
+of sums is +0.0, and only the other rows are streamed. Checked windows
+have no quiet rows, since the SoC can derate the battery there: the
+stream tracks each column's SoC range on the way, and re-runs through the
+block body only the (capacity, window) columns whose range is not full
+(_full).
 rt_dispatch_batch is the stream for one capacity, writing each
 window's whole SoC path. Every window starts at cfg.batt.soc_init (rt_step
 at the state it is given), every entry point gives the same bits, whatever
@@ -280,6 +287,30 @@ def _saturated_error(cfg: HesConfig, c, r, out, soc=None):
     return np.subtract(target, gl, out=target)
 
 
+def _quiet(cfg: HesConfig, cs, r_lo: float, r_hi: float):
+    """Which capacities in cs the assets follow exactly at full headroom,
+    |target - p_hes| = 0 at every step, over commands in [r_lo, r_hi]
+    (_saturated_error's clips). Rounding is monotone, so no target of
+    capacity c lies above t = c * r_hi or below c * r_lo.
+
+    The up side is quiet if t <= gen.p_max, or if gen.p_max is a multiple
+    of ulp(t) and t - gen.p_max <= batt.p_max: then, for every target above
+    gen.p_max, target - gen.p_max is exact and within the battery's clip,
+    and gen.p_max + (target - gen.p_max) is the target. The down side is the
+    same test with -c * r_lo and load.p_max. A t that overflows to inf has
+    a NaN ulp and is never quiet.
+    """
+    pb = cfg.batt.p_max
+
+    def side(t, p_max):
+        with np.errstate(invalid="ignore"):
+            exact = np.fmod(p_max, np.spacing(t)) == 0.0
+        return (t <= p_max) | (exact & (t - p_max <= pb))
+
+    with np.errstate(over="ignore"):
+        return side(cs * r_hi, cfg.gen.p_max) & side(cs * -r_lo, cfg.load.p_max)
+
+
 def _net_output(p_gen, p_load, p_discharge, p_charge, out=None):
     """p_hes, summed in the rule's order (into ``out`` when given)."""
     p_hes = np.subtract(p_gen, p_load, out=out)
@@ -402,10 +433,10 @@ def rt_dispatch_batch(
     """
     _check_inputs(cfg, c, dt)
     samples = np.asarray(samples, dtype=float)
-    _check_samples(samples, 2)
+    r_range = _check_samples(samples, 2)
     soc = np.empty((samples.shape[0], samples.shape[1] + 1))
     soc[:, 0] = cfg.batt.soc_init
-    err_sums = _rule_stream(cfg, np.array([c], dtype=float), samples, soc.T[:, None])
+    err_sums = _rule_stream(cfg, np.array([c], dtype=float), samples, r_range, soc.T[:, None])
     return BatchDispatch(err_sums=err_sums[0], soc=soc)
 
 
@@ -419,29 +450,34 @@ def rt_error_sums(
 
     Returns a (capacities, windows) array whose row j is bitwise
     ``rt_dispatch_batch(cfg, capacities[j], samples, dt).err_sums``, from
-    the stream (_rule_stream) with one rotating SoC block.
+    the stream (_rule_stream) with one rotating SoC block. Where the
+    windows take the unchecked route, the rows of capacities the assets
+    track exactly (_quiet, from the samples' least and greatest value) are
+    +0.0 without being streamed.
     """
     cs = np.asarray(capacities, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
         raise ValueError(f"capacities must be a non-empty 1-D array, got shape {cs.shape}")
     _check_inputs(cfg, cs, dt)
     samples = np.asarray(samples, dtype=float)
-    _check_samples(samples, 2)
-    return _rule_stream(cfg, cs, samples)
+    return _rule_stream(cfg, cs, samples, _check_samples(samples, 2))
 
 
 def _rule_stream(
-    cfg: HesConfig, cs: np.ndarray, samples: np.ndarray, soc_path=None
+    cfg: HesConfig, cs: np.ndarray, samples: np.ndarray, r_range: tuple, soc_path=None
 ) -> np.ndarray:
     """The rule for every capacity in cs over the (n_windows, n_steps)
-    samples, from cfg.batt.soc_init. Returns the (capacities, windows) L1
-    errors, each step's joining the running sums in step order.
+    samples, whose least and greatest value are ``r_range``, from
+    cfg.batt.soc_init. Returns the (capacities, windows) L1 errors, each
+    step's joining the running sums in step order.
 
     With ``soc_path``, a step-major (steps + 1, capacities, windows) array
     whose row 0 holds cfg.batt.soc_init, each block runs _rule_block and
     fills the rows of its steps. Without, no block needs the split: where
     _route leaves the windows unchecked, the errors come from the
-    saturation form (_saturated_error) alone, with no SoC. Where they are
+    saturation form (_saturated_error) alone, with no SoC, and only for the
+    capacities that are not quiet (_quiet); a quiet row's every |error| is
+    +0.0, and so is its sum. Where they are
     checked, the saturation form also carries each column's SoC in one
     rotating block, and keeps its minimum and maximum over the states the
     steps start from. A column with full headroom at both ends of its range
@@ -460,7 +496,14 @@ def _rule_stream(
             soc_path=soc_path,
         )
     if not checked:
-        return _stream(c, samples, 3, lambda r, cols, soc: _saturated_error(cfg, c, r, cols))
+        err_sums = np.zeros((cs.size, samples.shape[0]))
+        loud = np.flatnonzero(~_quiet(cfg, cs, *r_range))
+        if loud.size:
+            cl = c[loud]
+            err_sums[loud] = _stream(
+                cl, samples, 3, lambda r, cols, soc: _saturated_error(cfg, cl, r, cols)
+            )
+        return err_sums
     lo = np.full((cs.size, samples.shape[0]), math.inf)
     hi = np.full_like(lo, -math.inf)
 

@@ -106,8 +106,9 @@ class EmptyArchiveError(SignalError):
     """No complete window could be extracted from the source."""
 
 
-def _check_samples(arr: np.ndarray, ndim: int) -> None:
-    """Check one window (ndim 1) or a (windows, steps) matrix (ndim 2)."""
+def _check_samples(arr: np.ndarray, ndim: int) -> tuple[float, float]:
+    """Check one window (ndim 1) or a (windows, steps) matrix (ndim 2), and
+    return its least and greatest sample."""
     if arr.ndim != ndim:
         raise SignalError(f"signal must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0 or arr.shape[-1] < 2:
@@ -119,6 +120,7 @@ def _check_samples(arr: np.ndarray, ndim: int) -> None:
         raise SignalRangeError(
             f"samples outside [-1, 1]: min={lo}, max={hi}"
         )
+    return lo, hi
 
 
 def _check_dt(dt: float) -> None:

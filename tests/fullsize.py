@@ -1,23 +1,28 @@
-"""A year of hour windows through `bid` or `soc-drift --capacity 12`.
+"""A year of windows through `bid`, `soc-drift --capacity 12` or `characterize`.
 
-    PYTHONPATH=src python tests/fullsize.py [--windows 8760] [--command bid|soc-drift]
+    PYTHONPATH=src python tests/fullsize.py [--windows 8760] [--window-len 1800]
+        [--command bid|characterize|soc-drift]
 
 Runs the command in-process on profiles/symmetric.ini with `synth_windows`
-set to --windows (8 760 hour windows of 1 800 samples at 2 s: a year at
-RegD's native resolution, 15.8 M samples), into a temporary directory, and
-checks that it exits 0. For `bid` (the default) it checks that the bid is
-bracketed: c_bar compliant, the bracket's upper end not, the two within
-refine_tol, both within [c_lo, c_hi]. `bid` keeps the profile's
-energy-neutral source, which its bracket needs; `soc-drift` swaps in a
+set to --windows and both `synth_n` and `window_len` to --window-len (8 760
+hour windows of 1 800 samples at 2 s: a year at RegD's native resolution,
+15.8 M samples; --window-len 180 gives six-minute windows), into a
+temporary directory, and checks that it exits 0. It prints the route the
+windows take (controller._route): hour windows are checked, six-minute
+ones are not, and there bid scoring skips the capacities the assets track
+exactly. For `bid` (the default) it checks that the bid is bracketed:
+c_bar compliant, the bracket's upper end not, the two within refine_tol,
+both within [c_lo, c_hi]. `bid` and `characterize` keep the profile's
+energy-neutral source, which the bracket needs; `soc-drift` swaps in a
 charging drift (`drifting`, bias -0.5, noise 0.8), so that windows reach the
 SoC ceiling and the rule's step loop runs. For `soc-drift` it checks that the
-windows take the rule's checked route (they are longer than the route
-admits unchecked), that the table has one row per window, that at least one
-window reaches a bound, and that every window's SoC minimum and maximum lie
-within the envelope, SOC_TOL wide. It
-prints the wall time and the peak RSS of the process, which are reported,
-not gated: run one command a process. Not part of tier-1: `bid` takes tens
-of seconds.
+windows take the rule's checked route, that the table has one row per
+window, that at least one window reaches a bound, and that every window's
+SoC minimum and maximum lie within the envelope, SOC_TOL wide. For
+`characterize` it checks that window_stats.csv has one row per window, in
+order. It prints the wall time and the peak RSS of the process, which are
+reported, not gated: run one command a process. Not part of tier-1: `bid`
+on hour windows takes tens of seconds.
 """
 
 import argparse
@@ -72,9 +77,19 @@ def soc_drift_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]
     }
 
 
+def characterize_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]:
+    header, rows, _ = read_csv(out / "window_stats.csv")
+    print(f"window_stats.csv: {len(rows)} rows")
+    return {
+        "one row per window, in order":
+            [row[header.index("window")] for row in rows] == [str(i) for i in range(windows)],
+    }
+
+
 # command: (signal source line(s), extra flags, checks)
 COMMANDS = {
     "bid": (NEUTRAL_SOURCE, [], bid_checks),
+    "characterize": (NEUTRAL_SOURCE, [], characterize_checks),
     "soc-drift": (DRIFT_SOURCE, ["--capacity", str(DRIFT_CAPACITY)], soc_drift_checks),
 }
 
@@ -90,15 +105,21 @@ def set_line(text: str, pattern: str, line: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--windows", type=int, default=8760)
+    parser.add_argument("--window-len", type=int, default=1800)
     parser.add_argument("--command", choices=sorted(COMMANDS), default="bid")
     args = parser.parse_args()
     source, extra, checks_of = COMMANDS[args.command]
-    text = set_line(PROFILE.read_text(), r"^synth_windows = \d+$", f"synth_windows = {args.windows}")
+    text = PROFILE.read_text()
+    for key, value in (("synth_windows", args.windows), ("synth_n", args.window_len),
+                       ("window_len", args.window_len)):
+        text = set_line(text, rf"^{key} = \d+$", f"{key} = {value}")
     text = set_line(text, r"^synth_kind = .*$", source)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "year.ini"
         config.write_text(text)
         run = load_config(str(config))
+        checked = controller._route(run.hes, run.hes.batt.soc_init, run.window_len)
+        print(f"{args.window_len}-step windows take the {'checked' if checked else 'unchecked'} route")
         out = Path(tmp) / "out"
         start = time.perf_counter()
         code = cli.main([args.command, "--config", str(config), "--out", str(out), *extra])
@@ -108,7 +129,7 @@ def main() -> int:
         # ru_maxrss is in KiB on Linux
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
-            f"{args.command} on {args.windows} windows: {wall:.2f} s wall, "
+            f"{args.command} on {args.windows} {args.window_len}-step windows: {wall:.2f} s wall, "
             f"peak RSS {peak_mib:.1f} MiB"
         )
         checks = checks_of(run, out, args.windows)

@@ -60,7 +60,9 @@ from hes_regkit import (
 from hes_regkit import controller, signals
 from hes_regkit.controller import rt_error_sums
 from hes_regkit.model import soc_change
-from helpers import random_capacity, random_signal, random_system, reference_system, same_bits
+from helpers import (
+    DT_2S, random_capacity, random_signal, random_system, reference_system, same_bits,
+)
 
 COLUMNS = ("target", "p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -449,6 +451,79 @@ def test_whole_prefix_scoring_matches_reference_bitwise(cfg, matrix, data):
     assert free_steps(cfg, e0, n) == n
     cs = data.draw(st.lists(capacities, min_size=1, max_size=4))
     assert_scored_without_the_split(cfg, cs, matrix, e0)
+
+
+QUIET_LIMITS = [0.0, 5e-324, 0.1, 0.3, 3.0, 1e300]
+
+
+def quiet_system(gen_max: float, load_max: float, batt_max: float) -> HesConfig:
+    """A battery so large for its power that every short window is
+    unchecked (_route), so bid scoring may skip quiet rows (_quiet)."""
+    return HesConfig(
+        gen=GeneratorParams(p_max=gen_max),
+        load=LoadParams(p_max=load_max),
+        batt=BatteryParams(p_max=batt_max, energy_capacity=1e3, soc_init=0.5),
+        dt=DT_2S,
+    )
+
+
+def assert_quiet_rows_change_no_bit(cfg: HesConfig, cs, matrix) -> np.ndarray:
+    """rt_error_sums against the same call with no row quiet, bitwise;
+    returns the sums."""
+    assert not controller._route(cfg, cfg.batt.soc_init, matrix.shape[1])
+    sums = rt_error_sums(cfg, cs, matrix, cfg.dt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller, "_quiet", lambda cfg, cs, r_lo, r_hi: np.zeros(len(cs), bool))
+        streamed = rt_error_sums(cfg, cs, matrix, cfg.dt)
+    for j, c in enumerate(cs):
+        assert same_bits(sums[j], streamed[j]), c
+    return sums
+
+
+@pytest.mark.parametrize(
+    "gen_max, batt_max, c, error",
+    [
+        # 0.1 is no multiple of ulp(0.49999999999999994) = 2**-54
+        (0.1, 5.0, 0.49999999999999994, 2.0**-54),
+        # nextafter(8, 9) - 3 is exact, but one ulp of 8 past the battery
+        (3.0, 5.0, math.nextafter(8.0, 9.0), 2.0**-49),
+    ],
+    ids=["limit no multiple of the ulp", "one ulp past the battery"],
+)
+def test_rows_just_past_the_quiet_edge_are_streamed(gen_max, batt_max, c, error):
+    cfg = quiet_system(gen_max, 3.0, batt_max)
+    matrix = np.array([[1.0, 0.5, -0.25]])
+    assert not controller._quiet(cfg, np.array([c]), -0.25, 1.0)[0]
+    assert assert_quiet_rows_change_no_bit(cfg, [c], matrix)[0, 0] == error
+
+
+@PROPERTY
+@given(
+    gen_max=st.sampled_from(QUIET_LIMITS),
+    load_max=st.sampled_from(QUIET_LIMITS),
+    batt_max=st.sampled_from([0.1, 5.0]),
+    data=st.data(),
+)
+def test_quiet_rows_match_streamed_rows_bitwise(gen_max, load_max, batt_max, data):
+    # capacities at each edge of _quiet's two tests, on each side, and one
+    # ulp either way: the largest command times c at a limit, or at a limit
+    # plus batt.p_max
+    cfg = quiet_system(gen_max, load_max, batt_max)
+    r_hi = data.draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    r_lo = -data.draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    matrix = data.draw(hnp.arrays(
+        np.float64, (data.draw(st.integers(1, 3)), data.draw(st.integers(2, 20))),
+        elements=st.one_of(st.floats(r_lo, r_hi), st.sampled_from([r_lo, r_hi, 0.0])),
+    ))
+    matrix[0, :2] = r_hi, r_lo
+    edges = []
+    for limit, r in ((gen_max, r_hi), (load_max, -r_lo)):
+        for edge in (limit, limit + batt_max):
+            c = edge / r
+            edges += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
+    edges = [c for c in edges if 0.0 < c < math.inf]
+    cs = data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=6))
+    assert_quiet_rows_change_no_bit(cfg, cs, matrix)
 
 
 def soc_near_a_threshold(data, cfg: HesConfig) -> float:
