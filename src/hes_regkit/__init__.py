@@ -38,14 +38,11 @@ from .model import (
     SOC_TOL,
     BatteryParams,
     DispatchStep,
-    FeasibilityVerdict,
     GeneratorParams,
     HesConfig,
     LoadParams,
-    SocState,
     check_step_feasible,
     ensure_dispatchable,
-    hes_output,
     soc_step,
 )
 from .offline import (

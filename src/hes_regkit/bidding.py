@@ -255,9 +255,12 @@ def solve_bid(
 ) -> BidSolution:
     """Select the capacity bid for one archive. See module docstring.
 
-    Raises BracketError unless z_gamma(c_lo) >= x_p_min > z_gamma(c_hi):
-    the compliance boundary must lie strictly inside the sweep range.
+    Raises ValueError on an archive of fewer than 2 windows, and
+    BracketError unless z_gamma(c_lo) >= x_p_min > z_gamma(c_hi): the
+    compliance boundary must lie strictly inside the sweep range.
     """
+    if archive.n_windows < 2:
+        raise ValueError(f"bid selection needs >= 2 windows, archive has {archive.n_windows}")
     matrix, l1 = _moving_windows(archive)
     curve: dict[float, BidCurvePoint] = {}
 

@@ -206,10 +206,6 @@ def _solution_dict(solution: BidSolution, points: list[dict]) -> dict:
 
 def cmd_bid(cfg: RunConfig, args: argparse.Namespace) -> int:
     archive = resolve_archive(cfg)
-    if archive.n_windows < 2:
-        raise ConfigError(
-            f"bid selection needs >= 2 windows, archive has {archive.n_windows}"
-        )
     solution = solve_bid(cfg.hes, archive, cfg.market, cfg.sweep)
     rev = expected_revenue(solution, archive, cfg.market)
     out = _out_dir(cfg)
@@ -229,7 +225,8 @@ def _vary_config(hes: HesConfig, vary: str, value: float) -> HesConfig:
 
 
 def _parse_values(raw: str | None) -> list[float]:
-    if raw is None or raw.strip() == "":
+    """The numbers of a --values list; [] when the flag is not given."""
+    if raw is None:
         return []
     try:
         # + 0.0 stores -0 as 0, as the model stores a -0.0 limit, so that it
@@ -237,6 +234,8 @@ def _parse_values(raw: str | None) -> list[float]:
         values = [float(tok) + 0.0 for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"--values must be comma-separated numbers, got {raw!r}") from None
+    if not values:
+        raise ConfigError(f"--values needs at least one number, got {raw!r}")
     labels: dict[str, float] = {}
     for value in values:
         if not math.isfinite(value) or value < 0.0:

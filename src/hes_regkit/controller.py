@@ -75,9 +75,7 @@ from .model import (
     SOC_TOL,
     BatteryParams,
     DispatchStep,
-    FeasibilityVerdict,
     HesConfig,
-    SocState,
     _envelope_violations,
     ensure_dispatchable,
     soc_change,
@@ -382,27 +380,23 @@ def _check_inputs(cfg: HesConfig, c: float | np.ndarray, dt: float) -> None:
         raise ValueError(f"signal dt={dt} does not match config dt={cfg.dt}")
 
 
-def rt_step(
-    cfg: HesConfig, c: float, r_k: float, state: SocState
-) -> tuple[DispatchStep, SocState]:
-    """One interval of the priority rule. Returns the dispatch and next SoC.
+def rt_step(cfg: HesConfig, c: float, r_k: float, e: float) -> tuple[DispatchStep, float]:
+    """One interval of the priority rule from SoC e. Returns the dispatch
+    and the next SoC.
 
-    r_k is checked as RegSignal checks a sample; the state may lie SOC_TOL
-    outside the envelope, so that every SoC the rule gives is accepted."""
+    r_k is checked as RegSignal checks a sample; e may lie SOC_TOL outside
+    the envelope, so that every SoC the rule gives is accepted."""
     _check_inputs(cfg, c, cfg.dt)
     if not -1.0 <= r_k <= 1.0:  # also refuses NaN
         raise SignalRangeError(f"r_k must be a finite sample in [-1, 1], got {r_k}")
     batt = cfg.batt
-    if not batt.soc_min - SOC_TOL <= state.e <= batt.soc_max + SOC_TOL:
-        raise ValueError(
-            f"state SoC {state.e} lies outside [{batt.soc_min}, {batt.soc_max}]"
-        )
+    if not batt.soc_min - SOC_TOL <= e <= batt.soc_max + SOC_TOL:
+        raise ValueError(f"state SoC {e} lies outside [{batt.soc_min}, {batt.soc_max}]")
     # one step, at its state's headroom: no state is left to check
-    r, soc = np.array([[r_k]], dtype=float), np.array([[state.e], [0.0]])
+    r, soc = np.array([[r_k]], dtype=float), np.array([[e], [0.0]])
     cols = _rule_block(cfg, c, r, soc, [np.empty_like(r) for _ in range(6)],
-                       headroom=_headroom(cfg, state.e))
-    step = DispatchStep(*[col.item() for col in cols[1:6]])
-    return step, SocState(e=soc.item(1))
+                       headroom=_headroom(cfg, e))
+    return DispatchStep(*[col.item() for col in cols[1:5]]), soc.item(1)
 
 
 def rt_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> DispatchTrace:
@@ -572,9 +566,11 @@ def validate_trace(
     *,
     power_tol: float = POWER_TOL,
     soc_tol: float = SOC_TOL,
-) -> list[tuple[int, FeasibilityVerdict]]:
-    """check_step_feasible over every step, as one column-wise check;
-    returns the offending (k, verdict) in step order."""
+) -> list[tuple[int, tuple[str, ...]]]:
+    """check_step_feasible over every step, as one column-wise check.
+    Returns (k, violations) for each infeasible step k, in step order, with
+    the messages check_step_feasible gives; an empty list means the whole
+    trace is feasible."""
     return _envelope_violations(
         cfg, trace.p_gen, trace.p_load, trace.p_discharge, trace.p_charge, trace.soc[1:],
         power_tol=power_tol, soc_tol=soc_tol,

@@ -26,12 +26,9 @@ __all__ = [
     "LoadParams",
     "BatteryParams",
     "HesConfig",
-    "SocState",
     "DispatchStep",
-    "FeasibilityVerdict",
     "soc_change",
     "soc_step",
-    "hes_output",
     "check_step_feasible",
     "ensure_dispatchable",
 ]
@@ -157,13 +154,6 @@ class HesConfig:
 
 
 @dataclass(frozen=True)
-class SocState:
-    """Battery state of charge, dimensionless."""
-
-    e: float
-
-
-@dataclass(frozen=True)
 class DispatchStep:
     """Asset powers for one interval (MW). p_charge <= 0 <= p_discharge."""
 
@@ -171,34 +161,11 @@ class DispatchStep:
     p_load: float
     p_discharge: float
     p_charge: float
-    p_hes: float
-
-    @classmethod
-    def from_assets(
-        cls, p_gen: float, p_load: float, p_discharge: float, p_charge: float
-    ) -> "DispatchStep":
-        """Build a step with the combined output filled in."""
-        return cls(
-            p_gen=p_gen,
-            p_load=p_load,
-            p_discharge=p_discharge,
-            p_charge=p_charge,
-            p_hes=p_gen - p_load + p_discharge + p_charge,
-        )
-
-
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    """Outcome of a per-step feasibility check.
-
-    ``violations`` holds human-readable labels, empty when the step is clean.
-    """
-
-    violations: tuple[str, ...]
 
     @property
-    def feasible(self) -> bool:
-        return not self.violations
+    def p_hes(self) -> float:
+        """Combined grid injection, summed in the rule's order."""
+        return self.p_gen - self.p_load + self.p_discharge + self.p_charge
 
 
 def soc_change(batt: BatteryParams, p_charge, p_discharge, dt: float):
@@ -208,16 +175,11 @@ def soc_change(batt: BatteryParams, p_charge, p_discharge, dt: float):
 
 
 def soc_step(
-    batt: BatteryParams, state: SocState, p_charge: float, p_discharge: float, dt: float
-) -> SocState:
-    """Advance SoC one interval of ``dt`` hours. No clamping or checks here;
+    batt: BatteryParams, e: float, p_charge: float, p_discharge: float, dt: float
+) -> float:
+    """Advance SoC e one interval of ``dt`` hours. No clamping or checks here;
     feasibility is the caller's problem (see check_step_feasible)."""
-    return SocState(e=state.e + soc_change(batt, p_charge, p_discharge, dt))
-
-
-def hes_output(step: DispatchStep) -> float:
-    """Combined grid injection of one step, recomputed from the assets."""
-    return step.p_gen - step.p_load + step.p_discharge + step.p_charge
+    return e + soc_change(batt, p_charge, p_discharge, dt)
 
 
 def _bound(label: str, name: str, x: np.ndarray, lo: float, hi: float, tol: float):
@@ -230,12 +192,13 @@ def _bound(label: str, name: str, x: np.ndarray, lo: float, hi: float, tol: floa
 def _envelope_violations(
     cfg: HesConfig, p_gen, p_load, p_discharge, p_charge, soc_next,
     *, power_tol: float = POWER_TOL, soc_tol: float = SOC_TOL,
-) -> list[tuple[int, FeasibilityVerdict]]:
+) -> list[tuple[int, tuple[str, ...]]]:
     """The envelope over float64 columns of steps, one whole-column test per
-    constraint: (k, verdict) for each step k that breaks it, in step order.
+    constraint: (k, violations) for each step k that breaks it, in step
+    order.
 
-    Each verdict collects every violated constraint rather than stopping at
-    the first, so fuzz harnesses can report what actually broke:
+    Each step's violations name every constraint it breaks rather than
+    stopping at the first, so fuzz harnesses can report what actually broke:
 
     - generator within [p_min, p_max]
     - load within [0, p_max]
@@ -261,7 +224,7 @@ def _envelope_violations(
     )
     failing = np.logical_or.reduce([mask for mask, _ in checks])
     return [
-        (k, FeasibilityVerdict(tuple(message(k) for mask, message in checks if mask[k])))
+        (k, tuple(message(k) for mask, message in checks if mask[k]))
         for k in np.flatnonzero(failing).tolist()
     ]
 
@@ -269,18 +232,19 @@ def _envelope_violations(
 def check_step_feasible(
     cfg: HesConfig,
     step: DispatchStep,
-    e_next: SocState,
+    e_next: float,
     *,
     power_tol: float = POWER_TOL,
     soc_tol: float = SOC_TOL,
-) -> FeasibilityVerdict:
-    """Check one dispatch step against asset limits: the one-step view of
-    _envelope_violations."""
+) -> tuple[str, ...]:
+    """Check one dispatch step and the SoC it leads to against the asset
+    limits: the one-step view of _envelope_violations. Returns a message
+    per broken constraint; an empty tuple means the step is feasible."""
     cols = np.array(
-        [[step.p_gen], [step.p_load], [step.p_discharge], [step.p_charge], [e_next.e]], dtype=float
+        [[step.p_gen], [step.p_load], [step.p_discharge], [step.p_charge], [e_next]], dtype=float
     )
     bad = _envelope_violations(cfg, *cols, power_tol=power_tol, soc_tol=soc_tol)
-    return bad[0][1] if bad else FeasibilityVerdict(violations=())
+    return bad[0][1] if bad else ()
 
 
 def ensure_dispatchable(cfg: HesConfig) -> None:

@@ -137,7 +137,7 @@ def same_bits(a, b) -> bool:
 def batch_envelope(cfg: HesConfig, c: float, samples: np.ndarray, *, power_tol, soc_tol):
     """The envelope check over every step of the rule's columns
     (controller._rule_columns, the whole window as one block) on (windows,
-    steps) samples. Returns the (k, verdict) violations, k over the
+    steps) samples. Returns the (k, violations) pairs, k over the
     flattened step-major columns, and the step-major SoC, shape
     (steps + 1, windows), which rt_dispatch_batch's must equal."""
     cols = controller._rule_columns(cfg, c, samples.T, cfg.batt.soc_init)

@@ -368,15 +368,26 @@ class TestAsymSweep:
         # more generator headroom never hurts the bid
         assert float(rows[1][1]) >= float(rows[0][1]) - 1e-9
 
-    def test_empty_values_is_empty_sweep(self, config_path, tmp_path):
+    @pytest.mark.parametrize("values", ["", " , "], ids=["empty", "commas-only"])
+    def test_values_with_no_number_refused(self, config_path, tmp_path, capsys, values):
         out = tmp_path / "o"
-        assert (
-            run(["asym-sweep", "--config", config_path, "--vary", "load", "--values",
-                 "", "--out", out])
-            == 0
-        )
-        report = json.loads((out / "asym_sweep.json").read_text())
-        assert report["results"] == []
+        assert run(["asym-sweep", "--config", config_path, "--vary", "load", "--values",
+                    values, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --values needs at least one number, got {values!r}"
+        ]
+        assert not out.exists()
+
+    def test_single_window_refused_before_any_write(self, tmp_path, capsys):
+        p = tmp_path / "one.ini"
+        p.write_text(BASE.replace("synth_windows = 5", "synth_windows = 1"))
+        out = tmp_path / "o"
+        assert run(["asym-sweep", "--config", p, "--vary", "gen", "--values", "0,8",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bid selection needs >= 2 windows, archive has 1"
+        ]
+        assert not out.exists()
 
     def test_bad_values_rejected(self, config_path, capsys):
         assert (
@@ -516,6 +527,30 @@ class TestSocDrift:
                     "--capacity", 6, "--out", out]) == 1
         assert "soc-drift --vary needs --values" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("vary", [[], ["--vary", "gen"]], ids=["no-vary", "vary"])
+    def test_values_with_no_number_refused(self, config_path, tmp_path, capsys, vary):
+        # not read as "no --values": without --vary that ran the base case
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", config_path, *vary, "--values", "",
+                    "--capacity", 6, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --values needs at least one number, got ''"
+        ]
+        assert not out.exists()
+
+    def test_single_window_needs_a_capacity(self, tmp_path, capsys):
+        # with no --capacity the bid is selected, which needs two windows
+        p = tmp_path / "one.ini"
+        p.write_text(BASE.replace("synth_windows = 5", "synth_windows = 1"))
+        out = tmp_path / "o"
+        assert run(["soc-drift", "--config", p, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bid selection needs >= 2 windows, archive has 1"
+        ]
+        assert not out.exists()
+        assert run(["soc-drift", "--config", p, "--capacity", 12, "--out", out]) == 0
+        assert json.loads((out / "soc_drift.json").read_text())["cases"][0]["windows"] == 1
 
     def test_bracket_error_names_the_value(self, tmp_path, capsys):
         p = tmp_path / "exp.ini"
@@ -911,6 +946,8 @@ class TestPlumbing:
         p.write_text(text)
         out = tmp_path / "o"
         args = ["dispatch", "--mode", "rt", "--capacity", 8] if command == "dispatch" else [command]
+        if (config, command) == ("capacity-1e-308-drifting", "soc-drift"):
+            args += ["--capacity", 8]  # one window: no bid to select
         assert run([*args, "--config", p, "--out", out]) == 0
         assert capsys.readouterr().err == ""
         if command == "dispatch":

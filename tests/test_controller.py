@@ -9,7 +9,6 @@ from hes_regkit import (
     RegSignal,
     SignalError,
     SignalRangeError,
-    SocState,
     closed_form_dispatch,
     load_trace_csv,
     offline_dispatch,
@@ -37,7 +36,7 @@ class TestRtStep:
         self.cfg = reference_system()
 
     def test_upward_uses_generator_then_battery(self):
-        step, _ = rt_step(self.cfg, 12.21, 0.5, SocState(0.5))
+        step, _ = rt_step(self.cfg, 12.21, 0.5, 0.5)
         assert step.p_gen == 3.0
         assert step.p_load == 0.0
         assert step.p_charge == 0.0
@@ -45,36 +44,36 @@ class TestRtStep:
         assert step.p_hes == pytest.approx(6.105, abs=1e-12)
 
     def test_downward_saturates_both_assets(self):
-        step, nxt = rt_step(self.cfg, 12.21, -1.0, SocState(0.5))
+        step, nxt = rt_step(self.cfg, 12.21, -1.0, 0.5)
         assert step.p_load == 3.0
         assert step.p_charge == -5.0
         assert step.p_hes == -8.0
         # charging at 5 MW for 2 s raises SoC by 0.95 * 5 * dt / 5
-        assert nxt.e == pytest.approx(0.5 + 0.95 * DT_2S, abs=1e-15)
+        assert nxt == pytest.approx(0.5 + 0.95 * DT_2S, abs=1e-15)
 
     def test_empty_battery_cannot_discharge(self):
-        step, _ = rt_step(self.cfg, 10.0, 0.2, SocState(0.1))
+        step, _ = rt_step(self.cfg, 10.0, 0.2, 0.1)
         assert step.p_discharge == 0.0
         assert step.p_hes == 2.0
 
     def test_full_battery_cannot_charge(self):
-        step, _ = rt_step(self.cfg, 10.0, -1.0, SocState(0.9))
+        step, _ = rt_step(self.cfg, 10.0, -1.0, 0.9)
         assert step.p_charge == 0.0
         assert step.p_hes == -3.0
 
     def test_partial_headroom_throttles_discharge(self):
         cfg = reference_system(dt=0.1)  # big steps so headroom binds
         e = 0.1 + 0.02  # delta_d = 0.95 * 0.02 * 5 / (0.1 * 5) = 0.19
-        step, nxt = rt_step(cfg, 20.0, 1.0, SocState(e))
+        step, nxt = rt_step(cfg, 20.0, 1.0, e)
         assert step.p_discharge == pytest.approx(0.19 * 5.0, abs=1e-12)
-        assert nxt.e == pytest.approx(0.1, abs=1e-12)  # lands exactly on the floor
+        assert nxt == pytest.approx(0.1, abs=1e-12)  # lands exactly on the floor
 
     def test_zero_command_idles(self):
-        step, nxt = rt_step(self.cfg, 10.0, 0.0, SocState(0.5))
+        step, nxt = rt_step(self.cfg, 10.0, 0.0, 0.5)
         assert step.p_hes == 0.0
         assert (step.p_gen, step.p_load, step.p_discharge) == (0.0, 0.0, 0.0)
         assert step.p_charge == 0.0
-        assert nxt.e == 0.5
+        assert type(nxt) is float and nxt == 0.5
 
     @pytest.mark.parametrize(
         "c, r_k, e, gen_p_min, error, match",
@@ -100,7 +99,7 @@ class TestRtStep:
                 cfg, gen=dataclasses.replace(cfg.gen, p_min=gen_p_min)
             )
         with pytest.raises(error, match=match):
-            rt_step(cfg, c, r_k, SocState(e))
+            rt_step(cfg, c, r_k, e)
 
     @pytest.mark.parametrize("r_k", [1.0, -1.0])
     def test_accepts_every_soc_the_rule_gives(self, r_k):
@@ -109,11 +108,11 @@ class TestRtStep:
         cfg = reference_system(dt=0.1)
         batt = cfg.batt
         e = batt.soc_min + 1e-6 if r_k > 0 else batt.soc_max - 1e-6
-        _, nxt = rt_step(cfg, 20.0, r_k, SocState(e))
-        assert abs(nxt.e - (batt.soc_min if r_k > 0 else batt.soc_max)) <= 1e-15
+        _, nxt = rt_step(cfg, 20.0, r_k, e)
+        assert abs(nxt - (batt.soc_min if r_k > 0 else batt.soc_max)) <= 1e-15
         rt_step(cfg, 20.0, r_k, nxt)
         for edge in (batt.soc_min - 0.5e-12, batt.soc_max + 0.5e-12):
-            rt_step(cfg, 20.0, r_k, SocState(edge))
+            rt_step(cfg, 20.0, r_k, edge)
 
 
 class TestRtDispatch:

@@ -1,5 +1,6 @@
 """Asset parameter validation, SoC stepping, per-step feasibility checks."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -11,10 +12,8 @@ from hes_regkit import (
     GeneratorParams,
     HesConfig,
     LoadParams,
-    SocState,
     check_step_feasible,
     ensure_dispatchable,
-    hes_output,
     rt_dispatch,
     rt_step,
     soc_step,
@@ -120,8 +119,8 @@ class TestValidation:
         # both products are the least subnormal; the rule runs on it
         cfg = HesConfig(GeneratorParams(3.0), LoadParams(3.0), make_batt(p_max=5e-324), 1.0)
         assert cfg.dt * cfg.batt.p_max == cfg.batt.eta_c * cfg.dt * cfg.batt.p_max == 5e-324
-        step, nxt = rt_step(cfg, 1.0, -0.5, SocState(0.5))
-        assert (step.p_load, step.p_charge, nxt.e) == (0.5, 0.0, 0.5)
+        step, nxt = rt_step(cfg, 1.0, -0.5, 0.5)
+        assert (step.p_load, step.p_charge, nxt) == (0.5, 0.0, 0.5)
 
     @pytest.mark.parametrize("eta_d", [5e-324, 1e-320, float(np.nextafter(sys.float_info.min, 0.0))])
     def test_battery_refuses_a_subnormal_eta_d(self, eta_d):
@@ -160,104 +159,82 @@ class TestSocStep:
     def test_charging_raises_soc_with_efficiency_loss(self):
         # full-power charge for one hour: de = -0.95 * (-5) * 1 / 5 = +0.95
         batt = make_batt()
-        out = soc_step(batt, SocState(0.5), p_charge=-5.0, p_discharge=0.0, dt=1.0)
-        assert out.e == pytest.approx(1.45, abs=1e-15)
+        out = soc_step(batt, 0.5, p_charge=-5.0, p_discharge=0.0, dt=1.0)
+        assert out == pytest.approx(1.45, abs=1e-15)
 
     def test_discharging_drains_more_than_delivered(self):
         batt = make_batt()
-        out = soc_step(batt, SocState(0.5), p_charge=0.0, p_discharge=5.0, dt=1.0)
-        assert out.e == pytest.approx(0.5 - 1.0 / 0.95, abs=1e-12)
+        out = soc_step(batt, 0.5, p_charge=0.0, p_discharge=5.0, dt=1.0)
+        assert out == pytest.approx(0.5 - 1.0 / 0.95, abs=1e-12)
 
     def test_no_clamping(self):
         # stepping is pure dynamics; envelope enforcement is a separate check
         batt = make_batt()
-        out = soc_step(batt, SocState(0.9), p_charge=-5.0, p_discharge=0.0, dt=1.0)
-        assert out.e > batt.soc_max
+        out = soc_step(batt, 0.9, p_charge=-5.0, p_discharge=0.0, dt=1.0)
+        assert out > batt.soc_max
 
     def test_two_second_interval(self):
         batt = make_batt()
-        out = soc_step(batt, SocState(0.5), p_charge=-5.0, p_discharge=0.0, dt=2 / 3600)
-        assert out.e == pytest.approx(0.5 + 0.95 * 5.0 * (2 / 3600) / 5.0, abs=1e-15)
+        out = soc_step(batt, 0.5, p_charge=-5.0, p_discharge=0.0, dt=2 / 3600)
+        assert out == pytest.approx(0.5 + 0.95 * 5.0 * (2 / 3600) / 5.0, abs=1e-15)
 
     def test_idle_is_exact_identity(self):
         batt = make_batt()
-        assert soc_step(batt, SocState(0.37), 0.0, 0.0, 1.0).e == 0.37
+        assert soc_step(batt, 0.37, 0.0, 0.0, 1.0) == 0.37
 
 
 class TestDispatchStep:
-    def test_from_assets_combines_with_sign_convention(self):
-        step = DispatchStep.from_assets(3.0, 1.0, 2.0, -0.5)
+    def test_p_hes_combines_with_sign_convention(self):
+        # the four asset powers are the fields; p_hes is derived from them
+        step = DispatchStep(3.0, 1.0, 2.0, -0.5)
+        assert [f.name for f in dataclasses.fields(step)] == [
+            "p_gen", "p_load", "p_discharge", "p_charge"
+        ]
         assert step.p_hes == 3.0 - 1.0 + 2.0 - 0.5
-        assert hes_output(step) == step.p_hes
 
     def test_charge_counts_negative(self):
-        step = DispatchStep.from_assets(0.0, 0.0, 0.0, -4.0)
-        assert hes_output(step) == -4.0
+        assert DispatchStep(0.0, 0.0, 0.0, -4.0).p_hes == -4.0
 
 
 class TestFeasibility:
     def setup_method(self):
         self.cfg = reference_system()
 
+    def check(self, *powers, e_next=0.5, **tols):
+        return check_step_feasible(self.cfg, DispatchStep(*powers), e_next, **tols)
+
     def test_clean_step_passes(self):
-        step = DispatchStep.from_assets(3.0, 0.0, 5.0, 0.0)
-        verdict = check_step_feasible(self.cfg, step, SocState(0.4))
-        assert verdict.feasible
-        assert verdict.violations == ()
+        assert self.check(3.0, 0.0, 5.0, 0.0, e_next=0.4) == ()
 
     def test_generator_violation(self):
-        step = DispatchStep.from_assets(3.5, 0.0, 0.0, 0.0)
-        verdict = check_step_feasible(self.cfg, step, SocState(0.5))
-        assert not verdict.feasible
-        assert any("generator" in v for v in verdict.violations)
+        violations = self.check(3.5, 0.0, 0.0, 0.0)
+        assert violations
+        assert any("generator" in v for v in violations)
 
     def test_load_violation(self):
-        step = DispatchStep.from_assets(0.0, 3.2, 0.0, 0.0)
-        verdict = check_step_feasible(self.cfg, step, SocState(0.5))
-        assert any("load" in v for v in verdict.violations)
+        assert any("load" in v for v in self.check(0.0, 3.2, 0.0, 0.0))
 
     def test_battery_power_violations(self):
-        over_d = DispatchStep.from_assets(0.0, 0.0, 5.5, 0.0)
-        over_c = DispatchStep.from_assets(0.0, 0.0, 0.0, -5.5)
-        assert any(
-            "discharge" in v
-            for v in check_step_feasible(self.cfg, over_d, SocState(0.5)).violations
-        )
-        assert any(
-            "charge" in v
-            for v in check_step_feasible(self.cfg, over_c, SocState(0.5)).violations
-        )
+        assert any("discharge" in v for v in self.check(0.0, 0.0, 5.5, 0.0))
+        assert any("charge" in v for v in self.check(0.0, 0.0, 0.0, -5.5))
 
     def test_complementarity_violation(self):
-        step = DispatchStep.from_assets(0.0, 0.0, 1.0, -1.0)
-        verdict = check_step_feasible(self.cfg, step, SocState(0.5))
-        assert any("complementarity" in v for v in verdict.violations)
+        assert any("complementarity" in v for v in self.check(0.0, 0.0, 1.0, -1.0))
 
     def test_soc_violation(self):
-        step = DispatchStep.from_assets(0.0, 0.0, 0.0, 0.0)
-        verdict = check_step_feasible(self.cfg, step, SocState(0.95))
-        assert any("soc" in v for v in verdict.violations)
-        low = check_step_feasible(self.cfg, step, SocState(0.05))
-        assert any("soc" in v for v in low.violations)
+        assert any("soc" in v for v in self.check(0.0, 0.0, 0.0, 0.0, e_next=0.95))
+        assert any("soc" in v for v in self.check(0.0, 0.0, 0.0, 0.0, e_next=0.05))
 
     def test_multiple_violations_all_reported(self):
-        step = DispatchStep.from_assets(4.0, 0.0, 6.0, -1.0)
-        verdict = check_step_feasible(self.cfg, step, SocState(1.2))
-        assert len(verdict.violations) >= 3
+        assert len(self.check(4.0, 0.0, 6.0, -1.0, e_next=1.2)) >= 3
 
     def test_power_tolerance_edge(self):
-        just_in = DispatchStep.from_assets(0.0, 0.0, 5.0 + 5e-10, 0.0)
-        just_out = DispatchStep.from_assets(0.0, 0.0, 5.0 + 1e-8, 0.0)
-        assert check_step_feasible(self.cfg, just_in, SocState(0.5)).feasible
-        assert not check_step_feasible(self.cfg, just_out, SocState(0.5)).feasible
+        assert self.check(0.0, 0.0, 5.0 + 5e-10, 0.0) == ()
+        assert self.check(0.0, 0.0, 5.0 + 1e-8, 0.0) != ()
 
     def test_soc_tolerance_edge(self):
-        step = DispatchStep.from_assets(0.0, 0.0, 0.0, 0.0)
-        assert check_step_feasible(self.cfg, step, SocState(0.9 + 5e-13)).feasible
-        assert not check_step_feasible(self.cfg, step, SocState(0.9 + 1e-11)).feasible
+        assert self.check(0.0, 0.0, 0.0, 0.0, e_next=0.9 + 5e-13) == ()
+        assert self.check(0.0, 0.0, 0.0, 0.0, e_next=0.9 + 1e-11) != ()
 
     def test_custom_tolerances(self):
-        step = DispatchStep.from_assets(0.0, 0.0, 5.001, 0.0)
-        assert check_step_feasible(
-            self.cfg, step, SocState(0.5), power_tol=0.01
-        ).feasible
+        assert self.check(0.0, 0.0, 5.001, 0.0, power_tol=0.01) == ()

@@ -34,7 +34,6 @@ from hes_regkit import (
     DispatchStep,
     DispatchTrace,
     EmptyArchiveError,
-    FeasibilityVerdict,
     GeneratorParams,
     HesConfig,
     LoadParams,
@@ -42,7 +41,6 @@ from hes_regkit import (
     SignalError,
     SignalParseError,
     SignalRangeError,
-    SocState,
     check_step_feasible,
     closed_form_dispatch,
     dp_oracle,
@@ -100,8 +98,8 @@ def reference_rule(cfg: HesConfig, c: float, samples: np.ndarray, e: float) -> d
             p_load = min(-target, cfg.load.p_max)
             p_discharge = 0.0
             p_charge = min(0.0, max(target + p_load, -delta_c * batt.p_max))
-        step = DispatchStep.from_assets(p_gen, p_load, p_discharge, p_charge)
-        e = soc_step(batt, SocState(e), p_charge, p_discharge, cfg.dt).e
+        step = DispatchStep(p_gen, p_load, p_discharge, p_charge)
+        e = soc_step(batt, e, p_charge, p_discharge, cfg.dt)
         cols["target"].append(target)
         for name in ("p_gen", "p_load", "p_discharge", "p_charge", "p_hes"):
             cols[name].append(getattr(step, name))
@@ -176,10 +174,10 @@ def test_rt_dispatch_matches_reference_bitwise(cfg, c, matrix):
             assert same_bits(getattr(trace, name), ref[name]), name
         assert not has_negative_zero(trace.p_discharge)
         assert not has_negative_zero(trace.p_charge)
-        step, nxt = rt_step(cfg, c, float(row[0]), SocState(cfg.batt.soc_init))
+        step, nxt = rt_step(cfg, c, float(row[0]), cfg.batt.soc_init)
         for name in COLUMNS[1:6]:
             assert same_bits(getattr(step, name), ref[name][0]), name
-        assert same_bits(nxt.e, ref["soc"][1])
+        assert same_bits(nxt, ref["soc"][1])
 
 
 @PROPERTY
@@ -581,7 +579,7 @@ def assert_loop_only_bits(cfg: HesConfig, c: float, cs, matrix):
 
     def every_entry_point():
         return (
-            rt_step(cfg, c, float(matrix[0, 0]), SocState(e0)),
+            rt_step(cfg, c, float(matrix[0, 0]), e0),
             [rt_dispatch(cfg, c, RegSignal(samples=row, dt=cfg.dt)) for row in matrix],
             rt_dispatch_batch(cfg, c, matrix, cfg.dt),
             rt_error_sums(cfg, cs, matrix, cfg.dt),
@@ -594,7 +592,7 @@ def assert_loop_only_bits(cfg: HesConfig, c: float, cs, matrix):
     (step0, nxt0), traces0, batch0, sums0 = loop_only
     for name in COLUMNS[1:6]:
         assert same_bits(getattr(step, name), getattr(step0, name)), name
-    assert same_bits(nxt.e, nxt0.e)
+    assert same_bits(nxt, nxt0)
     for i, (trace, trace0) in enumerate(zip(traces, traces0)):
         for name in COLUMNS:
             assert same_bits(getattr(trace, name), getattr(trace0, name)), (i, name)
@@ -797,11 +795,11 @@ def test_windows_from_a_threshold_match_reference_bitwise(seconds, end):
     assert not controller._route(cfg, e0, 1)
     cs = [20.0, 1.0]
     for c, r in zip(cs * 3, [1.0, -1.0, 0.5, -0.5, 0.0, -0.0]):
-        step, nxt = rt_step(cfg, c, r, SocState(e0))
+        step, nxt = rt_step(cfg, c, r, e0)
         ref = reference_rule(cfg, c, np.array([r]), e0)
         for name in COLUMNS[1:6]:
             assert same_bits(getattr(step, name), ref[name][0]), (c, r, name)
-        assert same_bits(nxt.e, ref["soc"][1]), (c, r)
+        assert same_bits(nxt, ref["soc"][1]), (c, r)
     for n_steps in (2, 5):
         matrix = prefix_windows(n_steps)
         refs = {(c, i): reference_rule(cfg, c, row, e0) for c in cs for i, row in enumerate(matrix)}
@@ -826,7 +824,7 @@ def test_steps_and_windows_near_a_bound_match_reference_bitwise():
     states = [0.1003, 0.9, 0.1, 0.8996, *rng.uniform(0.1, 0.1006, 48),
               *rng.uniform(0.8994, 0.9, 48)]
     commands = rng.choice([1.0, -1.0, 0.5, -0.5, 0.0], size=len(states))
-    steps = [rt_step(cfg, 20.0, float(r), SocState(e)) for e, r in zip(states, commands)]
+    steps = [rt_step(cfg, 20.0, float(r), e) for e, r in zip(states, commands)]
     near = HesConfig(cfg.gen, cfg.load, dataclasses.replace(cfg.batt, soc_init=0.1003), cfg.dt)
     assert controller._route(near, 0.1003, 2)
     windows = rng.choice([1.0, -1.0, 0.5], size=(100, 2))
@@ -835,7 +833,7 @@ def test_steps_and_windows_near_a_bound_match_reference_bitwise():
         ref = reference_rule(cfg, 20.0, np.array([r]), e)
         for name in COLUMNS[1:6]:
             assert same_bits(getattr(step, name), ref[name][0]), (e, r, name)
-        assert same_bits(nxt.e, ref["soc"][1]), (e, r)
+        assert same_bits(nxt, ref["soc"][1]), (e, r)
     for trace, w in zip(traces, windows):
         ref = reference_rule(near, 20.0, w, 0.1003)
         for name in COLUMNS:
@@ -1228,7 +1226,7 @@ def test_offline_entry_points_keep_soc_in_envelope(cfg, c, matrix):
         assert soc_within(cfg, sol.trace.soc, offline_soc_tol(sol.solver_path, sig.n))
 
 
-def reference_check_step(cfg, step, e_next, *, power_tol, soc_tol) -> FeasibilityVerdict:
+def reference_check_step(cfg, step, e_next, *, power_tol, soc_tol) -> tuple[str, ...]:
     """The envelope check as it was: one step, in plain Python floats."""
     violations: list[str] = []
     gen, load, batt = cfg.gen, cfg.load, cfg.batt
@@ -1256,16 +1254,16 @@ def reference_check_step(cfg, step, e_next, *, power_tol, soc_tol) -> Feasibilit
             "complementarity: simultaneous charge and discharge "
             f"(p_discharge={step.p_discharge!r}, p_charge={step.p_charge!r})"
         )
-    if not batt.soc_min - soc_tol <= e_next.e <= batt.soc_max + soc_tol:
+    if not batt.soc_min - soc_tol <= e_next <= batt.soc_max + soc_tol:
         violations.append(
-            f"soc-bounds: e={e_next.e!r} outside [{batt.soc_min}, {batt.soc_max}]"
+            f"soc-bounds: e={e_next!r} outside [{batt.soc_min}, {batt.soc_max}]"
         )
-    return FeasibilityVerdict(violations=tuple(violations))
+    return tuple(violations)
 
 
 def reference_validate(cfg, trace, *, power_tol, soc_tol) -> list:
-    """validate_trace as it was: a DispatchStep, a SocState and a verdict
-    per step."""
+    """validate_trace as it was: a DispatchStep, the next SoC and its
+    violations per step."""
     bad = []
     for k in range(trace.n_steps):
         step = DispatchStep(
@@ -1273,13 +1271,12 @@ def reference_validate(cfg, trace, *, power_tol, soc_tol) -> list:
             p_load=float(trace.p_load[k]),
             p_discharge=float(trace.p_discharge[k]),
             p_charge=float(trace.p_charge[k]),
-            p_hes=float(trace.p_hes[k]),
         )
-        verdict = reference_check_step(
-            cfg, step, SocState(e=float(trace.soc[k + 1])), power_tol=power_tol, soc_tol=soc_tol
+        violations = reference_check_step(
+            cfg, step, float(trace.soc[k + 1]), power_tol=power_tol, soc_tol=soc_tol
         )
-        if not verdict.feasible:
-            bad.append((k, verdict))
+        if violations:
+            bad.append((k, violations))
     return bad
 
 
@@ -1340,12 +1337,10 @@ def test_validate_trace_matches_per_step_loop(case):
     if (power_tol, soc_tol) == (POWER_TOL, SOC_TOL):
         assert validate_trace(cfg, trace) == expected
     # check_step_feasible is the same check on one step
-    verdicts = dict(expected)
+    violations = dict(expected)
     for k in range(trace.n_steps):
-        step = DispatchStep.from_assets(
-            *(float(getattr(trace, name)[k]) for name in COLUMNS[1:5])
+        step = DispatchStep(*(float(getattr(trace, name)[k]) for name in COLUMNS[1:5]))
+        got = check_step_feasible(
+            cfg, step, float(trace.soc[k + 1]), power_tol=power_tol, soc_tol=soc_tol
         )
-        verdict = check_step_feasible(
-            cfg, step, SocState(float(trace.soc[k + 1])), power_tol=power_tol, soc_tol=soc_tol
-        )
-        assert verdict == verdicts.get(k, FeasibilityVerdict(violations=()))
+        assert got == violations.get(k, ())

@@ -216,10 +216,10 @@ def test_trace_holds_the_limits_and_the_soc_envelope(cases):
     for case in cases:
         broken = [
             message
-            for _, verdict in validate_trace(
+            for _, violations in validate_trace(
                 case.cfg, case.oracle.trace, power_tol=POWER_TOL, soc_tol=SOC_TOL
             )
-            for message in verdict.violations
+            for message in violations
             if not message.startswith("complementarity")
         ]
         assert broken == []
