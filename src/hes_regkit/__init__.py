@@ -82,4 +82,22 @@ from .signals import (
     synth_signal,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, sorted; the submodules these imports bind stay out
+__all__ = [
+    "ArchiveStats", "BatchDispatch", "BatteryParams", "BenchmarkReport",
+    "BidCurvePoint", "BidDiagnostics", "BidSolution", "BracketError",
+    "BudgetError", "DispatchStep", "DispatchTrace", "DistributionSummary",
+    "EmptyArchiveError", "EquivalenceError", "GeneratorParams",
+    "HesConfig", "LoadParams", "MarketParams", "OfflineSolution",
+    "POWER_TOL", "PerformanceReport", "RegSignal", "RevenueSummary",
+    "SOC_TOL", "SignalArchive", "SignalError", "SignalParseError",
+    "SignalRangeError", "SignalStats", "SolverError", "SweepGrid",
+    "ZeroSignalError", "archive_stats", "benchmark_controller",
+    "check_step_feasible", "closed_form_dispatch", "dp_oracle",
+    "energy_stats", "ensure_dispatchable", "expected_revenue",
+    "load_archive", "load_trace_csv", "make_report", "mileage",
+    "offline_dispatch", "performance_score", "quantile_lower", "revenue",
+    "rt_dispatch", "rt_dispatch_batch", "rt_step", "save_signal",
+    "save_trace_csv", "score_samples", "soc_step", "solve_bid",
+    "synth_signal", "validate_trace",
+]

@@ -95,6 +95,12 @@ class RunConfig:
     out_dir: str
     seed: int
 
+    def __post_init__(self) -> None:
+        # every source is refused, not only the synthetic one that seeds the
+        # generator: the seed is in each report's config payload and digest
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
+
     def with_overrides(
         self,
         *,

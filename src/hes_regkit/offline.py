@@ -15,7 +15,8 @@ and the grid oracle are deliberately independent of the real-time rule:
 - ``dp_oracle``: value iteration on a discretized SoC grid with a signed
   battery power grid. Complementarity is structural. The LP's fallback,
   and an upper bound on the true optimum. The LP's own value is checked,
-  exactly, by a test-only O(n) solve of the relaxation (tests/relaxation.py).
+  exactly, by ``_solve_relaxation``, an O(n) solve of the relaxation on a
+  fixed slope basis that the tests use and no route calls yet.
 - ``closed_form_dispatch``: the saturation form p_hes = clip(C r, -(load+batt),
   gen+batt), the rule's own kernel with the battery headroom fixed at its
   power rating, valid only while SoC never touches its envelope; doubles as
@@ -30,6 +31,7 @@ reaches it gets an answer.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +40,7 @@ from scipy.optimize import linprog
 from .controller import (
     DispatchTrace,
     _check_inputs,
+    _headroom,
     _net_output,
     _rule_columns,
     _soc_path,
@@ -397,6 +400,265 @@ def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
         complementarity_clean=True,
         dp_value=float(np.interp(batt.soc_init, nodes, values[0])),
     )
+
+
+# MW of tracking error a step of _solve_relaxation may give up to realise
+# its output without overlap: 620x the largest rounding-size gap measured
+# (1.6e-12 MW, on the drift windows of seeds 0-20), and 7e7 under the least
+# a true burn gave up (0.071 MW); see test_rounding_burns_sit_under_the_tolerance
+BURN_TOL_MW = 1e-9
+# the basis slot of each of the step cost's seven slots, in order of d, once
+# reflected (which reverses them), and of G_n's slope (0, 0)
+_REFLECTED = (7, 6, 5, 4, 2, 1, 0)
+_FLAT = 3
+
+
+class _Relaxation(NamedTuple):
+    """The relaxation's optimum G_0(soc_init), as its error (the LP's
+    objective) and the least throughput that attains it, a trace that
+    attains both, and the cost-to-go G_0 .. G_n: one row each, the length
+    of G_k's segment on each slope of _Battery.basis, from soc_min up."""
+
+    value: float
+    throughput: float
+    trace: DispatchTrace
+    cost_to_go: np.ndarray
+
+
+class _Battery:
+    """The (p_discharge, p_charge) pairs of one step, by SoC change d.
+
+    With u = d / alpha, a pair (p, -q), p, q in [0, p_max], changes the SoC
+    by d when eta_c q - p / eta_d = u. Along that line p + (-q) falls as q
+    grows, so b_max(d) is the pair without overlap and b_min(d) the one with
+    the most overlap: p = p_max for d <= d_full and q = p_max beyond it. At
+    d_full both are p_max, and b_min is 0. At output b the charge is q =
+    (u + b / eta_d) / (eta_c - 1 / eta_d), and the throughput p + q = b + 2q.
+    """
+
+    def __init__(self, cfg: HesConfig):
+        batt = cfg.batt
+        self.p = batt.p_max
+        self.eta_c, self.eta_d = batt.eta_c, batt.eta_d
+        self.alpha = cfg.dt / batt.energy_capacity
+        self.d_lo = -self.alpha * self.p / self.eta_d  # full discharge
+        self.d_hi = self.alpha * self.p * self.eta_c  # full charge
+        self.d_full = self.alpha * self.p * (self.eta_c - 1.0 / self.eta_d)
+        self.s_d = self.eta_d / self.alpha  # |slope| of b_max for d < 0
+        self.s_c = 1.0 / (self.alpha * self.eta_c)  # |slope| of b_max for d > 0
+        self.loss = 1.0 - self.eta_d * self.eta_c
+        # throughput slope at a fixed output; where nothing is lost b_min =
+        # b_max, no step holds that output strictly inside, and it goes unused
+        self.s_burn = -2.0 * self.eta_d / (self.alpha * self.loss) if self.loss > 0.0 else 0.0
+        # the step cost's (error, throughput) slopes, in order of d: at b_min,
+        # too much output, below and above d_full (the pair with the most
+        # overlap, the pair without where nothing is lost); at t + load_max,
+        # burning; at b_max, exact, and then too little, each below and above 0
+        full = (self.s_c, -self.s_d) if self.loss > 0.0 else (-self.s_d, self.s_c)
+        step = [
+            (-self.s_c, full[0]), (-self.s_d, full[1]), (0.0, self.s_burn),
+            (0.0, -self.s_d), (0.0, self.s_c), (self.s_d, -self.s_d), (self.s_c, self.s_c),
+        ]
+        # G_k's slopes, ascending: the step's negated and G_n's (0, 0); a
+        # cost-to-go takes its slopes from these eight alone, equal ones
+        # merged. (Where nothing is lost the burn slope, (0, 0), is out of
+        # order, but only rounding gives its slot any length.)
+        self.basis = [(-err, -thr) for err, thr in reversed(step)]
+        self.basis.insert(_FLAT, (0.0, 0.0))
+
+    def b_max(self, d: float) -> float:
+        u = d / self.alpha
+        return -self.eta_d * u if d <= 0.0 else -u / self.eta_c
+
+    def b_min(self, d: float) -> float:
+        u = d / self.alpha
+        if d <= self.d_full:
+            return self.p - (u + self.p / self.eta_d) / self.eta_c
+        return self.eta_d * (self.eta_c * self.p - u) - self.p
+
+    def where_b_max(self, y: np.ndarray) -> np.ndarray:
+        """The d at which b_max(d) = y, for y in [-p_max, p_max]."""
+        return np.where(y >= 0.0, -self.alpha * y / self.eta_d, -self.alpha * self.eta_c * y)
+
+    def where_b_min(self, y: np.ndarray) -> np.ndarray:
+        """The d at which b_min(d) = y, for y in [-p_max, p_max]."""
+        return np.where(
+            y >= 0.0,
+            self.alpha * (self.eta_c * (self.p - y) - self.p / self.eta_d),
+            self.alpha * (self.eta_c * self.p - (self.p + y) / self.eta_d),
+        )
+
+    def realise(self, d: float, b: float) -> tuple[float, float]:
+        """(p_discharge, p_charge) with SoC change d and output b, for b in
+        [b_min(d), b_max(d)]: from the pair without overlap, q grows by x
+        and p by eta_d eta_c x, which keeps d and lowers b by
+        (1 - eta_d eta_c) x."""
+        u = d / self.alpha
+        p, q = (-self.eta_d * u, 0.0) if d <= 0.0 else (0.0, u / self.eta_c)
+        x = (self.b_max(d) - b) / self.loss if self.loss > 0.0 and b < self.b_max(d) else 0.0
+        p = min(max(p + self.eta_d * self.eta_c * x, 0.0), self.p)
+        q = min(max(q + x, 0.0), self.p)
+        return p, -q
+
+
+def _step_knots(bat: _Battery, target: np.ndarray, gen_max: float, load_max: float) -> np.ndarray:
+    """The step costs' knots in d, one row of eight a step: the edges of the
+    seven slots of bat's step slopes. The output is b_min, too much, up to
+    D1 = where_b_min(t + load_max); t + load_max, burning, up to D3 =
+    where_b_max(t + load_max); b_max from there, too little past D2 =
+    where_b_max(t - gen_max). b_min bends at d_full and b_max at 0."""
+    p = bat.p
+    d2 = np.clip(bat.where_b_max(np.clip(target - gen_max, -p, p)), bat.d_lo, bat.d_hi)
+    up = np.clip(target + load_max, -p, p)
+    d3 = np.clip(bat.where_b_max(up), bat.d_lo, d2)
+    d1 = np.clip(bat.where_b_min(up), bat.d_lo, d3)
+    return np.stack(
+        [
+            np.full_like(d1, bat.d_lo), np.minimum(d1, bat.d_full), d1, d3,
+            np.clip(0.0, d3, d2), d2, np.maximum(d2, 0.0), np.full_like(d1, bat.d_hi),
+        ],
+        axis=1,
+    )
+
+
+def _cut_low(lengths: list[float], amount: float, basis: list) -> tuple[float, float]:
+    """Cuts amount off the low end of the segments of these lengths, in
+    place, and returns what the (error, throughput) pair rises by over it."""
+    err = thr = 0.0
+    for i, (s_err, s_thr) in enumerate(basis):
+        take = min(lengths[i], amount)
+        lengths[i] -= take
+        amount -= take
+        err, thr = err + s_err * take, thr + s_thr * take
+    return err, thr
+
+
+def _optimal_range(
+    g_ends: list[float], step_ends: list[float], lo: float, hi: float
+) -> tuple[float, float]:
+    """The next SoCs x in [lo, hi] at which G_{k+1}(x) + g_k(x - e) is
+    least, from the ends of G_{k+1}'s basis slots and of the step's slots,
+    each ascending in x. The two slopes cancel where G's slot is the step's
+    reflected slot; G's slot rises with x and the step's reflected slot
+    falls, so one merge finds the range."""
+    left = right = lo
+    i = j = 0
+    while i < 8 and j < 7 and i <= _REFLECTED[j]:
+        end = min(g_ends[i], step_ends[j], hi)
+        if end > lo:
+            right = end
+            if i < _REFLECTED[j]:
+                left = end
+        if end >= hi:
+            break
+        if g_ends[i] <= step_ends[j]:
+            i += 1
+        else:
+            j += 1
+    return left, right
+
+
+def _rule_change(cfg: HesConfig, t: float, e: float) -> float:
+    """The SoC change the priority rule makes at SoC e for target t."""
+    gen_max, load_max = cfg.gen.p_max, cfg.load.p_max
+    resid = t - min(max(t, 0.0), gen_max) + min(max(-t, 0.0), load_max)
+    d_max, c_max = (float(h) for h in _headroom(cfg, e))
+    p_d = max(min(resid, d_max), 0.0)
+    p_c = min(max(resid, c_max), 0.0)
+    return soc_change(cfg.batt, p_c, p_d, cfg.dt)
+
+
+def _solve_relaxation(cfg: HesConfig, c: float, sig: RegSignal) -> _Relaxation:
+    """Exact O(n) solve of the LP _solve_lp solves, and a least-throughput
+    trace that attains it. No route calls it yet: it is the tests' oracle
+    for HiGHS until the offline route takes it in place of _solve_lp.
+
+    The relaxation minimises sum |C r[k] - p_hes[k]| with the charge and
+    discharge complementarity dropped. Among its optima this takes one with
+    the least battery throughput, sum (p_discharge - p_charge): at a fixed
+    SoC change and output, overlap adds to both powers, so throughput is the
+    convex stand-in for overlap. Values and slopes are pairs (error,
+    throughput), compared lexicographically, as Python tuples are.
+
+    Its cost-to-go on [soc_min, soc_max], G_n = (0, 0) and G_k(e) = min
+    over d of g_k(d) + G_{k+1}(e + d), is convex and piecewise linear. The
+    step cost of a SoC change d is least at the output b = clip(t_k +
+    load.p_max, b_min(d), b_max(d)), t_k = C r[k], with error dist(t_k, [b -
+    load.p_max, b + gen.p_max]) and throughput b + 2q (see _Battery). G_k is
+    the infimal convolution of G_{k+1} with g_k reflected (Rockafellar,
+    Convex Analysis, 1970, section 5), cut to the envelope. Every slope of
+    either comes from one fixed sorted basis, so G_k is its value at soc_min
+    and one segment length per basis slope: the convolution adds the
+    step's lengths, and the cut trims d_hi from the low end, adding slope x
+    length to the value, and -d_lo from the high end.
+
+    The trace is recovered forward from soc_init. At SoC e the optimal
+    changes form an interval; its point nearest the change the priority
+    rule makes from e is taken, and realised at clip(t_k + load.p_max,
+    b_min, b_max), with generator and load split as _assemble_trace splits
+    them. Where the closed form holds, the rule's step is optimal at every
+    step, so the trace is the rule's up to rounding. Where the output lies
+    under b_max by no more than BURN_TOL_MW, the step is realised at b_max,
+    without overlap, at that much error: the lexicographic order would
+    otherwise burn energy at the SoC ceiling to save an error of rounding
+    size."""
+    _check_inputs(cfg, c, sig.dt)
+    _check_steps(sig)
+    batt = cfg.batt
+    gen_max, load_max = cfg.gen.p_max, cfg.load.p_max
+    lo, hi = batt.soc_min, batt.soc_max
+    bat = _Battery(cfg)
+    target = c * sig.samples
+    n = sig.n
+    knots = _step_knots(bat, target, gen_max, load_max)
+    reflected = np.zeros((n, 8))
+    reflected[:, _REFLECTED] = np.diff(knots, axis=1)
+    # at full charge b_min = b_max = -p_max, and the throughput is p_max
+    start = np.maximum(np.maximum(-bat.p - load_max - target, target - gen_max + bat.p), 0.0)
+
+    # backward: (err, thr) is G_k(soc_min), and row k of cost_to_go G_k's lengths
+    cost_to_go = np.zeros((n + 1, 8))
+    cost_to_go[n, _FLAT] = hi - lo
+    err, thr = 0.0, 0.0
+    for k, g_hi in zip(range(n - 1, -1, -1), start[::-1].tolist()):
+        lengths = (cost_to_go[k + 1] + reflected[k]).tolist()
+        rise_err, rise_thr = _cut_low(lengths, bat.d_hi, bat.basis)
+        err, thr = err + g_hi + rise_err, thr + bat.p + rise_thr
+        cut = -bat.d_lo
+        for i in range(7, -1, -1):
+            take = min(lengths[i], cut)
+            lengths[i] -= take
+            cut -= take
+        cost_to_go[k] = lengths
+    rise_err, rise_thr = _cut_low(cost_to_go[0].tolist(), batt.soc_init - lo, bat.basis)
+
+    # forward: at each step the point of the optimal range nearest the
+    # rule's change, realised at the largest output that attains g_k there
+    p_discharge = np.empty(n)
+    p_charge = np.empty(n)
+    net_gl = np.empty(n)
+    soc = np.empty(n + 1)
+    e = soc[0] = batt.soc_init
+    slot_ends = (lo + np.cumsum(cost_to_go[1:], axis=1)).tolist()
+    for k, (t, step) in enumerate(zip(target.tolist(), knots.tolist())):
+        step_ends = [e + x for x in step[1:]]
+        left, right = _optimal_range(
+            slot_ends[k], step_ends, max(lo, e + bat.d_lo), min(hi, e + bat.d_hi)
+        )
+        d = min(max(_rule_change(cfg, t, e), left - e), right - e)
+        b_max = bat.b_max(d)
+        b = min(max(t + load_max, bat.b_min(d)), b_max)
+        if b_max - b <= BURN_TOL_MW:
+            b = b_max
+        p_discharge[k], p_charge[k] = bat.realise(d, b)
+        net_gl[k] = min(max(t - b, -load_max), gen_max)
+        e = soc[k + 1] = e + soc_change(batt, p_charge[k], p_discharge[k], cfg.dt)
+
+    trace = _assemble_trace(
+        cfg, target, np.maximum(net_gl, 0.0), np.maximum(-net_gl, 0.0),
+        p_discharge, p_charge, soc,
+    )
+    return _Relaxation(err + rise_err, thr + rise_thr, trace, cost_to_go)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,6 @@ this list in the same diff."""
 import hes_regkit
 
 PUBLIC_NAMES = [
-    # the submodules the package imports while it loads
-    "bidding",
-    "controller",
-    "model",
-    "offline",
-    "reports",
-    "scoring",
-    "signals",
     # model
     "POWER_TOL",
     "SOC_TOL",

@@ -999,6 +999,12 @@ class TestPlumbing:
         assert capsys.readouterr().err.splitlines() == ["error: gamma must be in (0, 1), got 2.0"]
         assert not out.exists()
 
+    def test_negative_seed_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["bid", "--config", config_path, "--out", out, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: [run] seed must be >= 0, got -1"]
+        assert not out.exists()
+
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
 

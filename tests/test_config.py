@@ -119,6 +119,16 @@ class TestLoad:
         with pytest.raises(ConfigError, match="soc"):
             load_config(write_config(tmp_path, broken))
 
+    def test_negative_seed_refused(self, tmp_path):
+        # with an archive source too: the seed is in every report's digest
+        archive = GOOD.replace(
+            "synth_kind = square-wave\nsynth_n = 120\nsynth_windows = 3\nsynth_amplitude = 0.8\n",
+            "archive = data.csv\n",
+        )
+        for text in (GOOD, archive):
+            with pytest.raises(ConfigError, match=r"^\[run\] seed must be >= 0, got -1$"):
+                load_config(write_config(tmp_path, text.replace("seed = 5", "seed = -1")))
+
     def test_inline_comments_stripped(self, tmp_path):
         cfg = load_config(
             write_config(tmp_path, GOOD.replace("seed = 5", "seed = 5  ; rng seed"))
