@@ -96,10 +96,12 @@ class RunConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        # every source is refused, not only the synthetic one that seeds the
-        # generator: the seed is in each report's config payload and digest
+        # every source is refused, not only the one that reads the key: both
+        # keys are in each report's config payload and digest
         if self.seed < 0:
             raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
+        if self.window_offset < 0:
+            raise ConfigError(f"[signal] window_offset must be >= 0, got {self.window_offset}")
 
     def with_overrides(
         self,

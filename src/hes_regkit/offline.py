@@ -16,7 +16,9 @@ and the grid oracle are deliberately independent of the real-time rule:
   battery power grid. Complementarity is structural. The LP's fallback,
   and an upper bound on the true optimum. The LP's own value is checked,
   exactly, by ``_solve_relaxation``, an O(n) solve of the relaxation on a
-  fixed slope basis that the tests use and no route calls yet.
+  fixed slope basis that the tests use and no route calls yet;
+  ``_relaxation_values`` runs its backward pass on many windows at once,
+  the exact lower bound on any dispatch's error, the rule's included.
 - ``closed_form_dispatch``: the saturation form p_hes = clip(C r, -(load+batt),
   gen+batt), the rule's own kernel with the battery headroom fixed at its
   power rating, valid only while SoC never touches its envelope; doubles as
@@ -48,7 +50,7 @@ from .controller import (
     validate_trace,
 )
 from .model import HesConfig, soc_change
-from .signals import RegSignal
+from .signals import RegSignal, _check_samples
 
 __all__ = [
     "SolverError",
@@ -215,18 +217,18 @@ def _assemble_trace(
     )
 
 
-def _check_steps(sig: RegSignal) -> None:
-    if sig.n > STEP_LIMIT:
+def _check_steps(n: int) -> None:
+    if n > STEP_LIMIT:
         raise BudgetError(
             f"offline benchmark limited to {STEP_LIMIT} steps per window, "
-            f"got {sig.n}; downsample the window first"
+            f"got {n}; downsample the window first"
         )
 
 
 def offline_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
     """Minimum-L1-error dispatch for one window, LP route with fallbacks."""
     _check_inputs(cfg, c, sig.dt)
-    _check_steps(sig)
+    _check_steps(sig.n)
     batt = cfg.batt
     target = c * sig.samples
     g, l, d, pc, e_lp, lp_obj = _solve_lp(cfg, c, sig)
@@ -339,7 +341,7 @@ def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
     battery power magnitude.
     """
     _check_inputs(cfg, c, sig.dt)
-    _check_steps(sig)
+    _check_steps(sig.n)
     batt = cfg.batt
     n = sig.n
     gmax, lmax, pb = cfg.gen.p_max, cfg.load.p_max, batt.p_max
@@ -403,14 +405,18 @@ def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
 
 
 # MW of tracking error a step of _solve_relaxation may give up to realise
-# its output without overlap: 620x the largest rounding-size gap measured
-# (1.6e-12 MW, on the drift windows of seeds 0-20), and 7e7 under the least
+# its output without overlap: 410x the largest rounding-size gap measured
+# (2.4e-12 MW, on the drift windows of seeds 0-20), and 7e7 under the least
 # a true burn gave up (0.071 MW); see test_rounding_burns_sit_under_the_tolerance
 BURN_TOL_MW = 1e-9
 # the basis slot of each of the step cost's seven slots, in order of d, once
-# reflected (which reverses them), and of G_n's slope (0, 0)
-_REFLECTED = (7, 6, 5, 4, 2, 1, 0)
-_FLAT = 3
+# reflected (which reverses them), and of G_n's slope (0, 0); the cuts take
+# the first and the last whole, so they lie outside the basis
+_REFLECTED = (6, 5, 4, 3, 1, 0, -1)
+_FLAT = 2
+# reflected, the step's basis slots end max(D2, 0) - these knots from its start
+_STEP_ENDS = [4, 3, 3, 2, 1, 0]
+_DIFF = np.eye(6) - np.eye(6, k=1)  # slot ends @ _DIFF: their lengths
 
 
 class _Relaxation(NamedTuple):
@@ -450,21 +456,19 @@ class _Battery:
         # throughput slope at a fixed output; where nothing is lost b_min =
         # b_max, no step holds that output strictly inside, and it goes unused
         self.s_burn = -2.0 * self.eta_d / (self.alpha * self.loss) if self.loss > 0.0 else 0.0
-        # the step cost's (error, throughput) slopes, in order of d: at b_min,
-        # too much output, below and above d_full (the pair with the most
-        # overlap, the pair without where nothing is lost); at t + load_max,
-        # burning; at b_max, exact, and then too little, each below and above 0
-        full = (self.s_c, -self.s_d) if self.loss > 0.0 else (-self.s_d, self.s_c)
-        step = [
-            (-self.s_c, full[0]), (-self.s_d, full[1]), (0.0, self.s_burn),
-            (0.0, -self.s_d), (0.0, self.s_c), (self.s_d, -self.s_d), (self.s_c, self.s_c),
-        ]
+        # the step cost's (error, throughput) slopes but its first and last,
+        # in order of d: at b_min, too much output above d_full (the pair with
+        # the most overlap, or without where nothing is lost); at t +
+        # load_max, burning; at b_max, exact, below and above 0, then too little
+        over = (-self.s_d, -self.s_d if self.loss > 0.0 else self.s_c)
+        step = [over, (0.0, self.s_burn), (0.0, -self.s_d), (0.0, self.s_c), (self.s_d, -self.s_d)]
         # G_k's slopes, ascending: the step's negated and G_n's (0, 0); a
-        # cost-to-go takes its slopes from these eight alone, equal ones
+        # cost-to-go takes its slopes from these six alone, equal ones
         # merged. (Where nothing is lost the burn slope, (0, 0), is out of
         # order, but only rounding gives its slot any length.)
         self.basis = [(-err, -thr) for err, thr in reversed(step)]
         self.basis.insert(_FLAT, (0.0, 0.0))
+        self.slopes = np.array(self.basis)
 
     def b_max(self, d: float) -> float:
         u = d / self.alpha
@@ -502,35 +506,51 @@ class _Battery:
 
 
 def _step_knots(bat: _Battery, target: np.ndarray, gen_max: float, load_max: float) -> np.ndarray:
-    """The step costs' knots in d, one row of eight a step: the edges of the
-    seven slots of bat's step slopes. The output is b_min, too much, up to
-    D1 = where_b_min(t + load_max); t + load_max, burning, up to D3 =
-    where_b_max(t + load_max); b_max from there, too little past D2 =
-    where_b_max(t - gen_max). b_min bends at d_full and b_max at 0."""
+    """The step costs' knots in d, seven for each target on a last axis:
+    the ends of the step cost's seven slots, from d_lo. The output is b_min,
+    too much, up to D1 = where_b_min(t + load_max); t + load_max, burning,
+    up to D3 = where_b_max(t + load_max); b_max from there, too little past
+    D2 = where_b_max(t - gen_max). b_min bends at d_full and b_max at 0."""
     p = bat.p
     d2 = np.clip(bat.where_b_max(np.clip(target - gen_max, -p, p)), bat.d_lo, bat.d_hi)
     up = np.clip(target + load_max, -p, p)
     d3 = np.clip(bat.where_b_max(up), bat.d_lo, d2)
     d1 = np.clip(bat.where_b_min(up), bat.d_lo, d3)
-    return np.stack(
-        [
-            np.full_like(d1, bat.d_lo), np.minimum(d1, bat.d_full), d1, d3,
-            np.clip(0.0, d3, d2), d2, np.maximum(d2, 0.0), np.full_like(d1, bat.d_hi),
-        ],
-        axis=1,
-    )
+    ends = [np.minimum(d1, bat.d_full), d1, d3, np.clip(0.0, d3, d2), d2, np.maximum(d2, 0.0)]
+    return np.stack([*ends, np.full_like(d1, bat.d_hi)], axis=-1)
 
 
-def _cut_low(lengths: list[float], amount: float, basis: list) -> tuple[float, float]:
-    """Cuts amount off the low end of the segments of these lengths, in
-    place, and returns what the (error, throughput) pair rises by over it."""
-    err = thr = 0.0
-    for i, (s_err, s_thr) in enumerate(basis):
-        take = min(lengths[i], amount)
-        lengths[i] -= take
-        amount -= take
-        err, thr = err + s_err * take, thr + s_thr * take
-    return err, thr
+def _backward(cfg: HesConfig, target: np.ndarray, keep: bool = False) -> tuple:
+    """The relaxation's backward pass over target's columns, (steps, windows)
+    of C r[k]: each window's G_0(soc_init), an (error, throughput) row, and
+    G_k's basis slot ends from soc_min, row k of a (steps + 1, windows, 6)
+    array if keep, else G_0's alone. A step adds G_{k+1}'s ends and the
+    reflected step's, from g_k(max(D2, 0)), cuts max(D2, 0) off the low end
+    and keeps soc_max - soc_min. The cuts take the step's last slot (d_hi -
+    max(D2, 0) long) and first (at most d_full - d_lo = d_hi <= -d_lo) whole."""
+    batt = cfg.batt
+    gen_max, load_max, span = cfg.gen.p_max, cfg.load.p_max, batt.soc_max - batt.soc_min
+    bat = _Battery(cfg)
+    knots = _step_knots(bat, target, gen_max, load_max)
+    low, top = knots[..., 5:6], knots[..., 5:6] + span
+    step_ends = low - knots[..., _STEP_ENDS]
+    # g_k(max(D2, 0)): output b = clip(t - gen_max, -p_max, 0), throughput -b
+    out = np.clip(target - gen_max, -bat.p, 0.0)
+    err = np.maximum(np.maximum(out - load_max - target, target - gen_max - out), 0.0)
+    start = np.stack([err, -out], axis=-1)
+    n, windows = target.shape
+    value = np.zeros((windows, 2))
+    ends = np.empty((n + 1 if keep else 1, windows, 6))
+    g = ends[n % len(ends)]
+    g[:] = [0.0, 0.0, span, span, span, span]
+    for k in range(n - 1, -1, -1):
+        g = np.add(g, step_ends[k], out=ends[k % len(ends)])
+        # the step's start and its cut mostly cancel: add them first; the cut's
+        # lengths @ slopes keeps throughput digits that ends @ slope differences lose
+        value += start[k] + np.minimum(g, low[k]) @ _DIFF @ bat.slopes
+        np.clip(g, low[k], top[k], out=g)
+        g -= low[k]
+    return value + np.minimum(g, batt.soc_init - batt.soc_min) @ _DIFF @ bat.slopes, ends
 
 
 def _optimal_range(
@@ -543,7 +563,7 @@ def _optimal_range(
     falls, so one merge finds the range."""
     left = right = lo
     i = j = 0
-    while i < 8 and j < 7 and i <= _REFLECTED[j]:
+    while i < 6 and j < 7 and i <= _REFLECTED[j]:
         end = min(g_ends[i], step_ends[j], hi)
         if end > lo:
             right = end
@@ -586,11 +606,9 @@ def _solve_relaxation(cfg: HesConfig, c: float, sig: RegSignal) -> _Relaxation:
     load.p_max, b_min(d), b_max(d)), t_k = C r[k], with error dist(t_k, [b -
     load.p_max, b + gen.p_max]) and throughput b + 2q (see _Battery). G_k is
     the infimal convolution of G_{k+1} with g_k reflected (Rockafellar,
-    Convex Analysis, 1970, section 5), cut to the envelope. Every slope of
-    either comes from one fixed sorted basis, so G_k is its value at soc_min
-    and one segment length per basis slope: the convolution adds the
-    step's lengths, and the cut trims d_hi from the low end, adding slope x
-    length to the value, and -d_lo from the high end.
+    Convex Analysis, 1970, section 5), cut to the envelope. Its slopes come
+    from one fixed sorted basis of six, so _backward holds G_k as its value
+    at soc_min and the ends of the basis slots.
 
     The trace is recovered forward from soc_init. At SoC e the optimal
     changes form an interval; its point nearest the change the priority
@@ -603,62 +621,45 @@ def _solve_relaxation(cfg: HesConfig, c: float, sig: RegSignal) -> _Relaxation:
     otherwise burn energy at the SoC ceiling to save an error of rounding
     size."""
     _check_inputs(cfg, c, sig.dt)
-    _check_steps(sig)
+    _check_steps(sig.n)
     batt = cfg.batt
     gen_max, load_max = cfg.gen.p_max, cfg.load.p_max
     lo, hi = batt.soc_min, batt.soc_max
     bat = _Battery(cfg)
     target = c * sig.samples
     n = sig.n
-    knots = _step_knots(bat, target, gen_max, load_max)
-    reflected = np.zeros((n, 8))
-    reflected[:, _REFLECTED] = np.diff(knots, axis=1)
-    # at full charge b_min = b_max = -p_max, and the throughput is p_max
-    start = np.maximum(np.maximum(-bat.p - load_max - target, target - gen_max + bat.p), 0.0)
+    value, ends = _backward(cfg, target[:, None], keep=True)
 
-    # backward: (err, thr) is G_k(soc_min), and row k of cost_to_go G_k's lengths
-    cost_to_go = np.zeros((n + 1, 8))
-    cost_to_go[n, _FLAT] = hi - lo
-    err, thr = 0.0, 0.0
-    for k, g_hi in zip(range(n - 1, -1, -1), start[::-1].tolist()):
-        lengths = (cost_to_go[k + 1] + reflected[k]).tolist()
-        rise_err, rise_thr = _cut_low(lengths, bat.d_hi, bat.basis)
-        err, thr = err + g_hi + rise_err, thr + bat.p + rise_thr
-        cut = -bat.d_lo
-        for i in range(7, -1, -1):
-            take = min(lengths[i], cut)
-            lengths[i] -= take
-            cut -= take
-        cost_to_go[k] = lengths
-    rise_err, rise_thr = _cut_low(cost_to_go[0].tolist(), batt.soc_init - lo, bat.basis)
-
-    # forward: at each step the point of the optimal range nearest the
-    # rule's change, realised at the largest output that attains g_k there
-    p_discharge = np.empty(n)
-    p_charge = np.empty(n)
-    net_gl = np.empty(n)
+    p_discharge, p_charge, net_gl = np.empty((3, n))
     soc = np.empty(n + 1)
     e = soc[0] = batt.soc_init
-    slot_ends = (lo + np.cumsum(cost_to_go[1:], axis=1)).tolist()
+    slot_ends = (lo + ends[1:, 0]).tolist()
+    knots = _step_knots(bat, target, gen_max, load_max)
     for k, (t, step) in enumerate(zip(target.tolist(), knots.tolist())):
-        step_ends = [e + x for x in step[1:]]
+        step_ends = [e + x for x in step]
         left, right = _optimal_range(
             slot_ends[k], step_ends, max(lo, e + bat.d_lo), min(hi, e + bat.d_hi)
         )
         d = min(max(_rule_change(cfg, t, e), left - e), right - e)
         b_max = bat.b_max(d)
         b = min(max(t + load_max, bat.b_min(d)), b_max)
-        if b_max - b <= BURN_TOL_MW:
-            b = b_max
+        b = b_max if b_max - b <= BURN_TOL_MW else b
         p_discharge[k], p_charge[k] = bat.realise(d, b)
         net_gl[k] = min(max(t - b, -load_max), gen_max)
         e = soc[k + 1] = e + soc_change(batt, p_charge[k], p_discharge[k], cfg.dt)
 
-    trace = _assemble_trace(
-        cfg, target, np.maximum(net_gl, 0.0), np.maximum(-net_gl, 0.0),
-        p_discharge, p_charge, soc,
-    )
-    return _Relaxation(err + rise_err, thr + rise_thr, trace, cost_to_go)
+    trace = _assemble_trace(cfg, target, net_gl, np.zeros(n), p_discharge, p_charge, soc)
+    return _Relaxation(*value[0].tolist(), trace, np.diff(ends[:, 0], prepend=0.0))
+
+
+def _relaxation_values(cfg: HesConfig, c: float, samples: np.ndarray) -> np.ndarray:
+    """_solve_relaxation(cfg, c, RegSignal(row, cfg.dt)).value for each row
+    of samples, (windows, steps), from one backward pass over all of them."""
+    _check_inputs(cfg, c, cfg.dt)
+    samples = np.asarray(samples, dtype=float)
+    _check_samples(samples, 2)
+    _check_steps(samples.shape[1])
+    return _backward(cfg, c * samples.T)[0][:, 0]
 
 
 @dataclass(frozen=True)

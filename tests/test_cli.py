@@ -1005,6 +1005,24 @@ class TestPlumbing:
         assert capsys.readouterr().err.splitlines() == ["error: [run] seed must be >= 0, got -1"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["synthetic", "archive"])
+    def test_negative_window_offset_writes_nothing(self, source, tmp_path, capsys):
+        text = BASE.replace("window_len = 240", "window_len = 240\nwindow_offset = -7")
+        if source == "archive":
+            save_signal(tmp_path / "d.csv", np.zeros(480) + 0.1)
+            text = text.replace(
+                "synth_kind = energy-neutral-random\nsynth_n = 240\nsynth_windows = 5\n",
+                f"archive = {tmp_path / 'd.csv'}\n",
+            )
+        p = tmp_path / "a.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert run(["bid", "--config", p, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [signal] window_offset must be >= 0, got -7"
+        ]
+        assert not out.exists()
+
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
 

@@ -129,6 +129,20 @@ class TestLoad:
             with pytest.raises(ConfigError, match=r"^\[run\] seed must be >= 0, got -1$"):
                 load_config(write_config(tmp_path, text.replace("seed = 5", "seed = -1")))
 
+    def test_negative_window_offset_refused(self, tmp_path):
+        # with a synthetic source too, which reads no offset: it is in every
+        # report's digest
+        archive = GOOD.replace(
+            "synth_kind = square-wave\nsynth_n = 120\nsynth_windows = 3\nsynth_amplitude = 0.8\n",
+            "archive = data.csv\n",
+        )
+        for text in (GOOD, archive):
+            text = text.replace("window_len = 120", "window_len = 120\nwindow_offset = -7")
+            with pytest.raises(
+                ConfigError, match=r"^\[signal\] window_offset must be >= 0, got -7$"
+            ):
+                load_config(write_config(tmp_path, text))
+
     def test_inline_comments_stripped(self, tmp_path):
         cfg = load_config(
             write_config(tmp_path, GOOD.replace("seed = 5", "seed = 5  ; rng seed"))

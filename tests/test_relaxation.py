@@ -31,10 +31,13 @@ from hes_regkit.controller import rt_error_sums
 from hes_regkit.offline import (
     BURN_TOL_MW,
     COMPLEMENTARITY_TOL,
+    BudgetError,
     _Battery,
     _Relaxation,
+    _relaxation_values,
     _solve_relaxation,
 )
+from hes_regkit.signals import SignalError, SignalRangeError
 from helpers import (
     DT_2S,
     SAT_C,
@@ -46,20 +49,24 @@ from helpers import (
 )
 
 FLEETS = 200
-# |value - lp_bound| / max(1, lp_bound): worst 3.6e-13 measured, 280x under
+# |value - lp_bound| / max(1, lp_bound): worst 1.0e-13 measured, 1000x under
 VALUE_RTOL = 1e-10
-# |sum |target - p_hes| - value| / max(1, value): worst 2.7e-11 measured
+# |sum |target - p_hes| - value| / max(1, value): worst 5.8e-12 measured
 TRACE_L1_RTOL = 1e-10
 # the same for sum (p_discharge - p_charge) against the least throughput:
-# worst 3.9e-13 measured
+# worst 1.5e-13 measured
 THROUGHPUT_RTOL = 1e-10
 # MW or SoC, each column against rt_dispatch's on the 103 interior windows:
 # worst 1.5e-13 measured, 6.8x under
 RULE_ATOL = 1e-12
 # (j - value) / max(1, value), j a column of rt_error_sums: at least
-# -2.3e-13, and within 2.3e-13 where the closed form holds, measured over
-# 1 800 columns (150 fleets, 3 capacities, 4 windows); 8.7x under
+# -8.0e-15, and within 5.7e-14 where the closed form holds, measured over
+# 1 800 columns (150 fleets, 3 capacities, 4 windows); 35x under
 BATCH_RTOL = 2e-12
+# _relaxation_values against each window's own solve, relative: 0 measured
+# on the drift windows, bit for bit; the margin is for a BLAS that rounds
+# the slot products of many windows unlike those of one
+VALUES_RTOL = 1e-15
 COLUMNS = ("p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc")
 
 
@@ -134,7 +141,7 @@ def test_cost_to_go_has_at_most_five_pieces(cases, drift_windows):
             assert len(set(errors)) <= 5
 
 
-def test_cost_to_go_has_at_most_eight_pieces(cases, drift_windows):
+def test_cost_to_go_has_at_most_six_pieces(cases, drift_windows):
     # Each G_k's slopes are slopes of G_{k+1} or of the reflected step cost,
     # and equal ones merge, so G_k has at most as many pieces as there are
     # slope pairs. A step cost's pairs (error, throughput), s_d = eta_d /
@@ -144,22 +151,20 @@ def test_cost_to_go_has_at_most_eight_pieces(cases, drift_windows):
     #   b_max, no error:         (0, -s_d) for d < 0, (0, s_c) for d > 0;
     #   b_max, too little:       (s_d, -s_d) for d < 0, (s_c, s_c) for d > 0.
     # (Nothing lost, b_min's throughput slopes are b_max's, (-s_d, s_c).)
-    # Seven pairs, negated in the reflection, and G_n's (0, 0): eight. The
-    # error halves are the five slopes of the relaxation alone. Measured:
-    # 6 over FLEETS and on the drift windows, as the two cuts of each step
-    # take G's first and last slot whole.
+    # The first and the last of these seven pairs lie past the two cuts of
+    # every step, which take them whole. The other five, negated in the
+    # reflection, and G_n's (0, 0): six. The error halves are the five
+    # slopes of the relaxation alone. Measured: 6 over FLEETS and on the
+    # drift windows.
     for case in [*cases, *drift_windows]:
         batt = _Battery(case.cfg)
         s_d, s_c, s_burn = batt.s_d, batt.s_c, batt.s_burn
-        step = {
-            (-s_c, s_c), (-s_d, -s_d), (0.0, s_burn), (0.0, -s_d), (0.0, s_c),
-            (s_d, -s_d), (s_c, s_c),
-        }
-        assert set(batt.basis) == {(0.0, 0.0)} | {(-err, -thr) for err, thr in step}
+        step = {(-s_d, -s_d), (0.0, s_burn), (0.0, -s_d), (0.0, s_c), (s_d, -s_d)}
+        assert batt.basis == sorted({(0.0, 0.0)} | {(-err, -thr) for err, thr in step})
         for lengths in case.oracle.cost_to_go:
             slopes = [s for s, length in zip(batt.basis, lengths) if length > 0.0]
             assert slopes == sorted(set(slopes))
-            assert len(slopes) <= 8
+            assert len(slopes) <= 6
 
 
 def test_trace_attains_the_value(cases):
@@ -202,7 +207,7 @@ def test_rounding_burns_sit_under_the_tolerance(drift_windows, monkeypatch):
     # rounding, to save an error of rounding size, the gap b_max - b. None
     # keeps a step over COMPLEMENTARITY_TOL: the forward pass takes G's slot
     # ends and the step's knots each from its own start, and over seeds 0-20
-    # the gap was at most 1.6e-12 MW; the true burns of FLEETS and of the
+    # the gap was at most 2.4e-12 MW; the true burns of FLEETS and of the
     # saturating instance give up 0.071 MW or more
     monkeypatch.setattr(offline, "BURN_TOL_MW", -1.0)
     burnt = 0
@@ -272,14 +277,37 @@ def test_batch_rule_never_beats_the_value_and_meets_it_when_interior():
         samples = np.stack([random_signal(rng, n, dt).samples for _ in range(3)])
         cs = [random_capacity(rng, cfg) for _ in range(3)]
         for c, row in zip(cs, rt_error_sums(cfg, cs, samples, dt).tolist()):
-            for window, j in zip(samples, row):
-                sig = RegSignal(samples=window, dt=dt)
-                value = _solve_relaxation(cfg, c, sig).value
+            values = _relaxation_values(cfg, c, samples).tolist()
+            for window, j, value in zip(samples, row, values):
                 assert j - value >= -BATCH_RTOL * max(1.0, value)
-                if closed_form_dispatch(cfg, c, sig) is not None:
+                if closed_form_dispatch(cfg, c, RegSignal(samples=window, dt=dt)) is not None:
                     interior += 1
                     assert abs(j - value) <= BATCH_RTOL * max(1.0, value)
     assert interior >= 100
+
+
+def test_batch_values_are_each_windows_value(drift_windows):
+    # one backward pass over the four drift windows at once gives each
+    # window's value as its own solve does
+    cfg, c = drift_windows[0].cfg, drift_windows[0].c
+    values = _relaxation_values(cfg, c, np.stack([window.sig.samples for window in drift_windows]))
+    for value, window in zip(values.tolist(), drift_windows):
+        assert relative(value, window.oracle.value) <= VALUES_RTOL
+
+
+@pytest.mark.parametrize(
+    "samples, error",
+    [
+        (np.zeros(4), SignalError),
+        (np.zeros((2, 1)), SignalError),
+        (np.full((2, 3), 1.5), SignalRangeError),
+        (np.zeros((1, offline.STEP_LIMIT + 1)), BudgetError),
+    ],
+    ids=["1-D", "one step", "out of range", "over STEP_LIMIT"],
+)
+def test_batch_values_refuse_bad_samples(samples, error):
+    with pytest.raises(error):
+        _relaxation_values(reference_system(), 10.0, samples)
 
 
 def test_saturated_commands_hand_value():
