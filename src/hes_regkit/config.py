@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bidding import SweepGrid
-from .model import BatteryParams, GeneratorParams, HesConfig, LoadParams
+from .model import BatteryParams, GeneratorParams, HesConfig, LoadParams, _require_finite
 from .scoring import MarketParams
 from .signals import SYNTH_KINDS, SignalArchive, load_archive, synth_signal
 
@@ -79,6 +79,10 @@ class SynthSpec:
             )
         if self.windows < 1:
             raise ConfigError(f"[signal] synth_windows must be >= 1, got {self.windows}")
+        try:
+            _require_finite("[signal] synth_", self, "amplitude", "bias", "noise")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -157,10 +161,10 @@ window_offset = 0         # samples to skip before the first window
 synth_kind = energy-neutral-random  # or: drifting | square-wave
 synth_n = 1800            # samples per synthetic window
 synth_windows = 8         # number of synthetic windows
-synth_amplitude = 1.0     # energy-neutral-random / square-wave level
+synth_amplitude = 1.0     # energy-neutral-random / square-wave level, finite
 synth_period = 2          # square-wave period, even
 synth_bias = 0.0          # drifting mean level, [-1, 1]
-synth_noise = 0.5         # drifting noise half-width, >= 0
+synth_noise = 0.5         # drifting noise half-width, finite, >= 0
 
 [run]
 out_dir = out             # where reports are written

@@ -602,7 +602,11 @@ def save_trace_csv(path: str | Path, trace: DispatchTrace, r: np.ndarray, c: flo
 
 
 def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
-    """Inverse of save_trace_csv. Returns (trace, r, c)."""
+    """Inverse of save_trace_csv. Returns (trace, r, c).
+
+    A file that disagrees with itself is refused: a row whose target is off
+    c * r, or whose p_hes is off p_gen - p_load + p_discharge + p_charge, by
+    more than POWER_TOL."""
     header, rows, comments = read_csv(path)
     if header != _TRACE_HEADER:
         raise ValueError(f"{path}: unexpected trace header {','.join(header)!r}")
@@ -637,6 +641,17 @@ def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
             f"{path}: data row {i + 1}: {_TRACE_HEADER[j + 1]} must be finite, got {cols[i, j]}"
         )
     r = cols[:, 0]
+    # a file this package writes holds target = c * r and p_hes, summed in
+    # the rule's order, exactly
+    p_hes = _net_output(cols[:, 2], cols[:, 3], cols[:, 5], cols[:, 4])
+    off = np.abs(np.stack([cols[:, 1] - meta["c"] * r, cols[:, 6] - p_hes], axis=1))
+    bad = np.argwhere(off > POWER_TOL)
+    if bad.size:
+        i, j = bad[0].tolist()  # the first in file order
+        name, rule = [("target", "c * r"), ("p_hes", "p_gen - p_load + p_discharge + p_charge")][j]
+        raise ValueError(
+            f"{path}: data row {i + 1}: {name} differs from {rule} by more than {POWER_TOL} MW"
+        )
     soc = np.concatenate([[meta["soc_init"]], cols[:, 7]])
     trace = DispatchTrace(
         target=cols[:, 1],

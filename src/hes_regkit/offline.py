@@ -13,10 +13,12 @@ and the grid oracle are deliberately independent of the real-time rule:
   relaxation burns energy through overlap that netting cannot repair, so
   the oracle is the route there.
 - ``dp_oracle``: value iteration on a discretized SoC grid with a signed
-  battery power grid. Complementarity is structural. The LP's fallback,
-  and an upper bound on the true optimum. The LP's own value is checked,
-  exactly, by ``_solve_relaxation``, an O(n) solve of the relaxation on a
-  fixed slope basis that the tests use and no route calls yet;
+  battery power grid, its backward pass and rollout on one cost function
+  that interpolates the continuation with ``np.interp``. Complementarity is
+  structural. The LP's fallback, and an upper bound on the true optimum.
+  The LP's own value is checked, exactly, by ``_solve_relaxation``, an
+  O(n) solve of the relaxation on a fixed slope basis that the tests use
+  and no route calls yet;
   ``_relaxation_values`` runs its backward pass on many windows at once,
   the exact lower bound on any dispatch's error, the rule's included.
 - ``closed_form_dispatch``: the saturation form p_hes = clip(C r, -(load+batt),
@@ -196,14 +198,12 @@ def _solve_lp(cfg: HesConfig, c: float, sig: RegSignal):
 def _assemble_trace(
     cfg: HesConfig,
     target: np.ndarray,
-    g: np.ndarray,
-    l: np.ndarray,
+    net_gl: np.ndarray,
     d: np.ndarray,
     pc: np.ndarray,
     soc: np.ndarray,
 ) -> DispatchTrace:
-    # re-split gen/load one-sidedly; LP may park them on both sides at once
-    net_gl = g - l
+    # split net gen/load one-sidedly; the LP may park them on both sides at once
     g2 = np.clip(net_gl, 0.0, cfg.gen.p_max)
     l2 = g2 - net_gl
     return DispatchTrace(
@@ -236,7 +236,7 @@ def offline_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolutio
     overlap = float(np.max(d * (-pc)))
     if overlap <= COMPLEMENTARITY_TOL:
         soc = np.concatenate([[batt.soc_init], e_lp])
-        trace = _assemble_trace(cfg, target, g, l, d, pc, soc)
+        trace = _assemble_trace(cfg, target, g - l, d, pc, soc)
         return OfflineSolution(
             trace=trace,
             objective=trace.abs_error(),
@@ -251,7 +251,7 @@ def offline_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolutio
     d2 = np.maximum(net, 0.0)
     pc2 = np.minimum(net, 0.0)
     soc2 = _soc_path(batt, d2, pc2, cfg.dt, np.full(sig.n + 1, batt.soc_init))
-    trace2 = _assemble_trace(cfg, target, g, l, d2, pc2, soc2)
+    trace2 = _assemble_trace(cfg, target, g - l, d2, pc2, soc2)
     obj2 = trace2.abs_error()
     soc_tol = 2e-8 * sig.n + 1e-9  # resimulation compounds solver noise
     repaired_ok = (
@@ -305,28 +305,6 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
     )
 
 
-def _interp_at(x: np.ndarray, xp: np.ndarray):
-    """np.interp(x, xp, fp) as a function of finite fp, for a fixed
-    increasing xp and x within [xp[0], xp[-1]]. The search runs once. Each
-    call gathers np.interp's own formula, slope*(x - xp[j]) + fp[j], and
-    then its case for an x on a node, the last node too: fp[j] itself. So
-    the bits are np.interp's."""
-    j = np.searchsorted(xp, x, side="right") - 1
-    left = np.minimum(j, xp.size - 2)
-    offset = x - xp[left]
-    on_node = np.flatnonzero(x == xp[j])
-    node = j[on_node]
-    dxp = np.diff(xp)
-
-    def interp(fp: np.ndarray) -> np.ndarray:
-        out = (np.diff(fp) / dxp)[left] * offset
-        out += fp[left]
-        out[on_node] = fp[node]
-        return out
-
-    return interp
-
-
 def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
     """Exact-on-grid dispatch via backward value iteration.
 
@@ -345,7 +323,8 @@ def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
     batt = cfg.batt
     n = sig.n
     gmax, lmax, pb = cfg.gen.p_max, cfg.load.p_max, batt.p_max
-    nodes = np.linspace(batt.soc_min, batt.soc_max, _SOC_GRID_POINTS)
+    lo, hi = batt.soc_min, batt.soc_max
+    nodes = np.linspace(lo, hi, _SOC_GRID_POINTS)
 
     b = np.linspace(-pb, pb, _POWER_GRID_POINTS)
     pd_act = np.maximum(b, 0.0)
@@ -354,47 +333,33 @@ def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
     net_act = pd_act + pc_act
 
     target = c * sig.samples
-
-    def stage_cost(t_k: float) -> np.ndarray:
-        # best-case gen/load absorb the residual up to their limits
-        resid = t_k - net_act
-        return np.maximum(resid - gmax, 0.0) + np.maximum(-lmax - resid, 0.0)
-
-    # candidate next-states per (node, action); infeasible moves masked out.
-    # the zero-power action keeps every node feasible, so minima exist.
-    e_next = nodes[:, None] + de_act[None, :]
-    feasible = (e_next >= batt.soc_min - 1e-12) & (e_next <= batt.soc_max + 1e-12)
-    e_next_flat = np.clip(e_next, batt.soc_min, batt.soc_max).ravel()
-
     values = np.zeros((n + 1, _SOC_GRID_POINTS))
-    continuation = _interp_at(e_next_flat, nodes)
+
+    def cost(k: int, e) -> np.ndarray:
+        """Each action's cost from SoC e (a float, or nodes[:, None]) at step
+        k: the stage error, with gen/load absorbing the residual up to their
+        limits, plus the continuation; inf where the move leaves the
+        envelope. The zero-power action keeps every node feasible."""
+        resid = target[k] - net_act
+        e_next = e + de_act
+        total = np.maximum(resid - gmax, 0.0) + np.maximum(-lmax - resid, 0.0)
+        total = total + np.interp(np.clip(e_next, lo, hi), nodes, values[k + 1])
+        return np.where((e_next >= lo - 1e-12) & (e_next <= hi + 1e-12), total, np.inf)
+
     for k in range(n - 1, -1, -1):
-        cont = continuation(values[k + 1]).reshape(e_next.shape)
-        total = stage_cost(float(target[k]))[None, :] + cont
-        values[k] = np.where(feasible, total, np.inf).min(axis=1)
+        values[k] = cost(k, nodes[:, None]).min(axis=1)
 
     # forward rollout from the exact initial state
-    net_gl = np.empty(n)
     acts = np.empty(n, dtype=np.intp)
     soc = np.empty(n + 1)
-    e = batt.soc_init
-    soc[0] = e
+    e = soc[0] = batt.soc_init
     for k in range(n):
-        e2 = e + de_act
-        ok = (e2 >= batt.soc_min - 1e-12) & (e2 <= batt.soc_max + 1e-12)
-        cont = np.interp(
-            np.clip(e2, batt.soc_min, batt.soc_max), nodes, values[k + 1]
-        )
-        total = np.where(ok, stage_cost(float(target[k])) + cont, np.inf)
-        best = float(total.min())
-        tied = np.flatnonzero(total <= best + 1e-12)
-        j = int(tied[np.argmin(np.abs(net_act[tied]))])
-        resid = float(target[k]) - net_act[j]
-        net_gl[k] = min(max(resid, -lmax), gmax)
-        acts[k] = j
-        e = e + de_act[j]
-        soc[k + 1] = e
-    trace = _assemble_trace(cfg, target, net_gl, np.zeros(n), pd_act[acts], pc_act[acts], soc)
+        total = cost(k, e)
+        tied = np.flatnonzero(total <= total.min() + 1e-12)
+        acts[k] = j = tied[np.argmin(np.abs(net_act[tied]))]
+        e = soc[k + 1] = e + de_act[j]
+    net_gl = np.clip(target - net_act[acts], -lmax, gmax)
+    trace = _assemble_trace(cfg, target, net_gl, pd_act[acts], pc_act[acts], soc)
     return OfflineSolution(
         trace=trace,
         objective=trace.abs_error(),
@@ -648,7 +613,7 @@ def _solve_relaxation(cfg: HesConfig, c: float, sig: RegSignal) -> _Relaxation:
         net_gl[k] = min(max(t - b, -load_max), gen_max)
         e = soc[k + 1] = e + soc_change(batt, p_charge[k], p_discharge[k], cfg.dt)
 
-    trace = _assemble_trace(cfg, target, net_gl, np.zeros(n), p_discharge, p_charge, soc)
+    trace = _assemble_trace(cfg, target, net_gl, p_discharge, p_charge, soc)
     return _Relaxation(*value[0].tolist(), trace, np.diff(ends[:, 0], prepend=0.0))
 
 

@@ -1,8 +1,8 @@
 """A year of windows through `bid`, `soc-drift --capacity 12` or `characterize`,
-or the rule against the exact bound.
+the rule against the exact bound, or one STEP_LIMIT window through `dispatch`.
 
     PYTHONPATH=src python tests/fullsize.py [--windows 8760] [--window-len 1800]
-        [--command bid|bound|characterize|soc-drift]
+        [--command bid|bound|characterize|dispatch|soc-drift]
 
 Runs the command in-process on profiles/symmetric.ini with `synth_windows`
 set to --windows and both `synth_n` and `window_len` to --window-len (8 760
@@ -21,7 +21,12 @@ windows take the rule's checked route, that the table has one row per
 window, that at least one window reaches a bound, and that every window's
 SoC minimum and maximum lie within the envelope, SOC_TOL wide. For
 `characterize` it checks that window_stats.csv has one row per window, in
-order. `bound` runs no subcommand: it checks the paper's claim at this
+order. `dispatch --capacity 12 --mode both` runs window 0 of the charging
+drift through the rule and the offline route; run it with --windows 1
+--window-len 20000 (offline.STEP_LIMIT), where the route ends in the grid
+oracle. It checks that the route is `dp`, that both traces load and pass
+validate_trace, and that lp_bound <= j_off and j_off >= V, the relaxation's
+value (below). `bound` runs no subcommand: it checks the paper's claim at this
 size, on the neutral source at 4, 12 and 20 MW and on the charging drift
 at 12 MW, BOUND_BLOCK windows at a time. On every window the rule's L1
 error j (rt_error_sums, the batch entry point bid uses) is no less than the
@@ -95,6 +100,23 @@ def soc_drift_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]
     }
 
 
+def dispatch_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]:
+    bench = json.loads((out / "benchmark.json").read_text())
+    offp = json.loads((out / "performance_offline.json").read_text())
+    j_off, lp_bound = bench["j_off"], offp["lp_bound"]
+    samples = resolve_archive(run).samples[:1]
+    value = float(offline._relaxation_values(run.hes, DRIFT_CAPACITY, samples)[0])
+    print(f"route {bench['solver_path']}: lp_bound {lp_bound!r}, j_off {j_off!r}, relaxation "
+          f"value {value!r}, j_on {bench['j_on']!r}")
+    checks = {"the offline route is dp": bench["solver_path"] == offp["solver_path"] == "dp",
+              "lp_bound <= j_off": lp_bound <= j_off,
+              "j_off >= the relaxation's value": j_off >= value - BOUND_RTOL * max(1.0, value)}
+    for name in ("trace_rt.csv", "trace_offline.csv"):
+        trace, _, _ = controller.load_trace_csv(out / name)
+        checks[f"{name} loads and is feasible"] = controller.validate_trace(run.hes, trace) == []
+    return checks
+
+
 def characterize_checks(run: RunConfig, out: Path, windows: int) -> dict[str, bool]:
     header, rows, _ = read_csv(out / "window_stats.csv")
     print(f"window_stats.csv: {len(rows)} rows")
@@ -109,6 +131,8 @@ COMMANDS = {
     "bid": (NEUTRAL_SOURCE, [], bid_checks),
     "characterize": (NEUTRAL_SOURCE, [], characterize_checks),
     "soc-drift": (DRIFT_SOURCE, ["--capacity", str(DRIFT_CAPACITY)], soc_drift_checks),
+    "dispatch": (DRIFT_SOURCE, ["--capacity", str(DRIFT_CAPACITY), "--mode", "both"],
+                 dispatch_checks),
 }
 
 

@@ -885,6 +885,31 @@ class TestPlumbing:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "command, source, key, value",
+        [
+            (["bid"], "energy-neutral-random", "noise", "inf"),
+            (["bid"], "energy-neutral-random", "bias", "nan"),
+            (["bid"], "energy-neutral-random", "amplitude", "-inf"),
+            (["characterize"], "energy-neutral-random", "noise", "inf"),
+            (["dispatch", "--capacity", 12], "drifting", "noise", "nan"),
+        ],
+    )
+    def test_non_finite_synth_float_refused(self, tmp_path, capsys, command, source, key, value):
+        # bid once wrote bid_curve.csv and then failed serializing the config
+        # digest; a drifting source once failed naming no key
+        text = (Path(__file__).resolve().parents[1] / "profiles" / "symmetric.ini").read_text()
+        text = re.sub(r"(?ms)^\[signal\].*?(?=^\[)", f"[signal]\nsynth_kind = {source}\n"
+                      f"synth_n = 60\nsynth_windows = 3\nsynth_{key} = {value}\n\n", text)
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert run([*command, "--config", p, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [signal] synth_{key} must be finite, got {value}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line, bad, message",
         [
             ("batt_p_max = 5.0", "batt_p_max = 5e-324", "dt * battery p_max = "),

@@ -1,6 +1,7 @@
 """Real-time rule: hand-traced steps, priority/safety properties, batch parity."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -310,4 +311,45 @@ class TestTraceCsv:
         ]
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"t.csv: metadata {key} must be finite, got {value}"):
+            load_trace_csv(p)
+
+    @staticmethod
+    def repaired_trace():
+        """An lp-with-repair trace, its signal and capacity."""
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            cfg = random_system(rng, dt=float(rng.uniform(0.02, 0.08)))
+            sig = random_signal(rng, int(rng.integers(20, 61)), cfg.dt)
+            c = random_capacity(rng, cfg)
+            sol = offline_dispatch(cfg, c, sig)
+            if sol.solver_path == "lp-with-repair":
+                return sol.trace, sig.samples, c
+        pytest.fail("instance distribution no longer exercises the repair path")
+
+    @pytest.mark.parametrize("route", ["rt", "lp-with-repair"])
+    @pytest.mark.parametrize("name", ["p_hes", "target"])
+    def test_rejects_columns_that_disagree(self, tmp_path, route, name):
+        # the reader once took such a file, and make_report scored its L1
+        # error as 234.3 against the true 30.5
+        if route == "rt":
+            sig = synth_signal("drifting", 40, DT_2S, 3, bias=-0.4, noise=0.8)
+            trace, r, c = rt_dispatch(reference_system(), 12.21, sig), sig.samples, 12.21
+        else:
+            trace, r, c = self.repaired_trace()
+        p = save_trace_csv(tmp_path / "t.csv", trace, r, c)
+        loaded, _, _ = load_trace_csv(p)
+        assert same_bits(loaded.p_hes, trace.p_hes)
+        lines = p.read_text().splitlines()
+        # the cell's row and column, the value written, the rule it breaks
+        row, column, value, rule = {
+            "p_hes": (0, 7, "99", "p_gen - p_load + p_discharge + p_charge"),
+            "target": (1, 2, "-99", "c * r"),
+        }[name]
+        data = next(i for i, ln in enumerate(lines) if ln.startswith("k,")) + 1 + row
+        cells = lines[data].split(",")
+        cells[column] = value
+        lines[data] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        problem = f"t.csv: data row {row + 1}: {name} differs from {rule} by more than 1e-09 MW"
+        with pytest.raises(ValueError, match=re.escape(problem)):
             load_trace_csv(p)
