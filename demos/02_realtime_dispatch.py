@@ -12,17 +12,13 @@ With an out_dir it also writes the full trace as CSV.
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from hes_regkit import (
     BatteryParams,
     GeneratorParams,
     HesConfig,
     LoadParams,
     MarketParams,
-    mileage,
-    performance_score,
-    revenue,
+    make_report,
     rt_dispatch,
     save_trace_csv,
     synth_signal,
@@ -41,17 +37,16 @@ sig = synth_signal("energy-neutral-random", n=1800, dt=cfg.dt, seed=7)
 
 for c in (6.0, 12.0):
     trace = rt_dispatch(cfg, c, sig)
-    xp = performance_score(c, sig, trace)
-    pay = revenue(c, xp, market, mileage(sig))
+    report = make_report(trace, market)  # the trace carries c and the signal
     print(f"\nbid C = {c:.0f} MW")
-    print(f"  score x_p     : {xp:.4f}")
+    print(f"  score x_p     : {report.x_p:.4f}")
     print(f"  SoC range     : [{trace.soc.min():.4f}, {trace.soc.max():.4f}] "
           f"(limits 0.10 / 0.90)")
-    print(f"  hourly revenue: ${pay:,.0f}")
+    print(f"  hourly revenue: ${report.revenue:,.0f}")
     print("  k    r       target   gen    load   batt    achieved")
     for k in (0, 1, 2, 600, 1200):
         batt = trace.p_discharge[k] + trace.p_charge[k]
-        print(f"  {k:<4d} {sig.samples[k]:+.3f}  {c * sig.samples[k]:+7.3f}  "
+        print(f"  {k:<4d} {trace.r[k]:+.3f}  {trace.target[k]:+7.3f}  "
               f"{trace.p_gen[k]:5.2f}  {trace.p_load[k]:5.2f}  {batt:+6.2f}  "
               f"{trace.p_hes[k]:+7.3f}")
 
@@ -68,5 +63,5 @@ if len(sys.argv) > 1:
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
     trace = rt_dispatch(cfg, 12.0, sig)
-    save_trace_csv(out / "trace_c12.csv", trace, sig.samples, 12.0)
+    save_trace_csv(out / "trace_c12.csv", trace)
     print(f"\nwrote {out / 'trace_c12.csv'}")

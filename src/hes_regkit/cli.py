@@ -148,12 +148,12 @@ def cmd_dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
     traces, reports = {}, {}
     if mode in ("rt", "both"):
         trace = rt_dispatch(cfg.hes, capacity, sig)
-        perf = make_report(capacity, sig, trace, cfg.market)
+        perf = make_report(trace, cfg.market)
         traces["trace_rt.csv"] = trace
         reports["performance_rt.json"] = {**header, "performance": perf.to_dict()}
     if mode in ("offline", "both"):
         sol = offline_dispatch(cfg.hes, capacity, sig)
-        perf = make_report(capacity, sig, sol.trace, cfg.market)
+        perf = make_report(sol.trace, cfg.market)
         traces["trace_offline.csv"] = sol.trace
         off_report = {**header, "performance": perf.to_dict()}
         for field in dataclasses.fields(sol):
@@ -163,12 +163,12 @@ def cmd_dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
         reports["performance_offline.json"] = off_report
     if mode == "both":
         # what benchmark_controller would compute, from the runs above
-        bench = _benchmark_report(cfg.hes, capacity, sig, trace.abs_error(), sol)
+        bench = _benchmark_report(cfg.hes, sig, trace, sol)
         reports["benchmark.json"] = {**header, **bench.to_dict()}
 
     out = _out_dir(cfg)
     for name, result in traces.items():
-        save_trace_csv(out / name, result, sig.samples, capacity)
+        save_trace_csv(out / name, result)
     for name, report in reports.items():
         write_json(out / name, report)
     return 0

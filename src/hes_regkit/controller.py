@@ -34,13 +34,13 @@ headroom (_route) is not checked.
 rt_dispatch and offline.closed_form_dispatch (every step at full headroom,
 unchecked) run the block once over the whole window (_rule_columns), and
 rt_step runs it for its one step at its state's headroom. Every
-many-window call runs one stream (_rule_stream): all capacities step
+many-window call runs one stream (_stream): all capacities step
 together through the windows a block of steps at a time, and each step's
 |target - p_hes| joins the running L1 sums in step order. rt_error_sums
-keeps only a rotating SoC block, which is all bid scoring needs, and needs
-no split: at full headroom the net output is the command clipped to the
-assets' reach, first to [-load.p_max, gen.p_max], then its rest to
-[-batt.p_max, batt.p_max] (_saturated_error), which gives the same
+(_rule_stream) keeps only a rotating SoC block, which is all bid scoring
+needs, and needs no split: at full headroom the net output is the command
+clipped to the assets' reach, first to [-load.p_max, gen.p_max], then its
+rest to [-batt.p_max, batt.p_max] (_saturated_error), which gives the same
 |target - p_hes| bit for bit. Where the windows are unchecked, a quiet
 capacity (_quiet), one whose two extreme targets c * max r and c * min r
 the assets follow exactly, has an error of exactly 0 at every step: each
@@ -51,12 +51,14 @@ have no quiet rows, since the SoC can derate the battery there: the
 stream tracks each column's SoC range on the way, and re-runs through the
 block body only the (capacity, window) columns whose range is not full
 (_full).
-rt_dispatch_batch is the stream for one capacity, writing each
+rt_dispatch_batch streams the block body for one capacity, writing each
 window's whole SoC path. Every window starts at cfg.batt.soc_init (rt_step
 at the state it is given), every entry point gives the same bits, whatever
 the route or the block size, and so do the bid curve and every artifact
 built from them.
 
+A DispatchTrace holds the capacity and commands it was dispatched for,
+and derives target and p_hes from them and its asset powers.
 validate_trace runs the envelope check of model.check_step_feasible once
 over a trace's columns. Trace files go through reports.write_csv /
 read_csv, with the capacity and the initial SoC as '#' comment lines.
@@ -97,42 +99,53 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DispatchTrace:
-    """Per-step dispatch over one window, as parallel float64 arrays.
+    """Per-step dispatch of capacity c over one window of commands r, as
+    parallel float64 arrays.
 
     ``soc`` has one extra entry: soc[0] is the initial state, soc[k+1] the
-    state after step k.
+    state after step k. ``target``, c * r, and ``p_hes``, the net output
+    summed in the rule's order, are derived from the other fields, so a
+    trace cannot disagree with its own command.
     """
 
-    target: np.ndarray
+    c: float
+    r: np.ndarray
     p_gen: np.ndarray
     p_load: np.ndarray
     p_discharge: np.ndarray
     p_charge: np.ndarray
-    p_hes: np.ndarray
     soc: np.ndarray
 
     def __post_init__(self) -> None:
-        n = None
-        for name in ("target", "p_gen", "p_load", "p_discharge", "p_charge", "p_hes"):
+        c = float(self.c)
+        _check_capacity(c)
+        object.__setattr__(self, "c", c)
+        n = np.size(self.r)
+        for name in ("r", "p_gen", "p_load", "p_discharge", "p_charge", "soc"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise ValueError(f"trace column {name} has {arr.size} rows, expected {n}")
-        soc = np.ascontiguousarray(self.soc, dtype=float)
-        soc.setflags(write=False)
-        object.__setattr__(self, "soc", soc)
-        if soc.size != (n or 0) + 1:
-            raise ValueError(f"soc needs {n + 1} entries, got {soc.size}")
+            rows = n + 1 if name == "soc" else n
+            if arr.size != rows:
+                raise ValueError(f"trace column {name} has {arr.size} rows, expected {rows}")
 
     @property
     def n_steps(self) -> int:
-        return int(self.target.size)
+        return int(self.r.size)
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.c * self.r
+
+    @property
+    def p_hes(self) -> np.ndarray:
+        return _net_output(self.p_gen, self.p_load, self.p_discharge, self.p_charge)
 
     def abs_error(self) -> float:
-        """L1 tracking error, sum |target - p_hes|."""
+        """L1 tracking error, sum |target - p_hes|, added pairwise by np.sum.
+        rt_dispatch_batch and rt_error_sums add in step order, so their sum
+        for the same window can differ in the last bits (README, Numerical
+        conventions)."""
         return float(np.sum(np.abs(self.target - self.p_hes)))
 
 
@@ -365,17 +378,19 @@ def _rule_columns(
     return (*cols, soc)
 
 
-def _check_inputs(cfg: HesConfig, c: float | np.ndarray, dt: float) -> None:
-    """Checks shared by the dispatch entry points.
-
-    ``c`` is one capacity or an array of them; each must be finite and > 0.
-    """
-    ensure_dispatchable(cfg)
+def _check_capacity(c: float | np.ndarray) -> None:
+    """Refuse a capacity (or an array holding one) not finite and > 0."""
     for c_i in np.ravel(c).tolist():
         if not math.isfinite(c_i):
             raise ValueError(f"capacity must be finite, got {c_i}")
         if c_i <= 0.0:
             raise ValueError(f"capacity must be > 0 MW, got {c_i}")
+
+
+def _check_inputs(cfg: HesConfig, c: float | np.ndarray, dt: float) -> None:
+    """Checks shared by the dispatch entry points."""
+    ensure_dispatchable(cfg)
+    _check_capacity(c)
     if dt != cfg.dt:
         raise ValueError(f"signal dt={dt} does not match config dt={cfg.dt}")
 
@@ -399,11 +414,19 @@ def rt_step(cfg: HesConfig, c: float, r_k: float, e: float) -> tuple[DispatchSte
     return DispatchStep(*[col.item() for col in cols[1:5]]), soc.item(1)
 
 
+def _rule_trace(
+    cfg: HesConfig, c: float, sig: RegSignal, full_headroom: bool = False
+) -> DispatchTrace:
+    """The rule over a whole window, from cfg.batt.soc_init (_rule_columns)."""
+    _check_inputs(cfg, c, sig.dt)
+    cols = _rule_columns(cfg, c, sig.samples[:, None], cfg.batt.soc_init, full_headroom)
+    _, p_gen, p_load, p_discharge, p_charge, _, soc = (col[:, 0] for col in cols)
+    return DispatchTrace(c, sig.samples, p_gen, p_load, p_discharge, p_charge, soc)
+
+
 def rt_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> DispatchTrace:
     """Run the rule over a whole window, from cfg.batt.soc_init."""
-    _check_inputs(cfg, c, sig.dt)
-    cols = _rule_columns(cfg, c, sig.samples[:, None], cfg.batt.soc_init)
-    return DispatchTrace(*(col[:, 0] for col in cols))
+    return _rule_trace(cfg, c, sig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +442,7 @@ def rt_dispatch_batch(
     cfg: HesConfig, c: float, samples: np.ndarray, dt: float
 ) -> BatchDispatch:
     """The rule over an (n_windows, n_steps) sample matrix, from
-    cfg.batt.soc_init: the stream of rt_error_sums (_rule_stream) for one
+    cfg.batt.soc_init: the stream (_stream) of the block body for one
     capacity, writing each window's whole SoC path.
 
     Each window's dispatch is bitwise the one rt_dispatch gives. Samples are
@@ -427,10 +450,15 @@ def rt_dispatch_batch(
     """
     _check_inputs(cfg, c, dt)
     samples = np.asarray(samples, dtype=float)
-    r_range = _check_samples(samples, 2)
+    _check_samples(samples, 2)
     soc = np.empty((samples.shape[0], samples.shape[1] + 1))
     soc[:, 0] = cfg.batt.soc_init
-    err_sums = _rule_stream(cfg, np.array([c], dtype=float), samples, r_range, soc.T[:, None])
+    cs = np.array([[c]], dtype=float)
+    checked = _route(cfg, cfg.batt.soc_init, samples.shape[1])
+    err_sums = _stream(
+        cs, samples, 6, lambda r, cols, s: _rule_error(cfg, cs, r, s, cols, checked),
+        soc_path=soc.T[:, None],
+    )
     return BatchDispatch(err_sums=err_sums[0], soc=soc)
 
 
@@ -458,20 +486,17 @@ def rt_error_sums(
 
 
 def _rule_stream(
-    cfg: HesConfig, cs: np.ndarray, samples: np.ndarray, r_range: tuple, soc_path=None
+    cfg: HesConfig, cs: np.ndarray, samples: np.ndarray, r_range: tuple
 ) -> np.ndarray:
     """The rule for every capacity in cs over the (n_windows, n_steps)
     samples, whose least and greatest value are ``r_range``, from
     cfg.batt.soc_init. Returns the (capacities, windows) L1 errors, each
     step's joining the running sums in step order.
 
-    With ``soc_path``, a step-major (steps + 1, capacities, windows) array
-    whose row 0 holds cfg.batt.soc_init, each block runs _rule_block and
-    fills the rows of its steps. Without, no block needs the split: where
-    _route leaves the windows unchecked, the errors come from the
-    saturation form (_saturated_error) alone, with no SoC, and only for the
-    capacities that are not quiet (_quiet); a quiet row's every |error| is
-    +0.0, and so is its sum. Where they are
+    No block needs the split: where _route leaves the windows unchecked,
+    the errors come from the saturation form (_saturated_error) alone, with
+    no SoC, and only for the capacities that are not quiet (_quiet); a quiet
+    row's every |error| is +0.0, and so is its sum. Where they are
     checked, the saturation form also carries each column's SoC in one
     rotating block, and keeps its minimum and maximum over the states the
     steps start from. A column with full headroom at both ends of its range
@@ -483,13 +508,7 @@ def _rule_stream(
     """
     e0 = cfg.batt.soc_init
     c = cs[:, None]
-    checked = _route(cfg, e0, samples.shape[1])
-    if soc_path is not None:
-        return _stream(
-            c, samples, 6, lambda r, cols, soc: _rule_error(cfg, c, r, soc, cols, checked),
-            soc_path=soc_path,
-        )
-    if not checked:
+    if not _route(cfg, e0, samples.shape[1]):
         err_sums = np.zeros((cs.size, samples.shape[0]))
         loud = np.flatnonzero(~_quiet(cfg, cs, *r_range))
         if loud.size:
@@ -580,33 +599,31 @@ def validate_trace(
 _TRACE_HEADER = ["k", "r", "target", "p_gen", "p_load", "p_charge", "p_discharge", "p_hes", "soc"]
 
 
-def save_trace_csv(path: str | Path, trace: DispatchTrace, r: np.ndarray, c: float) -> Path:
+def save_trace_csv(path: str | Path, trace: DispatchTrace) -> Path:
     """Write a dispatch trace; ``soc`` column is the post-step state.
 
     The initial SoC and the capacity ride along as comment metadata so the
     file round-trips through load_trace_csv.
     """
-    r = np.asarray(r, dtype=float)
-    if r.size != trace.n_steps:
-        raise ValueError(f"r has {r.size} rows, trace has {trace.n_steps} steps")
     cols = (
-        r, trace.target, trace.p_gen, trace.p_load,
+        trace.r, trace.target, trace.p_gen, trace.p_load,
         trace.p_charge, trace.p_discharge, trace.p_hes, trace.soc[1:],
     )
     return write_csv(
         path,
         _TRACE_HEADER,
         zip(range(trace.n_steps), *(col.tolist() for col in cols)),
-        comments=(f"c={format_float(c)}", f"soc_init={format_float(trace.soc[0])}"),
+        comments=(f"c={format_float(trace.c)}", f"soc_init={format_float(trace.soc[0])}"),
     )
 
 
 def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
-    """Inverse of save_trace_csv. Returns (trace, r, c).
+    """Inverse of save_trace_csv. Returns (trace, trace.r, trace.c).
 
-    A file that disagrees with itself is refused: a row whose target is off
-    c * r, or whose p_hes is off p_gen - p_load + p_discharge + p_charge, by
-    more than POWER_TOL."""
+    A file whose capacity DispatchTrace refuses is refused, and so is a file
+    that disagrees with itself: a row whose target is off c * r, or whose
+    p_hes is off p_gen - p_load + p_discharge + p_charge, by more than
+    POWER_TOL."""
     header, rows, comments = read_csv(path)
     if header != _TRACE_HEADER:
         raise ValueError(f"{path}: unexpected trace header {','.join(header)!r}")
@@ -640,11 +657,15 @@ def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
         raise ValueError(
             f"{path}: data row {i + 1}: {_TRACE_HEADER[j + 1]} must be finite, got {cols[i, j]}"
         )
-    r = cols[:, 0]
-    # a file this package writes holds target = c * r and p_hes, summed in
-    # the rule's order, exactly
-    p_hes = _net_output(cols[:, 2], cols[:, 3], cols[:, 5], cols[:, 4])
-    off = np.abs(np.stack([cols[:, 1] - meta["c"] * r, cols[:, 6] - p_hes], axis=1))
+    soc = np.concatenate([[meta["soc_init"]], cols[:, 7]])
+    try:
+        trace = DispatchTrace(
+            meta["c"], cols[:, 0], cols[:, 2], cols[:, 3], cols[:, 5], cols[:, 4], soc
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    # a file this package writes holds the trace's target and p_hes exactly
+    off = np.abs(np.stack([cols[:, 1] - trace.target, cols[:, 6] - trace.p_hes], axis=1))
     bad = np.argwhere(off > POWER_TOL)
     if bad.size:
         i, j = bad[0].tolist()  # the first in file order
@@ -652,14 +673,4 @@ def load_trace_csv(path: str | Path) -> tuple[DispatchTrace, np.ndarray, float]:
         raise ValueError(
             f"{path}: data row {i + 1}: {name} differs from {rule} by more than {POWER_TOL} MW"
         )
-    soc = np.concatenate([[meta["soc_init"]], cols[:, 7]])
-    trace = DispatchTrace(
-        target=cols[:, 1],
-        p_gen=cols[:, 2],
-        p_load=cols[:, 3],
-        p_charge=cols[:, 4],
-        p_discharge=cols[:, 5],
-        p_hes=cols[:, 6],
-        soc=soc,
-    )
-    return trace, r, meta["c"]
+    return trace, trace.r, trace.c

@@ -45,8 +45,7 @@ from .controller import (
     DispatchTrace,
     _check_inputs,
     _headroom,
-    _net_output,
-    _rule_columns,
+    _rule_trace,
     _soc_path,
     rt_dispatch,
     validate_trace,
@@ -197,7 +196,8 @@ def _solve_lp(cfg: HesConfig, c: float, sig: RegSignal):
 
 def _assemble_trace(
     cfg: HesConfig,
-    target: np.ndarray,
+    c: float,
+    r: np.ndarray,
     net_gl: np.ndarray,
     d: np.ndarray,
     pc: np.ndarray,
@@ -205,16 +205,7 @@ def _assemble_trace(
 ) -> DispatchTrace:
     # split net gen/load one-sidedly; the LP may park them on both sides at once
     g2 = np.clip(net_gl, 0.0, cfg.gen.p_max)
-    l2 = g2 - net_gl
-    return DispatchTrace(
-        target=target,
-        p_gen=g2,
-        p_load=l2,
-        p_discharge=d,
-        p_charge=pc,
-        p_hes=_net_output(g2, l2, d, pc),
-        soc=soc,
-    )
+    return DispatchTrace(c, r, g2, g2 - net_gl, d, pc, soc)
 
 
 def _check_steps(n: int) -> None:
@@ -230,13 +221,12 @@ def offline_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolutio
     _check_inputs(cfg, c, sig.dt)
     _check_steps(sig.n)
     batt = cfg.batt
-    target = c * sig.samples
     g, l, d, pc, e_lp, lp_obj = _solve_lp(cfg, c, sig)
 
     overlap = float(np.max(d * (-pc)))
     if overlap <= COMPLEMENTARITY_TOL:
         soc = np.concatenate([[batt.soc_init], e_lp])
-        trace = _assemble_trace(cfg, target, g - l, d, pc, soc)
+        trace = _assemble_trace(cfg, c, sig.samples, g - l, d, pc, soc)
         return OfflineSolution(
             trace=trace,
             objective=trace.abs_error(),
@@ -251,7 +241,7 @@ def offline_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolutio
     d2 = np.maximum(net, 0.0)
     pc2 = np.minimum(net, 0.0)
     soc2 = _soc_path(batt, d2, pc2, cfg.dt, np.full(sig.n + 1, batt.soc_init))
-    trace2 = _assemble_trace(cfg, target, g - l, d2, pc2, soc2)
+    trace2 = _assemble_trace(cfg, c, sig.samples, g - l, d2, pc2, soc2)
     obj2 = trace2.abs_error()
     soc_tol = 2e-8 * sig.n + 1e-9  # resimulation compounds solver noise
     repaired_ok = (
@@ -283,15 +273,13 @@ def closed_form_dispatch(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSol
 
     Output clips the command into [-(load.p_max + batt.p_max),
     gen.p_max + batt.p_max] with the rule's priority allocation, the battery
-    headroom fixed at batt.p_max: the rule kernel (controller._rule_columns)
+    headroom fixed at batt.p_max: the rule's trace (controller._rule_trace)
     with every step at full headroom. Returns None when the
     resulting SoC trajectory touches or crosses either envelope bound, in
     which case the form does not apply.
     """
-    _check_inputs(cfg, c, sig.dt)
     batt = cfg.batt
-    cols = _rule_columns(cfg, c, sig.samples[:, None], batt.soc_init, full_headroom=True)
-    trace = DispatchTrace(*(col[:, 0] for col in cols))
+    trace = _rule_trace(cfg, c, sig, full_headroom=True)
     interior = trace.soc[1:]
     if interior.size and (
         float(interior.min()) <= batt.soc_min or float(interior.max()) >= batt.soc_max
@@ -359,7 +347,7 @@ def dp_oracle(cfg: HesConfig, c: float, sig: RegSignal) -> OfflineSolution:
         acts[k] = j = tied[np.argmin(np.abs(net_act[tied]))]
         e = soc[k + 1] = e + de_act[j]
     net_gl = np.clip(target - net_act[acts], -lmax, gmax)
-    trace = _assemble_trace(cfg, target, net_gl, pd_act[acts], pc_act[acts], soc)
+    trace = _assemble_trace(cfg, c, sig.samples, net_gl, pd_act[acts], pc_act[acts], soc)
     return OfflineSolution(
         trace=trace,
         objective=trace.abs_error(),
@@ -613,7 +601,7 @@ def _solve_relaxation(cfg: HesConfig, c: float, sig: RegSignal) -> _Relaxation:
         net_gl[k] = min(max(t - b, -load_max), gen_max)
         e = soc[k + 1] = e + soc_change(batt, p_charge[k], p_discharge[k], cfg.dt)
 
-    trace = _assemble_trace(cfg, target, net_gl, p_discharge, p_charge, soc)
+    trace = _assemble_trace(cfg, c, sig.samples, net_gl, p_discharge, p_charge, soc)
     return _Relaxation(*value[0].tolist(), trace, np.diff(ends[:, 0], prepend=0.0))
 
 
@@ -653,16 +641,16 @@ def benchmark_controller(cfg: HesConfig, c: float, sig: RegSignal) -> BenchmarkR
     objectives must agree to EQUIVALENCE_RTOL; a larger gap raises
     EquivalenceError because it means one of the routes is wrong.
     """
-    j_on = rt_dispatch(cfg, c, sig).abs_error()
-    off = offline_dispatch(cfg, c, sig)
-    return _benchmark_report(cfg, c, sig, j_on, off)
+    rt_trace = rt_dispatch(cfg, c, sig)
+    return _benchmark_report(cfg, sig, rt_trace, offline_dispatch(cfg, c, sig))
 
 
 def _benchmark_report(
-    cfg: HesConfig, c: float, sig: RegSignal, j_on: float, off: OfflineSolution
+    cfg: HesConfig, sig: RegSignal, rt_trace: DispatchTrace, off: OfflineSolution
 ) -> BenchmarkReport:
-    """benchmark_controller from a rule objective and an offline solution
-    already computed."""
+    """benchmark_controller from the rule's trace on sig and an offline
+    solution already computed; the capacity is the rule trace's."""
+    c, j_on = rt_trace.c, rt_trace.abs_error()
     held = closed_form_dispatch(cfg, c, sig) is not None
     gap = j_on - off.objective
     if held and abs(gap) > EQUIVALENCE_RTOL * max(1.0, off.objective):

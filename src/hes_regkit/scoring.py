@@ -18,7 +18,7 @@ import numpy as np
 
 from .controller import DispatchTrace
 from .model import _require_finite
-from .signals import RegSignal, mileage
+from .signals import mileage
 
 __all__ = [
     "ZeroSignalError",
@@ -87,19 +87,13 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def performance_score(c: float, sig: RegSignal, trace: DispatchTrace) -> float:
-    """Tracking score of one window. Raises ZeroSignalError on a flat window."""
-    _check_finite(c=c)
-    if c <= 0.0:
-        raise ValueError(f"capacity must be > 0 MW, got {c}")
-    if trace.n_steps != sig.n:
-        raise ValueError(
-            f"trace has {trace.n_steps} steps, signal has {sig.n} samples"
-        )
-    l1 = float(np.sum(np.abs(sig.samples)))
+def performance_score(trace: DispatchTrace) -> float:
+    """Tracking score of one window's trace, at its capacity and commands.
+    Raises ZeroSignalError on a flat window."""
+    l1 = float(np.sum(np.abs(trace.r)))
     if l1 == 0.0:
         raise ZeroSignalError("sum|r| = 0, performance score undefined")
-    return 1.0 - trace.abs_error() / (c * l1)
+    return 1.0 - trace.abs_error() / (trace.c * l1)
 
 
 def revenue(c: float, x_p: float, market: MarketParams, sig_mileage: float) -> float:
@@ -112,15 +106,14 @@ def revenue(c: float, x_p: float, market: MarketParams, sig_mileage: float) -> f
     return c * x_p * (market.lambda_c + market.lambda_m * sig_mileage)
 
 
-def make_report(
-    c: float, sig: RegSignal, trace: DispatchTrace, market: MarketParams
-) -> PerformanceReport:
-    x_p = performance_score(c, sig, trace)
-    m = mileage(sig)
+def make_report(trace: DispatchTrace, market: MarketParams) -> PerformanceReport:
+    """Score and earnings of one window's trace."""
+    x_p = performance_score(trace)
+    m = mileage(trace.r)
     return PerformanceReport(
-        c=c,
+        c=trace.c,
         x_p=x_p,
         abs_error=trace.abs_error(),
         mileage=m,
-        revenue=revenue(c, x_p, market, m),
+        revenue=revenue(trace.c, x_p, market, m),
     )

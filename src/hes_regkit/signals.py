@@ -229,9 +229,9 @@ class ArchiveStats:
     mileage: DistributionSummary
 
 
-def mileage(sig: RegSignal) -> float:
-    """Total signal movement: sum of |r[k+1] - r[k]| over the window."""
-    return float(np.sum(np.abs(np.diff(sig.samples))))
+def mileage(samples: np.ndarray) -> float:
+    """Total signal movement: sum of |r[k+1] - r[k]| over a window's samples."""
+    return float(np.sum(np.abs(np.diff(samples))))
 
 
 def energy_stats(sig: RegSignal) -> SignalStats:
@@ -240,7 +240,7 @@ def energy_stats(sig: RegSignal) -> SignalStats:
     w = float(prefix[-1])
     w_inf = float(np.max(np.abs(prefix)))
     # the full sum is itself a prefix, so w_inf >= |w| holds by construction
-    return SignalStats(w=w, w_inf=w_inf, mileage=mileage(sig))
+    return SignalStats(w=w, w_inf=w_inf, mileage=mileage(sig.samples))
 
 
 def _summarize(values: np.ndarray, bins: int) -> DistributionSummary:

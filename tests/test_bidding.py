@@ -181,7 +181,7 @@ class TestSolveBid:
             assert all(pt.scores.size == 5 for pt in sol.curve)
             # the payment summed one window at a time, zero-signal window dropped
             l1 = np.array([float(np.sum(np.abs(w.samples))) for w in arch.windows])
-            miles = np.array([mileage(w) for w in arch.windows])[l1 > 0.0]
+            miles = np.array([mileage(w.samples) for w in arch.windows])[l1 > 0.0]
             pt = sol.point_at(sol.c_star)
             rate = self.market.lambda_c + self.market.lambda_m * miles
             assert rev.with_mileage == float((sol.c_star * pt.scores * rate).mean())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hes_regkit import (
+    DispatchTrace,
     RegSignal,
     SignalError,
     SignalRangeError,
@@ -253,19 +254,56 @@ class TestNonFiniteCapacity:
                 call()
 
 
+class TestTraceContract:
+    """A trace carries the capacity and commands it was dispatched for."""
+
+    @staticmethod
+    def columns(n):
+        z = np.zeros(n)
+        return dict(p_gen=z, p_load=z, p_discharge=z, p_charge=z, soc=np.full(n + 1, 0.5))
+
+    @pytest.mark.parametrize(
+        "c, problem",
+        [
+            (np.nan, "capacity must be finite, got nan"),
+            (np.inf, "capacity must be finite, got inf"),
+            (-np.inf, "capacity must be finite, got -inf"),
+            (0.0, "capacity must be > 0 MW, got 0.0"),
+            (-1.0, "capacity must be > 0 MW, got -1.0"),
+        ],
+    )
+    def test_refuses_a_bad_capacity(self, c, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            DispatchTrace(c=c, r=np.zeros(3), **self.columns(3))
+
+    @pytest.mark.parametrize("n_r", [2, 4])
+    def test_refuses_commands_of_the_wrong_length(self, n_r):
+        with pytest.raises(ValueError, match=f"trace column p_gen has 3 rows, expected {n_r}"):
+            DispatchTrace(c=1.0, r=np.zeros(n_r), **self.columns(3))
+
+    def test_target_and_p_hes_follow_the_command(self):
+        trace = DispatchTrace(
+            c=3.0, r=[0.5, -0.5], p_gen=[1.0, 0.0], p_load=[0.0, 1.0],
+            p_discharge=[0.5, 0.0], p_charge=[0.0, -0.5], soc=[0.5, 0.4, 0.6],
+        )
+        assert same_bits(trace.target, [1.5, -1.5])
+        assert same_bits(trace.p_hes, [1.5, -1.5])
+        assert trace.n_steps == 2 and trace.abs_error() == 0.0
+
+
 class TestTraceCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = reference_system()
         sig = synth_signal("energy-neutral-random", 50, DT_2S, 9)
         trace = rt_dispatch(cfg, 12.21, sig)
-        p = save_trace_csv(tmp_path / "trace.csv", trace, sig.samples, 12.21)
+        p = save_trace_csv(tmp_path / "trace.csv", trace)
         loaded, r, c = load_trace_csv(p)
         assert c == 12.21
         assert np.array_equal(r, sig.samples)
         for name in ("target", "p_gen", "p_load", "p_discharge", "p_charge", "p_hes", "soc"):
             assert np.array_equal(getattr(loaded, name), getattr(trace, name)), name
         # second serialization is byte-identical
-        p2 = save_trace_csv(tmp_path / "trace2.csv", loaded, r, c)
+        p2 = save_trace_csv(tmp_path / "trace2.csv", loaded)
         assert p.read_bytes() == p2.read_bytes()
 
     def test_rejects_wrong_header(self, tmp_path):
@@ -278,7 +316,7 @@ class TestTraceCsv:
         cfg = reference_system()
         sig = synth_signal("square-wave", 8, DT_2S, 0)
         trace = rt_dispatch(cfg, 8.0, sig)
-        p = save_trace_csv(tmp_path / "t.csv", trace, sig.samples, 8.0)
+        p = save_trace_csv(tmp_path / "t.csv", trace)
         body = [ln for ln in p.read_text().splitlines() if not ln.startswith("# c=")]
         p.write_text("\n".join(body) + "\n")
         with pytest.raises(ValueError, match="metadata"):
@@ -288,7 +326,7 @@ class TestTraceCsv:
     def test_rejects_non_finite_cell(self, tmp_path, cell):
         cfg = reference_system()
         sig = synth_signal("square-wave", 8, DT_2S, 0)
-        p = save_trace_csv(tmp_path / "t.csv", rt_dispatch(cfg, 8.0, sig), sig.samples, 8.0)
+        p = save_trace_csv(tmp_path / "t.csv", rt_dispatch(cfg, 8.0, sig))
         lines = p.read_text().splitlines()
         data = next(i for i, ln in enumerate(lines) if ln.startswith("k,")) + 3
         cells = lines[data].split(",")
@@ -304,7 +342,7 @@ class TestTraceCsv:
     def test_rejects_non_finite_metadata(self, tmp_path, key, value):
         cfg = reference_system()
         sig = synth_signal("square-wave", 8, DT_2S, 0)
-        p = save_trace_csv(tmp_path / "t.csv", rt_dispatch(cfg, 8.0, sig), sig.samples, 8.0)
+        p = save_trace_csv(tmp_path / "t.csv", rt_dispatch(cfg, 8.0, sig))
         lines = [
             f"# {key}={value}" if ln.startswith(f"# {key}=") else ln
             for ln in p.read_text().splitlines()
@@ -313,9 +351,28 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=f"t.csv: metadata {key} must be finite, got {value}"):
             load_trace_csv(p)
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rejects_a_capacity_that_is_not_positive(self, tmp_path, value):
+        cfg = reference_system()
+        sig = synth_signal("square-wave", 8, DT_2S, 0)
+        p = save_trace_csv(tmp_path / "t.csv", rt_dispatch(cfg, 8.0, sig))
+        lines = [
+            f"# c={value}" if ln.startswith("# c=") else ln for ln in p.read_text().splitlines()
+        ]
+        p.write_text("\n".join(lines) + "\n")
+        problem = f"t.csv: capacity must be > 0 MW, got {float(value)}"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_trace_csv(p)
+
+    def test_saving_a_loaded_repaired_trace_gives_the_same_bytes(self, tmp_path):
+        # test_round_trip_bit_exact does the same for a rule trace
+        p = save_trace_csv(tmp_path / "t.csv", self.repaired_trace())
+        again = save_trace_csv(tmp_path / "again.csv", load_trace_csv(p)[0])
+        assert again.read_bytes() == p.read_bytes()
+
     @staticmethod
     def repaired_trace():
-        """An lp-with-repair trace, its signal and capacity."""
+        """An lp-with-repair trace."""
         rng = np.random.default_rng(59)
         for _ in range(60):
             cfg = random_system(rng, dt=float(rng.uniform(0.02, 0.08)))
@@ -323,7 +380,7 @@ class TestTraceCsv:
             c = random_capacity(rng, cfg)
             sol = offline_dispatch(cfg, c, sig)
             if sol.solver_path == "lp-with-repair":
-                return sol.trace, sig.samples, c
+                return sol.trace
         pytest.fail("instance distribution no longer exercises the repair path")
 
     @pytest.mark.parametrize("route", ["rt", "lp-with-repair"])
@@ -333,10 +390,10 @@ class TestTraceCsv:
         # error as 234.3 against the true 30.5
         if route == "rt":
             sig = synth_signal("drifting", 40, DT_2S, 3, bias=-0.4, noise=0.8)
-            trace, r, c = rt_dispatch(reference_system(), 12.21, sig), sig.samples, 12.21
+            trace = rt_dispatch(reference_system(), 12.21, sig)
         else:
-            trace, r, c = self.repaired_trace()
-        p = save_trace_csv(tmp_path / "t.csv", trace, r, c)
+            trace = self.repaired_trace()
+        p = save_trace_csv(tmp_path / "t.csv", trace)
         loaded, _, _ = load_trace_csv(p)
         assert same_bits(loaded.p_hes, trace.p_hes)
         lines = p.read_text().splitlines()

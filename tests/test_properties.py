@@ -1162,7 +1162,7 @@ def test_archive_windows_are_read_only(tmp_path):
 
 
 def assert_trace_round_trip(path: Path, trace, r: np.ndarray, c: float) -> None:
-    loaded, r_back, c_back = load_trace_csv(save_trace_csv(path, trace, r, c))
+    loaded, r_back, c_back = load_trace_csv(save_trace_csv(path, trace))
     for name in COLUMNS:  # soc[0] is the soc_init metadata line
         assert same_bits(getattr(loaded, name), getattr(trace, name)), name
     assert same_bits(r_back, r)
@@ -1189,6 +1189,39 @@ def test_offline_trace_csv_round_trip_bitwise(tmp_path):
     c = random_capacity(rng, cfg)
     sol = offline_dispatch(cfg, c, sig)
     assert_trace_round_trip(tmp_path / "trace.csv", sol.trace, sig.samples, c)
+
+
+def rule_order_sum(trace) -> list[float]:
+    """p_gen - p_load + p_discharge + p_charge at each step, in Python floats."""
+    names = ("p_gen", "p_load", "p_discharge", "p_charge")
+    cols = (getattr(trace, name).tolist() for name in names)
+    return [g - l + d + b for g, l, d, b in zip(*cols)]
+
+
+def test_every_route_carries_its_command_and_derives_target_and_p_hes():
+    """A trace holds the c and r it was dispatched for. Its target is c * r
+    and its p_hes the rule-order sum, bit for bit, on every route; on the
+    rule's own route both are the reference rule's."""
+    rng = np.random.default_rng(59)  # 30 instances reach every offline route
+    routes = set()
+    for _ in range(30):
+        cfg = random_system(rng, dt=float(rng.uniform(0.02, 0.08)))
+        sig = random_signal(rng, int(rng.integers(20, 61)), cfg.dt)
+        c = random_capacity(rng, cfg)
+        sol = offline_dispatch(cfg, c, sig)
+        traces = {"rt": rt_dispatch(cfg, c, sig), sol.solver_path: sol.trace}
+        cf = closed_form_dispatch(cfg, c, sig)
+        if cf is not None:
+            traces["closed-form"] = cf.trace
+        for route, trace in traces.items():
+            assert trace.c == c and same_bits(trace.r, sig.samples), route
+            assert same_bits(trace.target, [c * r_k for r_k in sig.samples.tolist()]), route
+            assert same_bits(trace.p_hes, rule_order_sum(trace)), route
+        ref = reference_rule(cfg, c, sig.samples, cfg.batt.soc_init)
+        assert same_bits(traces["rt"].target, ref["target"])
+        assert same_bits(traces["rt"].p_hes, ref["p_hes"])
+        routes.update(traces)
+    assert routes == {"rt", "closed-form", "lp", "lp-with-repair", "dp"}
 
 
 def soc_within(cfg: HesConfig, soc: np.ndarray, tol: float) -> bool:
@@ -1321,7 +1354,7 @@ def envelope_cases(draw):
         )
         size = n + 1 if name == "soc" else n
         cols[name] = np.array(draw(st.lists(element, min_size=size, max_size=size)))
-    trace = DispatchTrace(target=np.zeros(n), p_hes=np.zeros(n), **cols)
+    trace = DispatchTrace(c=1.0, r=np.zeros(n), **cols)
     return cfg, trace, power_tol, soc_tol
 
 

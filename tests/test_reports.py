@@ -1,6 +1,7 @@
 """CSV and JSON artifacts: the exact bytes of trace, signal and report files,
 and what they refuse."""
 
+import dataclasses
 import json
 import math
 
@@ -15,15 +16,14 @@ from hes_regkit.reports import dumps_json, write_csv
 # 0.1 + 0.2 and 1/3 need all 17 significant digits to round-trip; -0.0 is
 # what the rule's p_load reads at r = +0.0
 _TRACE = DispatchTrace(
-    target=[0.1 + 0.2, -1.5, 0.0],
+    c=3.0,
+    r=[0.1, -0.5, 0.0],
     p_gen=[0.1 + 0.2, 0.0, 0.0],
     p_load=[0.0, 1.5, -0.0],
     p_discharge=[0.0, 0.0, 0.0],
     p_charge=[0.0, 0.0, 0.0],
-    p_hes=[0.1 + 0.2, -1.5, 0.0],
     soc=[0.5, 1 / 3, 1 / 3, 0.25],
 )
-_R = [0.1, -0.5, 0.0]
 
 _TRACE_TEXT = """\
 # c=3
@@ -44,7 +44,7 @@ timestamp,r
 
 
 def test_trace_and_signal_bytes(tmp_path):
-    trace_path = save_trace_csv(tmp_path / "trace.csv", _TRACE, _R, 3.0)
+    trace_path = save_trace_csv(tmp_path / "trace.csv", _TRACE)
     assert trace_path.read_bytes() == _TRACE_TEXT.encode("utf-8")
     signal_path = save_signal(tmp_path / "signal.csv", [0.1, -1.0, 0.1 + 0.2, 0.0])
     assert signal_path.read_bytes() == _SIGNAL_TEXT.encode("utf-8")
@@ -52,16 +52,17 @@ def test_trace_and_signal_bytes(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_are_refused(tmp_path, bad):
-    p_hes = np.array(_TRACE.p_hes)
-    p_hes[1] = bad
+    p_gen = np.array(_TRACE.p_gen)
+    p_gen[1] = bad
     trace = DispatchTrace(
-        _TRACE.target, _TRACE.p_gen, _TRACE.p_load, _TRACE.p_discharge,
-        _TRACE.p_charge, p_hes, _TRACE.soc,
+        _TRACE.c, _TRACE.r, p_gen, _TRACE.p_load, _TRACE.p_discharge,
+        _TRACE.p_charge, _TRACE.soc,
     )
     with pytest.raises(ValueError, match="cannot serialize non-finite float"):
-        save_trace_csv(tmp_path / "trace.csv", trace, _R, 3.0)
-    with pytest.raises(ValueError, match="cannot serialize non-finite float"):
-        save_trace_csv(tmp_path / "trace.csv", _TRACE, _R, bad)
+        save_trace_csv(tmp_path / "trace.csv", trace)
+    # a trace refuses a non-finite capacity, so none reaches the writer
+    with pytest.raises(ValueError, match="capacity must be finite"):
+        dataclasses.replace(_TRACE, c=bad)
     with pytest.raises(ValueError, match="cannot serialize non-finite float"):
         save_signal(tmp_path / "signal.csv", [0.1, bad, 0.2])
     assert not list(tmp_path.iterdir())  # no partial file left behind

@@ -6,9 +6,9 @@ import pytest
 from hes_regkit import (
     DispatchTrace,
     MarketParams,
-    RegSignal,
     ZeroSignalError,
     make_report,
+    mileage,
     performance_score,
     revenue,
     rt_dispatch,
@@ -17,66 +17,52 @@ from hes_regkit import (
 from helpers import DT_2S, reference_market, reference_system
 
 
-def trace_for(target, p_hes, soc0=0.5):
-    n = len(target)
+def trace_for(c, r, p_hes, soc0=0.5):
+    n = len(r)
     z = np.zeros(n)
     return DispatchTrace(
-        target=np.asarray(target, float),
+        c=c,
+        r=np.asarray(r, float),
         p_gen=np.asarray(p_hes, float),  # attribute everything to the generator
         p_load=z,
         p_discharge=z,
         p_charge=z,
-        p_hes=np.asarray(p_hes, float),
         soc=np.full(n + 1, soc0),
     )
 
 
 class TestScore:
     def test_perfect_tracking_scores_one(self):
-        sig = RegSignal(samples=np.array([0.5, -0.5, 1.0]), dt=1.0)
-        trace = trace_for(2.0 * sig.samples, 2.0 * sig.samples)
-        assert performance_score(2.0, sig, trace) == 1.0
+        r = np.array([0.5, -0.5, 1.0])
+        trace = trace_for(2.0, r, 2.0 * r)
+        assert performance_score(trace) == 1.0
 
     def test_hand_value(self):
         # errors 1 and 1 against C*l1 = 2*2: score 0.5
-        sig = RegSignal(samples=np.array([1.0, -1.0]), dt=1.0)
-        trace = trace_for([2.0, -2.0], [1.0, -1.0])
-        assert performance_score(2.0, sig, trace) == pytest.approx(0.5, abs=1e-15)
+        trace = trace_for(2.0, [1.0, -1.0], [1.0, -1.0])
+        assert performance_score(trace) == pytest.approx(0.5, abs=1e-15)
 
     def test_doing_nothing_scores_zero(self):
-        sig = RegSignal(samples=np.array([0.5, -0.25, 0.75]), dt=1.0)
-        trace = trace_for(4.0 * sig.samples, np.zeros(3))
-        assert performance_score(4.0, sig, trace) == pytest.approx(0.0, abs=1e-15)
+        trace = trace_for(4.0, [0.5, -0.25, 0.75], np.zeros(3))
+        assert performance_score(trace) == pytest.approx(0.0, abs=1e-15)
 
     def test_opposing_dispatch_goes_negative(self):
-        sig = RegSignal(samples=np.array([1.0, 1.0]), dt=1.0)
-        trace = trace_for([2.0, 2.0], [-2.0, -2.0])
-        assert performance_score(2.0, sig, trace) == pytest.approx(-1.0, abs=1e-15)
+        trace = trace_for(2.0, [1.0, 1.0], [-2.0, -2.0])
+        assert performance_score(trace) == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_signal_raises(self):
-        sig = RegSignal(samples=np.zeros(4), dt=1.0)
-        trace = trace_for(np.zeros(4), np.zeros(4))
+        trace = trace_for(2.0, np.zeros(4), np.zeros(4))
         with pytest.raises(ZeroSignalError):
-            performance_score(2.0, sig, trace)
+            performance_score(trace)
 
     def test_capacity_must_be_positive(self):
-        sig = RegSignal(samples=np.array([1.0, -1.0]), dt=1.0)
-        trace = trace_for([1.0, -1.0], [1.0, -1.0])
         with pytest.raises(ValueError, match="capacity"):
-            performance_score(0.0, sig, trace)
+            trace_for(0.0, [1.0, -1.0], [1.0, -1.0])
 
     @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
     def test_capacity_must_be_finite(self, c):
-        sig = RegSignal(samples=np.array([1.0, -1.0]), dt=1.0)
-        trace = trace_for([1.0, -1.0], [1.0, -1.0])
-        with pytest.raises(ValueError, match=f"c must be finite, got {c}"):
-            performance_score(c, sig, trace)
-
-    def test_length_mismatch(self):
-        sig = RegSignal(samples=np.array([1.0, -1.0, 0.5]), dt=1.0)
-        trace = trace_for([1.0, -1.0], [1.0, -1.0])
-        with pytest.raises(ValueError, match="steps"):
-            performance_score(1.0, sig, trace)
+        with pytest.raises(ValueError, match=f"capacity must be finite, got {c}"):
+            trace_for(c, [1.0, -1.0], [1.0, -1.0])
 
 
 class TestRevenue:
@@ -153,9 +139,11 @@ class TestReport:
         market = reference_market()
         sig = synth_signal("energy-neutral-random", 200, DT_2S, 8)
         trace = rt_dispatch(cfg, 9.0, sig)
-        report = make_report(9.0, sig, trace, market)
-        assert report.x_p == performance_score(9.0, sig, trace)
+        report = make_report(trace, market)
+        assert report.c == 9.0
+        assert report.x_p == performance_score(trace)
         assert report.abs_error == trace.abs_error()
+        assert report.mileage == mileage(sig.samples)
         assert report.revenue == pytest.approx(
             9.0 * report.x_p * (40.0 + 10.0 * report.mileage), rel=1e-12
         )

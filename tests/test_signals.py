@@ -65,7 +65,7 @@ class TestRegSignal:
 class TestStats:
     def test_mileage_hand_value(self):
         sig = RegSignal(samples=np.array([0.0, 1.0, -1.0, 0.5]), dt=1.0)
-        assert mileage(sig) == pytest.approx(1.0 + 2.0 + 1.5, abs=1e-15)
+        assert mileage(sig.samples) == pytest.approx(1.0 + 2.0 + 1.5, abs=1e-15)
 
     def test_energy_stats_hand_values(self):
         sig = RegSignal(samples=np.array([1.0, 1.0, -1.0]), dt=0.5)
